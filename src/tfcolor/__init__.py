@@ -24,14 +24,13 @@ from .gadgets import (
 from .graph import (
     Graph,
     as_edge_subset,
-    build_graph,
     connected_components,
     contains_k4,
     degeneracy_ordering,
-    identify_vertices,
     is_connected,
     is_triangle_free,
     list_triangles,
+    quotient,
     read_dimacs_graph,
     write_dimacs_graph,
     write_dot,
@@ -42,7 +41,6 @@ from .graph_classes import (
     chordal_chi3,
     lex_bfs,
     recognize_chordal,
-    regular_triangle_check,
 )
 from .reductions import (
     Assignment,
@@ -72,7 +70,6 @@ from .solvers import (
     compute_params,
     decide_proper_q,
     decide_tf_q,
-    decide_tf_q_parallel,
     fpt_tf_q_coloring,
     min_vertex_cover,
     oracle_chi,

@@ -1,7 +1,9 @@
 """Command-line front end: gen, solve, verify, reduce, and params.
 
 Exit codes: 0 = feasible / value computed, 1 = infeasible decision or
-failed verification, 2 = input error.
+failed verification, 2 = input error (bad arguments or malformed input),
+3 = internal error (an unexpected exception, reported as one
+'error: <Type>: <message>' line on stderr).
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ def _load_graph_maybe_polar(args):
 
 def _cmd_solve(args) -> int:
     g, polar = _load_graph_maybe_polar(args)
-    jobs = args.jobs or 1
 
     if args.fpt:
         if args.q is None:
@@ -100,17 +101,14 @@ def _cmd_solve(args) -> int:
         return 0
 
     if args.q is not None:
-        if jobs > 1:
-            witness = solvers.decide_tf_q_parallel(g, args.q, polar=polar, jobs=jobs)
-        else:
-            witness = solvers.decide_tf_q(g, args.q, polar=polar)
+        witness = solvers.decide_tf_q(g, args.q, polar=polar)
         if witness is None:
             _emit({"feasible": False})
             return 1
         _emit({"feasible": True, "coloring": list(witness.colors)})
         return 0
 
-    k, witness = solvers.solve_chi3(g, polar=polar, jobs=jobs)
+    k, witness = solvers.solve_chi3(g, polar=polar)
     _emit({"chi3": k, "coloring": list(witness.colors)})
     return 0
 
@@ -192,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polar", default=None, help="polar-instance file (graph + s lines)")
     p.add_argument("--class", dest="cls", default=None, choices=graph_classes.CLASS_TAGS)
     p.add_argument("--fpt", action="store_true", help="use the vertex-cover algorithm (needs --q)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel root branching workers")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
@@ -227,6 +224,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

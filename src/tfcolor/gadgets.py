@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, build_graph, contains_k4, identify_vertices, list_triangles
+from .graph import Graph, contains_k4, list_triangles, quotient
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def gen_cycle_clique(k: int) -> CycleClique:
             nxt = ((i + 1) % 5) * k
             for j2 in range(k):
                 edges.append((v, nxt + j2))
-    graph = build_graph(5 * k, edges)
+    graph = Graph(5 * k, edges)
     joints = tuple(tuple(i * k + j for j in range(k)) for i in range(5))
     return CycleClique(graph, joints, k)
 
@@ -67,14 +67,7 @@ def clique_contraction(g: Graph, cu, cv, cw):
     pairs = [(cv[i], cu[i]) for i in range(k - 1)]
     pairs += [(cv[i], cw[i]) for i in range(k - 2)]
     pairs += [(cv[k - 1], cw[k - 2]), (cu[k - 1], cw[k - 1])]
-    cur = {v: v for v in range(g.n)}
-    h = g
-    for keep0, drop0 in pairs:
-        a, b = cur[keep0], cur[drop0]
-        h, rename = identify_vertices(h, a, b)
-        for orig, pos in cur.items():
-            cur[orig] = rename[a] if pos == b else rename[pos]
-    return h, cur
+    return quotient(g, pairs)
 
 
 def gen_clover(k: int) -> Graph:
@@ -87,7 +80,7 @@ def gen_clover(k: int) -> Graph:
     edges = list(parts[0].graph.edges())
     edges += [(u + n1, v + n1) for u, v in parts[1].graph.edges()]
     edges += [(u + 2 * n1, v + 2 * n1) for u, v in parts[2].graph.edges()]
-    union = build_graph(3 * n1, edges)
+    union = Graph(3 * n1, edges)
     cv = parts[0].joints[0]
     cu = tuple(x + n1 for x in parts[1].joints[0])
     cw = tuple(x + 2 * n1 for x in parts[2].joints[0])
@@ -158,7 +151,7 @@ def _certify_gadget(g: Graph):
 
 def gen_polar_gadget() -> PolarGadget:
     """Build the bichromatic-edge gadget and self-check its properties."""
-    g = build_graph(12, GADGET_EDGES)
+    g = Graph(12, GADGET_EDGES)
     _certify_gadget(g)
     return PolarGadget(g, U, V)
 
@@ -185,7 +178,7 @@ def gen_gadget_triangle() -> Graph:
                 continue
             pa, pb = place(a), place(b)
             edges.add((pa, pb) if pa < pb else (pb, pa))
-    return build_graph(33, sorted(edges))
+    return Graph(33, sorted(edges))
 
 
 def mycielskian(g: Graph) -> Graph:
@@ -199,7 +192,7 @@ def mycielskian(g: Graph) -> Graph:
         edges.append((v, n + u))
     for i in range(n):
         edges.append((n + i, 2 * n))
-    return build_graph(2 * n + 1, edges)
+    return Graph(2 * n + 1, edges)
 
 
 def gen_mycielski(t: int) -> Graph:
@@ -207,7 +200,7 @@ def gen_mycielski(t: int) -> Graph:
     5-cycle, and each further step keeps the graph triangle-free."""
     if t < 0:
         raise ValueError("iteration count must be non-negative")
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     for _ in range(t):
         g = mycielskian(g)
     return g
@@ -216,10 +209,10 @@ def gen_mycielski(t: int) -> Graph:
 def gen_complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    return build_graph(n, list(combinations(range(n), 2)))
+    return Graph(n, list(combinations(range(n), 2)))
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle length must be at least 3")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])

@@ -74,44 +74,41 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges) -> Graph:
-    """Validated construction; rejects self-loops, duplicate edges and
-    out-of-range endpoints with distinct errors."""
-    return Graph(n, edges)
+def quotient(g: Graph, pairs):
+    """Identify vertices in one union-find pass. Each (keep, drop) pair
+    merges drop's class into keep's; the surviving representatives are
+    renumbered in ascending original index, and the loops and parallel
+    edges the merges create are dropped.
 
-
-def identify_vertices(g: Graph, u: int, v: int):
-    """Contract the ordered pair (u, v): remove v, attach v's neighbors
-    to u, drop the loop and any parallel edges, and renumber the
-    remaining vertices contiguously.
-
-    Returns (graph, rename) where rename maps each surviving old index
-    to its new index (v is absent from the map).
+    Returns (graph, vmap) where vmap sends every original vertex to the
+    new index of its class.
     """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range: ({u}, {v}) with n={g.n}")
-    if u == v:
-        raise ValueError("cannot identify a vertex with itself")
-    rename = {}
-    nxt = 0
-    for w in range(g.n):
-        if w == v:
-            continue
-        rename[w] = nxt
-        nxt += 1
+    parent = list(range(g.n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for keep, drop in pairs:
+        if not (0 <= keep < g.n and 0 <= drop < g.n):
+            raise ValueError(f"vertex out of range: ({keep}, {drop}) with n={g.n}")
+        rk, rd = find(keep), find(drop)
+        if rk == rd:
+            raise ValueError(f"vertices {keep} and {drop} are already identified")
+        parent[rd] = rk
+    index = {}
+    for v in range(g.n):
+        if parent[v] == v:
+            index[v] = len(index)
+    vmap = {v: index[find(v)] for v in range(g.n)}
     edges = set()
     for a, b in g.edges():
-        if v in (a, b):
-            other = b if a == v else a
-            if other == u:
-                continue
-            a2, b2 = rename[u], rename[other]
-        else:
-            a2, b2 = rename[a], rename[b]
-        if a2 > b2:
-            a2, b2 = b2, a2
-        edges.add((a2, b2))
-    return Graph(g.n - 1, sorted(edges)), rename
+        a2, b2 = vmap[a], vmap[b]
+        if a2 != b2:
+            edges.add((a2, b2) if a2 < b2 else (b2, a2))
+    return Graph(len(index), edges), vmap
 
 
 def degeneracy_ordering(g: Graph) -> list:
@@ -141,8 +138,8 @@ def degeneracy_ordering(g: Graph) -> list:
     return order
 
 
-def list_triangles(g: Graph) -> frozenset:
-    """The complete set of triangles, each as a sorted vertex triple.
+def _triangles(g: Graph):
+    """Yield each triangle once, as a sorted vertex triple.
 
     Walks a degeneracy ordering and tests adjacency among each removed
     vertex's not-yet-removed neighbors, so the work per vertex is
@@ -152,27 +149,21 @@ def list_triangles(g: Graph) -> frozenset:
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    out = set()
-    for v in order:
-        later = sorted(u for u in g.neighbors(v) if pos[u] > pos[v])
-        for a, b in combinations(later, 2):
-            if g.has_edge(a, b):
-                out.add(tuple(sorted((v, a, b))))
-    return frozenset(out)
-
-
-def is_triangle_free(g: Graph) -> bool:
-    """Early-exit triangle scan; equals emptiness of list_triangles."""
-    order = degeneracy_ordering(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
     for v in order:
         later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
         for a, b in combinations(later, 2):
             if g.has_edge(a, b):
-                return False
-    return True
+                yield tuple(sorted((v, a, b)))
+
+
+def list_triangles(g: Graph) -> frozenset:
+    """The complete set of triangles, each as a sorted vertex triple."""
+    return frozenset(_triangles(g))
+
+
+def is_triangle_free(g: Graph) -> bool:
+    """Early-exit triangle scan; equals emptiness of list_triangles."""
+    return next(_triangles(g), None) is None
 
 
 def contains_k4(g: Graph) -> bool:
@@ -260,7 +251,7 @@ def read_dimacs_graph(text: str) -> Graph:
         raise ValueError("missing 'p edge' header")
     if m != len(edges):
         raise ValueError(f"header claims {m} edges, found {len(edges)}")
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def write_dot(g: Graph, coloring=None) -> str:

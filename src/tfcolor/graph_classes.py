@@ -1,11 +1,10 @@
 """Pipelines for graph classes where the problem is easy: chordal
 recognition and exact coloring, the bounded-chromatic dispatch that reads
-the answer off a triangle check, and the regular-graph triangle scan."""
+the answer off a triangle check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .coloring import Coloring, standard_recolor, verify_triangle_free
 from .graph import Graph, connected_components, is_triangle_free
@@ -145,16 +144,3 @@ def bounded_chi_chi3(g: Graph, hint):
     if not verify_triangle_free(g, witness):
         raise RuntimeError("internal error: recolored witness is invalid")
     return witness.k, witness
-
-
-def regular_triangle_check(g: Graph) -> bool:
-    """Triangle existence on a regular graph by scanning each vertex's
-    neighborhood for an adjacent pair."""
-    degs = {g.degree(v) for v in range(g.n)}
-    if len(degs) > 1:
-        raise ValueError("graph is not regular")
-    for v in range(g.n):
-        for a, b in combinations(sorted(g.neighbors(v)), 2):
-            if g.has_edge(a, b):
-                return True
-    return False

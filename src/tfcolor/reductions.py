@@ -15,10 +15,9 @@ from .gadgets import GADGET_EDGES, U, V, gen_cycle_clique
 from .graph import (
     Graph,
     as_edge_subset,
-    build_graph,
     connected_components,
     contains_k4,
-    identify_vertices,
+    quotient,
     read_dimacs_graph,
     write_dimacs_graph,
 )
@@ -339,7 +338,7 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
         gadgets.append((host_u, host_v, base))
         base += 10
 
-    graph = build_graph(base, clause_edges + forced_edges + gadget_edges)
+    graph = Graph(base, clause_edges + forced_edges + gadget_edges)
     if contains_k4(graph):
         raise RuntimeError("reduction bug: output graph contains a 4-clique")
     return ReductionOutput(
@@ -442,7 +441,7 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
         for idx, vtx in enumerate(negatives):
             polar.append((vtx, fnode(x, 4 + idx)))
 
-    graph = build_graph(3 * m + 14 * n, plain + polar)
+    graph = Graph(3 * m + 14 * n, plain + polar)
     if graph.max_degree > 3:
         raise RuntimeError("reduction bug: output degree exceeds 3")
     inst = PolarInstance(graph, frozenset((min(a, b), max(a, b)) for a, b in polar))
@@ -518,35 +517,24 @@ def reduce_q_to_q1(g: Graph, q: int) -> ReductionOutput:
     for i in range(n):
         off = n + block * i
         edges += [(a + off, b + off) for a, b in cc.graph.edges()]
-    union = build_graph(n + block * n, edges)
+    union = Graph(n + block * n, edges)
 
     def slot(i, j, l):
         # clique i (0-based), joint j, member l
         return n + block * i + j * k + l
 
-    cur = {v: v for v in range(union.n)}
-    h = union
-
-    def merge(keep, drop):
-        nonlocal h
-        a, b = cur[keep], cur[drop]
-        h, rename = identify_vertices(h, a, b)
-        for orig, pos in cur.items():
-            cur[orig] = rename[a] if pos == b else rename[pos]
-
     hub0 = slot(0, 0, 0)
-    for i in range(1, n):
-        merge(hub0, slot(i, 0, 0))
-    for i in range(n):
-        merge(i, slot(i, 0, 1))
+    pairs = [(hub0, slot(i, 0, 0)) for i in range(1, n)]
+    pairs += [(i, slot(i, 0, 1)) for i in range(n)]
+    h, vmap = quotient(union, pairs)
 
     if h.n != n * (5 * q + 4) + 1:
         raise AssertionError(f"output has {h.n} vertices, expected {n * (5 * q + 4) + 1}")
-    clique_map = {(i, j, l): cur[slot(i, j, l)] for i in range(n) for j in range(5) for l in range(k)}
+    clique_map = {(i, j, l): vmap[slot(i, j, l)] for i in range(n) for j in range(5) for l in range(k)}
     return ReductionOutput(
         kind="q_to_q1",
         instance=h,
-        forward_map={"g_vertex": {v: cur[v] for v in range(n)}, "hub": cur[hub0], "clique": clique_map},
+        forward_map={"g_vertex": {v: vmap[v] for v in range(n)}, "hub": vmap[hub0], "clique": clique_map},
         metadata={"source": g, "q": q},
     )
 

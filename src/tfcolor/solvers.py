@@ -9,9 +9,8 @@ machinery with decide_tf_q and serve as ground truth in tests.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .coloring import Coloring, greedy_extend_independent, verify_triangle_free
 from .graph import Graph, as_edge_subset
@@ -177,7 +176,7 @@ def oracle_omega(g: Graph) -> int:
 # the optimized decision procedure
 
 
-def decide_tf_q(g: Graph, q: int, polar=None, rng=None, prefix=None):
+def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     """Search for a triangle-free q-coloring honoring the polar edges.
 
     Backtracking with propagation: a per-vertex table counts blocked
@@ -192,10 +191,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None, prefix=None):
     label is never blocked.
 
     rng, when given, shuffles decision ties and candidate colors to
-    randomize which witness is found; feasibility is unaffected. prefix
-    pins the colors of the first len(prefix) vertices in descending-
-    degree order (used to partition the root of the search across
-    workers).
+    randomize which witness is found; feasibility is unaffected.
 
     Returns a verified Coloring or None.
     """
@@ -212,7 +208,6 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None, prefix=None):
         padj[u].add(v)
         padj[v].add(u)
 
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     tie = list(range(n))
     if rng is not None:
         rng.shuffle(tie)
@@ -351,15 +346,6 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None, prefix=None):
         return None
 
     maxused = 0
-    if prefix:
-        for j, x in enumerate(prefix):
-            if not (1 <= x <= q):
-                raise ValueError(f"prefix color {x} outside 1..{q}")
-            mu = apply_with_propagation(order[j], x, maxused)
-            if mu is None:
-                return None
-            maxused = mu
-
     for sub in uncolored_components(range(n)):
         res = solve_comp(sub, maxused)
         if res is None:
@@ -371,52 +357,13 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None, prefix=None):
     return result
 
 
-def _decide_worker(args):
-    n, edges, q, polar, prefix = args
-    g = Graph(n, edges)
-    res = decide_tf_q(g, q, polar=polar or None, prefix=prefix)
-    return None if res is None else res.colors
-
-
-def decide_tf_q_parallel(g: Graph, q: int, polar=None, jobs: int = 2):
-    """Partition the root of decide_tf_q's search across worker
-    processes: the first decision vertex is pinned to color 1 and the
-    next few vertices range over all color tuples. Feasibility is
-    deterministic; the witness found may differ from the sequential one.
-    """
-    if jobs <= 1 or g.n <= 2:
-        return decide_tf_q(g, q, polar=polar)
-    pairs = as_edge_subset(g, polar) if polar else frozenset()
-    depth = 1
-    while q ** depth < 2 * jobs and depth + 1 < g.n:
-        depth += 1
-    prefixes = [(1,) + rest for rest in product(range(1, q + 1), repeat=depth)]
-    payload = (g.n, tuple(g.edges()), q, tuple(sorted(pairs)))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futures = {ex.submit(_decide_worker, payload + (p,)) for p in prefixes}
-        try:
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    colors = fut.result()
-                    if colors is not None:
-                        return Coloring(q, colors)
-        finally:
-            for fut in futures:
-                fut.cancel()
-    return None
-
-
-def solve_chi3(g: Graph, polar=None, jobs: int = 1):
+def solve_chi3(g: Graph, polar=None):
     """Exact chi3 (optionally polar-constrained) with a verified witness,
     by running the decision procedure with a growing budget."""
     if g.n == 0:
         return 0, Coloring(0, ())
     for k in range(1, g.n + 1):
-        if jobs > 1:
-            c = decide_tf_q_parallel(g, k, polar=polar, jobs=jobs)
-        else:
-            c = decide_tf_q(g, k, polar=polar)
+        c = decide_tf_q(g, k, polar=polar)
         if c is not None:
             return k, c
     raise AssertionError("a rainbow coloring always fits")
@@ -446,39 +393,33 @@ def _restore_vertex(adj, v, nbrs, emptied):
     adj[v] = set(nbrs)
 
 
+def _walk(adj, start, seen):
+    """The vertices met walking from start to the smallest unseen
+    neighbor until none is left; marks them all seen."""
+    walk = [start]
+    seen.add(start)
+    cur = start
+    while True:
+        nxt = [u for u in adj[cur] if u not in seen]
+        if not nxt:
+            return walk
+        cur = min(nxt)
+        walk.append(cur)
+        seen.add(cur)
+
+
 def _cover_paths_cycles(adj):
     """Exact minimum cover of a graph whose degrees are all <= 2
     (disjoint paths and cycles)."""
     cover = []
     seen = set()
-    for start in sorted(adj):
-        if start in seen or len(adj[start]) != 1:
-            continue
-        walk = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = sorted(u for u in adj[cur] if u != prev)
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
-            seen.add(cur)
-        cover.extend(walk[1::2])
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        walk = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = sorted(u for u in adj[cur] if u != prev and u not in seen)
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
-            seen.add(cur)
-        cover.extend(walk[0::2])
+    order = sorted(adj)
+    for start in order:
+        if start not in seen and len(adj[start]) == 1:
+            cover.extend(_walk(adj, start, seen)[1::2])
+    for start in order:
+        if start not in seen:
+            cover.extend(_walk(adj, start, seen)[0::2])
     return cover
 
 

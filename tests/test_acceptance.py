@@ -8,16 +8,13 @@ conjectured ceil(omega/2)+1 ceiling; a sighting is logged loudly but is
 deliberately not a suite failure.
 """
 
-import os
 import random
 from functools import lru_cache
 from itertools import combinations, product
 
-import pytest
 from tfcolor import (
     CnfFormula,
     PolarInstance,
-    build_graph,
     chordal_chi3,
     contains_k4,
     decide_tf_q,
@@ -113,10 +110,6 @@ def test_03_clover_extremality():
     report(3, "clover extremality (k=2)", ok)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TFCOLOR_LONG_TESTS"),
-    reason="long optional check; set TFCOLOR_LONG_TESTS=1 to run",
-)
 def test_03b_clover_extremality_k3():
     clover = gen_clover(3)
     infeasible = decide_tf_q(clover, 3) is None
@@ -127,7 +120,7 @@ def test_03b_clover_extremality_k3():
         and verify_triangle_free(clover, witness)
         and oracle_omega(clover) == 6
     )
-    report(3, "clover extremality (k=3, optional)", ok)
+    report(3, "clover extremality (k=3)", ok)
 
 
 def test_04_gadget_triangle():

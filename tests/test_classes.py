@@ -1,24 +1,22 @@
 """Class pipelines: chordal recognition and coloring, the
-bounded-chromatic dispatch, and the regular-graph triangle scan."""
+bounded-chromatic dispatch."""
 
 import random
 
 import pytest
 from tfcolor import (
     ClassHint,
+    Graph,
     bounded_chi_chi3,
-    build_graph,
     chordal_chi3,
     gen_complete,
     gen_cycle,
     is_triangle_free,
-    list_triangles,
     oracle_chi3,
     recognize_chordal,
-    regular_triangle_check,
     verify_triangle_free,
 )
-from util_graphs import icosahedron, petersen, planar_subgraph, rand_graph, random_ktree
+from util_graphs import icosahedron, petersen, planar_subgraph, random_ktree
 
 
 def _is_peo(g, peo):
@@ -50,13 +48,13 @@ def test_recognize_chordal_on_ktrees():
 
 def test_recognize_chordal_rejects_random_holes():
     # random graphs with an induced 4-cycle and no chord must be refused
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
     assert recognize_chordal(g) is None
 
 
 def test_chordal_chi3_examples():
     assert chordal_chi3(gen_complete(6))[0] == 3
-    tree = build_graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
+    tree = Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
     k, w = chordal_chi3(tree)
     assert k == 1 and w.colors == (1,) * 6
 
@@ -104,8 +102,8 @@ def test_bounded_matches_oracle_on_planar_subgraphs():
 
 def test_bounded_outerplanar_path():
     # maximal outerplanar strip: triangles sharing edges along a fan
-    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
-                        (0, 2), (0, 3), (3, 5)])
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                  (0, 2), (0, 3), (3, 5)])
     k, w = bounded_chi_chi3(g, ClassHint("outerplanar"))
     assert k == 2 == oracle_chi3(g)[0]
     assert verify_triangle_free(g, w)
@@ -118,9 +116,10 @@ def test_bounded_regular_cases():
     assert verify_triangle_free(k5, w)
     k4 = gen_complete(4)
     assert bounded_chi_chi3(k4, ClassHint("regular4"))[0] == 2
+    assert is_triangle_free(petersen())
     assert bounded_chi_chi3(petersen(), ClassHint("regular4"))[0] == 1
-    two_k5 = build_graph(10, gen_complete(5).edges()
-                         + [(u + 5, v + 5) for u, v in gen_complete(5).edges()])
+    two_k5 = Graph(10, gen_complete(5).edges()
+                   + [(u + 5, v + 5) for u, v in gen_complete(5).edges()])
     k, w = bounded_chi_chi3(two_k5, ClassHint("regular4"))
     assert k == 3 and verify_triangle_free(two_k5, w)
 
@@ -129,7 +128,7 @@ def test_bounded_rejects_violated_hints():
     with pytest.raises(ValueError, match="violated"):
         bounded_chi_chi3(gen_complete(5), ClassHint("planar"))
     with pytest.raises(ValueError, match="regular"):
-        bounded_chi_chi3(build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), ClassHint("regular4"))
+        bounded_chi_chi3(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), ClassHint("regular4"))
     with pytest.raises(ValueError):
         bounded_chi_chi3(gen_cycle(5), ClassHint("chordal"))
 
@@ -137,25 +136,3 @@ def test_bounded_rejects_violated_hints():
 def test_class_hint_validation():
     with pytest.raises(ValueError):
         ClassHint("bipartite")
-
-
-def test_regular_triangle_check():
-    assert regular_triangle_check(gen_cycle(5)) is False
-    assert regular_triangle_check(gen_complete(4)) is True
-    assert regular_triangle_check(petersen()) is False
-    assert is_triangle_free(petersen())
-    with pytest.raises(ValueError, match="regular"):
-        regular_triangle_check(build_graph(3, [(0, 1)]))
-
-
-def test_regular_triangle_check_matches_listing():
-    rng = random.Random(74)
-    checked = 0
-    for _ in range(400):
-        g = rand_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.6, 0.9]))
-        degs = {g.degree(v) for v in range(g.n)}
-        if len(degs) > 1:
-            continue
-        checked += 1
-        assert regular_triangle_check(g) == bool(list_triangles(g))
-    assert checked > 20

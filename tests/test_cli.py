@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from tfcolor import cli, read_dimacs_graph
+from tfcolor import cli, read_dimacs_graph, solvers
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,11 +132,17 @@ def test_solve_fpt_path(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["feasible"] is True
 
 
-def test_solve_jobs_flag(monkeypatch, capsys):
-    clover = (GOLDEN / "clover2.dimacs").read_text()
-    code, out = run_cli(["solve", "--q", "2", "--jobs", "2"], stdin_text=clover,
-                        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 1 and json.loads(out) == {"feasible": False}
+def test_unexpected_exception_is_exit_three(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(solvers, "decide_tf_q", boom)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p edge 2 1\ne 1 2\n"))
+    code = cli.run(["solve", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: RecursionError: maximum recursion depth exceeded"]
 
 
 def test_reduce_cnf_pipelines(monkeypatch, capsys):

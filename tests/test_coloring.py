@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from tfcolor import (
     Coloring,
-    build_graph,
+    Graph,
     gen_complete,
     gen_cycle,
     gen_polar_gadget,
@@ -33,8 +33,8 @@ def test_coloring_json_round_trip():
 
 def test_verify_proper_examples():
     assert verify_proper(gen_cycle(5), Coloring(3, (1, 2, 1, 2, 3)))
-    assert not verify_proper(build_graph(2, [(0, 1)]), Coloring(1, (1, 1)))
-    assert verify_proper(build_graph(3, []), Coloring(1, (1, 1, 1)))
+    assert not verify_proper(Graph(2, [(0, 1)]), Coloring(1, (1, 1)))
+    assert verify_proper(Graph(3, []), Coloring(1, (1, 1, 1)))
 
 
 def test_verify_proper_size_mismatch():
@@ -89,7 +89,7 @@ def test_standard_recolor_property():
 
 
 def test_greedy_extend_star():
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     got = greedy_extend_independent(star, {0: 1}, [1, 2, 3], 1)
     assert got == Coloring(1, (1, 1, 1, 1))
 
@@ -107,7 +107,7 @@ def test_greedy_extend_infeasible():
 
 
 def test_greedy_extend_rejects_dependent_set():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="independent"):
         greedy_extend_independent(g, {2: 1}, [0, 1], 1)
     with pytest.raises(ValueError, match="cover"):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from tfcolor import (
     Coloring,
-    build_graph,
+    Graph,
     clique_contraction,
     contains_k4,
     decide_tf_q,
@@ -75,7 +75,7 @@ def _disjoint_cliques(k, copies=3):
     for c in range(copies):
         for a, b in combinations(range(c * k, (c + 1) * k), 2):
             edges.append((a, b))
-    return build_graph(copies * k, edges)
+    return Graph(copies * k, edges)
 
 
 def test_contraction_three_triangles_to_k4():
@@ -92,7 +92,7 @@ def test_contraction_three_edges_to_k3():
 
 
 def test_contraction_rejects_non_clique():
-    g = build_graph(6, [(0, 1), (2, 3)])
+    g = Graph(6, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="clique"):
         clique_contraction(g, (0, 1), (2, 3), (4, 5))
 
@@ -123,7 +123,7 @@ def test_clover_rainbow_center_witness_construction():
         edges = list(parts[0].graph.edges())
         edges += [(u + n1, v + n1) for u, v in parts[1].graph.edges()]
         edges += [(u + 2 * n1, v + 2 * n1) for u, v in parts[2].graph.edges()]
-        union = build_graph(3 * n1, edges)
+        union = Graph(3 * n1, edges)
         cv = parts[0].joints[0]
         cu = tuple(x + n1 for x in parts[1].joints[0])
         cw = tuple(x + 2 * n1 for x in parts[2].joints[0])
@@ -167,7 +167,7 @@ def test_gadget_triangle_shape():
 
 
 def test_mycielski_base_cases():
-    assert gen_mycielski(0) == build_graph(2, [(0, 1)])
+    assert gen_mycielski(0) == Graph(2, [(0, 1)])
     m1 = gen_mycielski(1)
     assert m1.n == 5 and m1.m == 5
     assert all(m1.degree(v) == 2 for v in range(5)) and is_connected(m1)

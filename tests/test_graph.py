@@ -6,13 +6,13 @@ import random
 import pytest
 from tfcolor import (
     Coloring,
-    build_graph,
+    Graph,
     contains_k4,
     degeneracy_ordering,
     gen_cycle,
-    identify_vertices,
     is_triangle_free,
     list_triangles,
+    quotient,
     read_dimacs_graph,
     write_dimacs_graph,
     write_dot,
@@ -21,49 +21,54 @@ from util_graphs import brute_triangles, rand_graph
 
 
 def test_build_c5():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert g.n == 5 and g.m == 5 and g.max_degree == 2
     assert g == gen_cycle(5)
 
 
 def test_build_k4():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert g.m == 6 and g.max_degree == 3
 
 
 def test_build_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        build_graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
 
 
 def test_build_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate edge"):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
 
 
 def test_identify_triangle_to_edge():
-    g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    h, rename = identify_vertices(g, 0, 1)
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    h, vmap = quotient(g, [(0, 1)])
     assert h.n == 2 and h.m == 1
-    assert rename == {0: 0, 2: 1}
+    assert vmap == {0: 0, 1: 0, 2: 1}
 
 
 def test_identify_attaches_neighbors():
     # path 0-1 plus isolated 2; merging 0 and 2 leaves the path
-    g = build_graph(3, [(0, 1)])
-    h, _ = identify_vertices(g, 0, 2)
+    g = Graph(3, [(0, 1)])
+    h, vmap = quotient(g, [(0, 2)])
     assert h.n == 2 and h.m == 1
+    assert vmap[2] == vmap[0]
 
 
 def test_identify_rejects_same_vertex():
-    g = build_graph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        identify_vertices(g, 1, 1)
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match="already identified"):
+        quotient(g, [(1, 1)])
+    with pytest.raises(ValueError, match="already identified"):
+        quotient(g, [(0, 1), (2, 0), (1, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        quotient(g, [(0, 3)])
 
 
 def test_identify_never_leaves_loops_or_duplicates():
@@ -75,10 +80,14 @@ def test_identify_never_leaves_loops_or_duplicates():
         v = rng.randrange(n)
         if u == v:
             continue
-        h, rename = identify_vertices(g, u, v)
+        h, vmap = quotient(g, [(u, v)])
         assert h.n == n - 1
-        assert sorted(rename.values()) == list(range(n - 1))
+        assert vmap[v] == vmap[u]
+        assert sorted(set(vmap.values())) == list(range(n - 1))
         # the Graph constructor would reject loops or parallel edges
+        assert set(h.edges()) == {
+            tuple(sorted((vmap[a], vmap[b]))) for a, b in g.edges() if vmap[a] != vmap[b]
+        }
 
 
 def test_triangle_listing_matches_brute_force():
@@ -92,12 +101,12 @@ def test_triangle_listing_matches_brute_force():
 
 def test_triangle_listing_examples():
     assert list_triangles(gen_cycle(5)) == frozenset()
-    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert len(list_triangles(k4)) == 4
 
 
 def test_contains_k4():
-    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert contains_k4(k4)
     assert not contains_k4(gen_cycle(5))
 
@@ -137,7 +146,7 @@ def test_dimacs_rejects_malformed(text, msg):
 
 
 def test_dot_export():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     plain = write_dot(g)
     assert "0 -- 1;" in plain and "1 -- 2;" in plain
     colored = write_dot(g, Coloring(2, (1, 2, 1)))

@@ -6,8 +6,8 @@ import random
 import pytest
 from tfcolor import (
     CnfFormula,
+    Graph,
     PolarInstance,
-    build_graph,
     contains_k4,
     decide_tf_q,
     fits_occurrence_limit,
@@ -247,7 +247,7 @@ def test_q_to_q1_counts():
     with pytest.raises(ValueError):
         reduce_q_to_q1(gen_complete(3), 1)
     with pytest.raises(ValueError):
-        reduce_q_to_q1(build_graph(0, []), 2)
+        reduce_q_to_q1(Graph(0, []), 2)
 
 
 def test_q_to_q1_witness_round_trip():
@@ -302,7 +302,7 @@ def test_polar_small_degree_triangle_component():
 
 
 def test_polar_small_degree_rejects_high_degree():
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ValueError, match="degree"):
         solve_polar_small_degree(PolarInstance(star, frozenset()))
 

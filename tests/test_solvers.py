@@ -7,10 +7,9 @@ from itertools import combinations, product
 
 import pytest
 from tfcolor import (
+    Graph,
     StructuralParams,
-    build_graph,
     decide_tf_q,
-    decide_tf_q_parallel,
     fpt_tf_q_coloring,
     gen_clover,
     gen_complete,
@@ -28,8 +27,8 @@ from util_graphs import rand_graph
 def test_oracle_chi3_stock_values():
     assert oracle_chi3(gen_complete(5))[0] == 3
     assert oracle_chi3(gen_cycle(5))[0] == 1
-    assert oracle_chi3(build_graph(0, []))[0] == 0
-    assert oracle_chi3(build_graph(1, []))[0] == 1
+    assert oracle_chi3(Graph(0, []))[0] == 0
+    assert oracle_chi3(Graph(1, []))[0] == 1
 
 
 def test_decide_matches_oracle_with_and_without_polar():
@@ -79,7 +78,7 @@ def test_oracle_chi_and_omega():
 
 def test_min_vertex_cover_examples():
     assert len(min_vertex_cover(gen_complete(3))) == 2
-    star = build_graph(6, [(0, i) for i in range(1, 6)])
+    star = Graph(6, [(0, i) for i in range(1, 6)])
     assert min_vertex_cover(star) == frozenset({0})
     assert len(min_vertex_cover(gen_cycle(5))) == 3
 
@@ -142,22 +141,6 @@ def test_every_color_twice_on_k2k():
             )
             if not mono:
                 assert all(assign.count(x) == 2 for x in range(1, k + 1))
-
-
-def test_parallel_matches_sequential_feasibility():
-    clover = gen_clover(2)
-    assert decide_tf_q_parallel(clover, 2, jobs=2) is None
-    got = decide_tf_q_parallel(clover, 3, jobs=2)
-    assert got is not None and verify_triangle_free(clover, got)
-    rng = random.Random(34)
-    for _ in range(10):
-        g = rand_graph(rng, rng.randint(2, 9), 0.5)
-        for q in (1, 2):
-            seq = decide_tf_q(g, q)
-            par = decide_tf_q_parallel(g, q, jobs=2)
-            assert (seq is None) == (par is None)
-            if par is not None:
-                assert verify_triangle_free(g, par)
 
 
 def test_randomized_restarts_stay_correct():

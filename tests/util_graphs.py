@@ -2,15 +2,15 @@
 
 from itertools import combinations
 
-from tfcolor import CnfFormula, build_graph, fits_occurrence_limit
+from tfcolor import CnfFormula, Graph, fits_occurrence_limit
 
 
 def rand_graph(rng, n, p):
-    return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
 
 
 def path_graph(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def brute_triangles(g):
@@ -28,7 +28,7 @@ def random_ktree(rng, k, n):
     base = min(n, k + 1)
     edges = list(combinations(range(base), 2))
     if base < k + 1:
-        return build_graph(base, edges)
+        return Graph(base, edges)
     cliques = [c for c in combinations(range(k + 1), k)]
     for v in range(k + 1, n):
         c = rng.choice(cliques)
@@ -36,7 +36,7 @@ def random_ktree(rng, k, n):
             edges.append((u, v))
         for drop in range(k):
             cliques.append(tuple(sorted((set(c) - {c[drop]}) | {v})))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def stacked_planar(rng, n):
@@ -50,16 +50,16 @@ def stacked_planar(rng, n):
         for x in (a, b, c):
             edges.add((min(x, v), max(x, v)))
         faces += [(a, b, v), (b, c, v), (a, c, v)]
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 def planar_subgraph(rng, n, keep=0.8):
     full = stacked_planar(rng, n)
-    return build_graph(n, [e for e in full.edges() if rng.random() < keep])
+    return Graph(n, [e for e in full.edges() if rng.random() < keep])
 
 
 def icosahedron():
-    return build_graph(12, [
+    return Graph(12, [
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
         (1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
         (1, 6), (2, 6), (2, 7), (3, 7), (3, 8),
@@ -70,7 +70,7 @@ def icosahedron():
 
 
 def petersen():
-    return build_graph(10, [
+    return Graph(10, [
         (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
