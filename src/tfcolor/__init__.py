@@ -32,6 +32,7 @@ from .graph import (
     list_triangles,
     quotient,
     read_dimacs_graph,
+    triangle_pairs,
     write_dimacs_graph,
     write_dot,
 )

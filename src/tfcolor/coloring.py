@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, as_edge_subset, list_triangles
+from .graph import Graph, as_edge_subset, list_triangles, triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ def greedy_extend_independent(g: Graph, partial, indep, q: int):
     """Extend a triangle-free q-coloring of W = V minus indep to all of g,
     coloring the independent set greedily, or return None.
 
-    A vertex v in indep may take color x unless two adjacent neighbors of
-    v already share x; since indep is independent, each choice is
-    order-independent. Vertices are scanned in increasing order and
-    candidate colors in increasing order for determinism. The partial
-    coloring being triangle-free on W is the caller's obligation.
+    A vertex v in indep may take color x unless the other two vertices
+    of some triangle through v (read from the triangle index) already
+    share x; since indep is independent, both lie in W, so each choice is
+    order-independent. Each vertex takes its smallest free color. The
+    partial coloring being triangle-free on W is the caller's obligation.
     """
     indep = frozenset(indep)
     for v in indep:
@@ -97,23 +97,11 @@ def greedy_extend_independent(g: Graph, partial, indep, q: int):
         if not (1 <= x <= q):
             raise ValueError(f"partial color {x} outside 1..{q}")
         colors[v] = x
-    for v in sorted(indep):
-        nbrs = sorted(g.neighbors(v))
-        placed = False
-        for x in range(1, q + 1):
-            same = [u for u in nbrs if colors[u] == x]
-            blocked = False
-            for i, a in enumerate(same):
-                for b in same[i + 1:]:
-                    if g.has_edge(a, b):
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            if not blocked:
-                colors[v] = x
-                placed = True
-                break
-        if not placed:
+    tri = triangle_pairs(g)
+    for v in indep:
+        blocked = {colors[a] for a, b in tri[v] if colors[a] == colors[b]}
+        x = next((x for x in range(1, q + 1) if x not in blocked), None)
+        if x is None:
             return None
+        colors[v] = x
     return Coloring(q, tuple(colors))

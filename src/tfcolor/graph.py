@@ -1,5 +1,6 @@
 """Immutable simple-graph core: construction, vertex identification,
-triangle machinery, clique detection, and DIMACS/DOT serialization."""
+triangle listing and the per-vertex triangle index that every solver
+shares, clique detection, and DIMACS/DOT serialization."""
 
 from __future__ import annotations
 
@@ -159,6 +160,17 @@ def _triangles(g: Graph):
 def list_triangles(g: Graph) -> frozenset:
     """The complete set of triangles, each as a sorted vertex triple."""
     return frozenset(_triangles(g))
+
+
+def triangle_pairs(g: Graph) -> list:
+    """The triangle index: tri[v] lists the pairs (a, b), a < b, that
+    close a triangle with v, one pair per triangle through v."""
+    tri = [[] for _ in range(g.n)]
+    for a, b, c in _triangles(g):
+        tri[a].append((b, c))
+        tri[b].append((a, c))
+        tri[c].append((a, b))
+    return tri
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import Coloring, greedy_extend_independent, verify_triangle_free
-from .graph import Graph, as_edge_subset
+from .graph import Graph, as_edge_subset, triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -179,16 +179,19 @@ def oracle_omega(g: Graph) -> int:
 def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     """Search for a triangle-free q-coloring honoring the polar edges.
 
-    Backtracking with propagation: a per-vertex table counts blocked
-    colors (a color is blocked when two adjacent neighbors already share
+    Backtracking with propagation over the constraints alone, triangles
+    and polar edges: a per-vertex table counts blocked colors (a color
+    is blocked when the other two vertices of a triangle already share
     it, or a polar neighbor holds it), forced vertices are assigned to a
     fixpoint, and each decision picks a most-constrained uncolored
     vertex (fewest free colors, then most colored neighbors, then
-    highest degree). Color symmetry is broken by letting any assignment
-    introduce at most the one label after the largest label in use, so
-    the first assigned vertex takes color 1. Forced moves are exempt
-    from the cap but never need labels beyond it, because an unused
-    label is never blocked.
+    highest degree, where a neighbor is a vertex sharing a constraint;
+    components are over the constraints too). Color symmetry is broken
+    by letting any assignment introduce at most the one label after the
+    largest label in use, so the first assigned vertex takes color 1 and
+    no more than min(q, n) labels are ever searched. Forced moves are
+    exempt from the cap but never need labels beyond it, because an
+    unused label is never blocked.
 
     rng, when given, shuffles decision ties and candidate colors to
     randomize which witness is found; feasibility is unaffected.
@@ -202,25 +205,28 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     if n == 0:
         return Coloring(q, ())
 
-    adj = [g.neighbors(v) for v in range(n)]
-    padj = [set() for _ in range(n)]
-    for u, v in pairs:
-        padj[u].add(v)
-        padj[v].add(u)
+    # A polar edge uw joins tri[u] as (u, w) and tri[w] as (w, u): u always
+    # holds the color being propagated, so the triangle rule blocks it on w.
+    tri = triangle_pairs(g)
+    for u, w in pairs:
+        tri[u].append((u, w))
+        tri[w].append((w, u))
+    nbrs = [{x for ab in tri[v] for x in ab} - {v} for v in range(n)]
+    labels = min(q, n)
 
     tie = list(range(n))
     if rng is not None:
         rng.shuffle(tie)
 
     color = [0] * n
-    block = [[0] * (q + 1) for _ in range(n)]
+    block = [[0] * (labels + 1) for _ in range(n)]
     assigned = []
     bstack = []
 
     def undo(a_mark, b_mark):
         while len(bstack) > b_mark:
-            u, x, d = bstack.pop()
-            block[u][x] -= d
+            u, x = bstack.pop()
+            block[u][x] -= 1
         while len(assigned) > a_mark:
             color[assigned.pop()] = 0
 
@@ -245,30 +251,24 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             assigned.append(u)
             if xu > maxused:
                 maxused = xu
-            au = adj[u]
-            for w in au:
-                if color[w]:
+            for a, b in tri[u]:
+                ca, cb = color[a], color[b]
+                if ca == xu and not cb:
+                    w = b
+                elif cb == xu and not ca:
+                    w = a
+                else:
                     continue
-                cnt = 0
-                for t in adj[w] & au:
-                    if color[t] == xu:
-                        cnt += 1
-                if cnt:
-                    block[w][xu] += cnt
-                    bstack.append((w, xu, cnt))
-                    pending.append(w)
-            for w in padj[u]:
-                if not color[w]:
-                    block[w][xu] += 1
-                    bstack.append((w, xu, 1))
-                    pending.append(w)
+                block[w][xu] += 1
+                bstack.append((w, xu))
+                pending.append(w)
 
         assign(v0, x0)
         while pending:
             w = pending.pop()
             if color[w]:
                 continue
-            cap = q if maxused >= q else maxused + 1
+            cap = labels if maxused >= labels else maxused + 1
             bw = block[w]
             free = [y for y in range(1, cap + 1) if bw[y] == 0]
             if not free:
@@ -283,25 +283,21 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         for v in comp:
             if color[v]:
                 continue
-            bv = block[v]
-            free = 0
-            for y in range(1, cap + 1):
-                if bv[y] == 0:
-                    free += 1
+            free = block[v][1:cap + 1].count(0)
             sat = 0
-            for u in adj[v]:
+            for u in nbrs[v]:
                 if color[u]:
                     sat += 1
-            key = (free, -sat, -len(adj[v]), tie[v])
+            key = (free, -sat, -len(nbrs[v]), tie[v])
             if best_key is None or key < best_key:
                 best, best_key = v, key
         return best
 
     def uncolored_components(comp):
-        """Connected components of the uncolored part of comp, smallest
-        first. Components only interact through colored vertices, so
-        they are independent subproblems: a failing one need never be
-        retried against siblings' alternatives."""
+        """Components of the uncolored part of comp under the
+        constraints, smallest first. Components only interact through
+        colored vertices, so they are independent subproblems: a failing
+        one need never be retried against siblings' alternatives."""
         todo = {v for v in comp if not color[v]}
         subs = []
         while todo:
@@ -310,7 +306,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             stack = [start]
             while stack:
                 v = stack.pop()
-                for u in adj[v]:
+                for u in nbrs[v]:
                     if u in todo:
                         todo.discard(u)
                         sub.append(u)
@@ -322,7 +318,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     def solve_comp(comp, maxused):
         """Fully color one uncolored component; returns the new max
         label in use, or None when infeasible (caller undoes)."""
-        cap = q if maxused >= q else maxused + 1
+        cap = labels if maxused >= labels else maxused + 1
         v = pick_decision(comp, cap)
         if v is None:
             return maxused
@@ -492,7 +488,8 @@ def fpt_tf_q_coloring(g: Graph, q: int):
     cover = sorted(min_vertex_cover(g))
     k = len(cover)
     half = (k + 1) // 2
-    indep = [v for v in range(n) if v not in set(cover)]
+    pos = {w: i for i, w in enumerate(cover)}
+    indep = [v for v in range(n) if v not in pos]
     if q > half:
         colors = [0] * n
         for i, w in enumerate(cover):
@@ -504,15 +501,12 @@ def fpt_tf_q_coloring(g: Graph, q: int):
             raise RuntimeError("internal error: direct cover construction failed")
         return result
 
-    tri_pairs = [[] for _ in range(k)]
-    for i in range(k):
-        for j1, j2 in combinations(range(i), 2):
-            if (
-                g.has_edge(cover[j1], cover[i])
-                and g.has_edge(cover[j2], cover[i])
-                and g.has_edge(cover[j1], cover[j2])
-            ):
-                tri_pairs[i].append((j1, j2))
+    # cover and each pair are sorted, so pos[b] < i puts both before i
+    tri = triangle_pairs(g)
+    tri_pairs = [
+        [(pos[a], pos[b]) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
+        for i, w in enumerate(cover)
+    ]
     wcolors = [0] * k
 
     def wsearch(i, used):

@@ -1,5 +1,5 @@
-"""Graph core: construction errors, contraction, triangle listing,
-4-clique detection, and DIMACS/DOT round trips."""
+"""Graph core: construction errors, contraction, triangle listing and
+the triangle index, 4-clique detection, and DIMACS/DOT round trips."""
 
 import random
 
@@ -14,6 +14,7 @@ from tfcolor import (
     list_triangles,
     quotient,
     read_dimacs_graph,
+    triangle_pairs,
     write_dimacs_graph,
     write_dot,
 )
@@ -95,8 +96,14 @@ def test_triangle_listing_matches_brute_force():
     for _ in range(500):
         n = rng.randint(0, 8)
         g = rand_graph(rng, n, rng.choice([0.15, 0.35, 0.55, 0.8]))
-        assert list_triangles(g) == brute_triangles(g)
-        assert is_triangle_free(g) == (not brute_triangles(g))
+        brute = brute_triangles(g)
+        assert list_triangles(g) == brute
+        assert is_triangle_free(g) == (not brute)
+        tri = triangle_pairs(g)
+        for v in range(n):
+            through = {frozenset(t) - {v} for t in brute if v in t}
+            assert len(tri[v]) == len(through)
+            assert {frozenset(ab) for ab in tri[v]} == through
 
 
 def test_triangle_listing_examples():

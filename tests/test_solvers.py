@@ -3,9 +3,12 @@ clique/chromatic/vertex-cover search, and the cover-parameterized
 algorithm. Oracles and the optimized path must agree everywhere."""
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tfcolor import (
     Graph,
     StructuralParams,
@@ -53,6 +56,57 @@ def test_decide_matches_oracle_with_and_without_polar():
                 assert (got is not None) == (pbest <= q)
                 if got is not None:
                     assert verify_triangle_free(g, got, polar)
+
+
+@st.composite
+def polar_instances(draw):
+    """A random core of up to 6 vertices, pendant vertices each hanging
+    off one earlier vertex (edges in no triangle), n <= 8, and a random
+    polar subset of the edges."""
+    core = draw(st.integers(1, 6))
+    n = core + draw(st.integers(0, 8 - core))
+    edges = [e for e in combinations(range(core), 2) if draw(st.booleans())]
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(core, n)]
+    g = Graph(n, edges)
+    return g, [e for e in g.edges() if draw(st.booleans())]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(polar_instances())
+def test_decide_feasible_iff_oracle_fits(inst):
+    g, polar = inst
+    best, _ = oracle_chi3(g, polar)
+    for q in (1, 2, 3):
+        got = decide_tf_q(g, q, polar=polar)
+        assert (got is not None) == (best <= q)
+        if got is not None:
+            assert got.k == q and verify_triangle_free(g, got, polar)
+
+
+def test_decide_sparse_graph_has_no_deep_chain():
+    # edges in no triangle no longer join search components, so the
+    # sparse G(2000, m=10^4) splits into small ones instead of one
+    # component whose decision chain overran the recursion limit
+    rng = random.Random(2000)
+    edges = set()
+    while len(edges) < 10**4:
+        u, v = rng.sample(range(2000), 2)
+        edges.add((min(u, v), max(u, v)))
+    g = Graph(2000, sorted(edges))
+    got = decide_tf_q(g, 3)
+    assert got is not None and verify_triangle_free(g, got)
+
+
+def test_decide_huge_budget_searches_at_most_n_labels():
+    tracemalloc.start()
+    try:
+        got = decide_tf_q(gen_cycle(5), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is not None and got.k == 10**6
+    assert verify_triangle_free(gen_cycle(5), got)
+    assert peak < 10**6
 
 
 def test_decide_complete_graph_pairing():
