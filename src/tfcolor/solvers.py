@@ -176,6 +176,12 @@ def oracle_omega(g: Graph) -> int:
 # the optimized decision procedure
 
 
+# Pieces of at most this many vertices that a decision cuts off are split
+# from the rest and searched without conflict analysis; larger uncolored
+# parts stay together.
+PIECE = 64
+
+
 def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     """Search for a triangle-free q-coloring honoring the polar edges.
 
@@ -185,13 +191,21 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     it, or a polar neighbor holds it), forced vertices are assigned to a
     fixpoint, and each decision picks a most-constrained uncolored
     vertex (fewest free colors, then most colored neighbors, then
-    highest degree, where a neighbor is a vertex sharing a constraint;
-    components are over the constraints too). Color symmetry is broken
-    by letting any assignment introduce at most the one label after the
-    largest label in use, so the first assigned vertex takes color 1 and
-    no more than min(q, n) labels are ever searched. Forced moves are
-    exempt from the cap but never need labels beyond it, because an
-    unused label is never blocked.
+    highest degree, where a neighbor is a vertex sharing a constraint).
+    Color symmetry is broken by letting any assignment introduce at most
+    the one label after the largest label in use, so the first assigned
+    vertex takes color 1 and no more than min(q, n) labels are ever
+    searched. Forced moves are exempt from the cap but never need labels
+    beyond it, because an unused label is never blocked.
+
+    After each decision, the pieces of at most PIECE uncolored vertices
+    that it cut off from the rest are solved first, smallest first; a
+    failing piece need never be retried against its siblings'
+    alternatives. Outside the pieces the search backjumps (Prosser's
+    conflict-directed backjumping): every failure carries the set of
+    decisions it follows from, and a decision that is not in that set is
+    undone without trying its other colors. A failed piece is blamed on
+    everything colored around it.
 
     rng, when given, shuffles decision ties and candidate colors to
     randomize which witness is found; feasibility is unaffected.
@@ -219,9 +233,13 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         rng.shuffle(tie)
 
     color = [0] * n
+    # why[v]: bitmask of the decision levels that colored v follows from;
+    # a forced vertex follows from the pairs that blocked its other colors
+    why = [0] * n
     block = [[0] * (labels + 1) for _ in range(n)]
     assigned = []
     bstack = []
+    conflict = 0  # the decision levels behind the latest failure
 
     def undo(a_mark, b_mark):
         while len(bstack) > b_mark:
@@ -230,19 +248,26 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         while len(assigned) > a_mark:
             color[assigned.pop()] = 0
 
-    def apply_with_propagation(v0, x0, maxused):
-        """Assign v0 = x0 plus all forced consequences; returns the new
-        max label in use, or None on a dead end (caller undoes).
+    def blame(w):
+        """The decision levels behind every color blocked at uncolored w."""
+        m = 0
+        for a, b in tri[w]:
+            cb = color[b]
+            if cb and (a == w or color[a] == cb):
+                m |= why[b] if a == w else why[a] | why[b]
+        return m
+
+    def apply_with_propagation(v0, x0, maxused, bit):
+        """Assign v0 = x0 (decision level bit, 0 inside a piece) plus all
+        forced consequences; returns the new max label in use, or None on
+        a dead end (caller undoes), with conflict set when bit is.
 
         The worklist holds plain vertices and forcedness is re-derived
         when one is popped: the symmetry cap may have grown since the
         vertex was touched, in which case it is no longer forced and is
         left to a later decision.
         """
-        if color[v0]:
-            return maxused if color[v0] == x0 else None
-        if block[v0][x0]:
-            return None
+        nonlocal conflict
         pending = []
 
         def assign(u, xu):
@@ -263,6 +288,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                 bstack.append((w, xu))
                 pending.append(w)
 
+        why[v0] = bit
         assign(v0, x0)
         while pending:
             w = pending.pop()
@@ -272,8 +298,11 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             bw = block[w]
             free = [y for y in range(1, cap + 1) if bw[y] == 0]
             if not free:
+                if bit:
+                    conflict = blame(w)
                 return None
             if len(free) == 1:
+                why[w] = blame(w) if bit else 0
                 assign(w, free[0])
         return maxused
 
@@ -283,21 +312,18 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         for v in comp:
             if color[v]:
                 continue
-            free = block[v][1:cap + 1].count(0)
             sat = 0
             for u in nbrs[v]:
                 if color[u]:
                     sat += 1
-            key = (free, -sat, -len(nbrs[v]), tie[v])
+            key = (block[v][1:cap + 1].count(0), -sat, -len(nbrs[v]), tie[v])
             if best_key is None or key < best_key:
                 best, best_key = v, key
         return best
 
-    def uncolored_components(comp):
+    def components(comp):
         """Components of the uncolored part of comp under the
-        constraints, smallest first. Components only interact through
-        colored vertices, so they are independent subproblems: a failing
-        one need never be retried against siblings' alternatives."""
+        constraints, smallest first."""
         todo = {v for v in comp if not color[v]}
         subs = []
         while todo:
@@ -315,38 +341,105 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         subs.sort(key=len)
         return subs
 
-    def solve_comp(comp, maxused):
-        """Fully color one uncolored component; returns the new max
-        label in use, or None when infeasible (caller undoes)."""
+    def split(comp, fresh, near):
+        """(pieces, rest, near) of the uncolored part of comp once fresh
+        has been colored: pieces are the components of at most PIECE
+        vertices next to fresh, smallest first; rest is everything else,
+        possibly more than one component; near is the uncolored part of
+        the given near plus the neighbors of fresh, outside the pieces. A
+        walk from a neighbor of fresh stops once it passes PIECE vertices
+        or meets a vertex known to lie beyond a piece, so a decision costs
+        no walk over the whole of comp."""
+        far = set()
+        seen = set()
+        pieces = []
+        for f in fresh:
+            for s in nbrs[f]:
+                if color[s] or s in seen or s in far:
+                    continue
+                piece = [s]
+                mark = {s}
+                stack = [s]
+                closed = True
+                while stack and closed:
+                    x = stack.pop()
+                    for u in nbrs[x]:
+                        if color[u] or u in mark:
+                            continue
+                        if u in far or len(piece) >= PIECE:
+                            closed = False
+                            break
+                        mark.add(u)
+                        piece.append(u)
+                        stack.append(u)
+                if closed:
+                    pieces.append(piece)
+                    seen.update(piece)
+                else:
+                    far.update(mark)
+        pieces.sort(key=len)
+        rest = [v for v in comp if not color[v] and v not in seen]
+        if rest:
+            near = {u for u in near if not color[u]}
+            near.update(u for f in fresh for u in nbrs[f] if not color[u])
+            near -= seen
+        return pieces, rest, near
+
+    def search(comp, maxused, depth, near=()):
+        """Fully color the uncolored vertices of comp; returns the new max
+        label in use, or None when infeasible (caller undoes). depth is
+        the decision level for conflict analysis, or None inside a piece.
+        near holds the vertices of comp next to a colored one: only they
+        can be blocked or have colored neighbors, so while one of them is
+        uncolored the decision is among them."""
+        nonlocal conflict
         cap = labels if maxused >= labels else maxused + 1
-        v = pick_decision(comp, cap)
+        v = pick_decision(near, cap) if near else None
         if v is None:
-            return maxused
+            v = pick_decision(comp, cap)
+            if v is None:
+                return maxused
+        bit = 0 if depth is None else 1 << depth
         cand = [x for x in range(1, cap + 1) if block[v][x] == 0]
         if rng is not None:
             rng.shuffle(cand)
+        tried = 0
         for x in cand:
             a_mark, b_mark = len(assigned), len(bstack)
-            mu = apply_with_propagation(v, x, maxused)
-            if mu is not None:
-                ok = mu
-                for sub in uncolored_components(comp):
-                    res = solve_comp(sub, ok)
+            res = apply_with_propagation(v, x, maxused, bit)
+            if res is not None:
+                if bit:
+                    pieces, rest, near_rest = split(comp, assigned[a_mark:], near)
+                else:
+                    pieces, rest = components(comp), ()
+                for piece in pieces:
+                    res = search(piece, res, None)
                     if res is None:
-                        ok = None
+                        if bit:
+                            conflict = 0
+                            for w in piece:
+                                for u in nbrs[w]:
+                                    if color[u]:
+                                        conflict |= why[u]
                         break
-                    ok = res
-                if ok is not None:
-                    return ok
+                if res is not None and rest:
+                    res = search(rest, res, depth + 1, near_rest)
+                if res is not None:
+                    return res
             undo(a_mark, b_mark)
+            if bit:
+                if not conflict & bit:
+                    return None  # v is not to blame: its other colors fail too
+                tried |= conflict
+        if bit:
+            conflict = (tried | blame(v)) & ~bit
         return None
 
     maxused = 0
-    for sub in uncolored_components(range(n)):
-        res = solve_comp(sub, maxused)
-        if res is None:
+    for sub in components(range(n)):
+        maxused = search(sub, maxused, 0 if len(sub) > PIECE else None)
+        if maxused is None:
             return None
-        maxused = res
     result = Coloring(q, tuple(color))
     if not verify_triangle_free(g, result, pairs or None):
         raise RuntimeError("internal error: solver produced an invalid coloring")

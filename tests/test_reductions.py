@@ -140,6 +140,21 @@ def test_nae_to_k4free_shape_and_equivalence():
     assert decide_tf_q(g, 2) is not None
 
 
+def test_nae_to_k4free_decide_matches_oracle_nae():
+    # the images have hundreds of vertices, so decide_tf_q backjumps
+    # outside the small pieces that its decisions cut off
+    rng = random.Random(11)
+    answers = set()
+    for _ in range(40):
+        phi = rand_cnf(rng, 4, rng.randint(2, 8))
+        if any(len(set(cl)) == 1 for cl in phi.clauses):
+            continue
+        got = decide_tf_q(reduce_nae_to_k4free(phi).instance, 2)
+        assert (got is not None) == (oracle_nae(phi) is not None)
+        answers.add(got is not None)
+    assert answers == {True, False}
+
+
 def test_nae_to_k4free_repeated_literal_clause():
     phi = CnfFormula(2, ((1, 1, 2),))
     out = reduce_nae_to_k4free(phi)

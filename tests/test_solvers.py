@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tfcolor import solvers
 from tfcolor import (
     Graph,
     StructuralParams,
@@ -74,13 +75,59 @@ def polar_instances(draw):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(polar_instances())
 def test_decide_feasible_iff_oracle_fits(inst):
+    # with PIECE = 1 every part of more than one vertex is searched with
+    # conflict analysis, so small graphs exercise the backjumping too
     g, polar = inst
     best, _ = oracle_chi3(g, polar)
-    for q in (1, 2, 3):
-        got = decide_tf_q(g, q, polar=polar)
-        assert (got is not None) == (best <= q)
-        if got is not None:
-            assert got.k == q and verify_triangle_free(g, got, polar)
+    for piece in (solvers.PIECE, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "PIECE", piece)
+            for q in (1, 2, 3):
+                got = decide_tf_q(g, q, polar=polar)
+                assert (got is not None) == (best <= q)
+                if got is not None:
+                    assert got.k == q and verify_triangle_free(g, got, polar)
+
+
+def test_decide_backjumping_blames_blocked_colors():
+    # feasible at q=3, but a search that left the blocked colors of an
+    # exhausted decision out of its conflict set backjumped past the
+    # decision that blocked them and reported no coloring
+    edges = [
+        (0, 1), (0, 6), (0, 7), (0, 8), (0, 9), (0, 10), (1, 3), (1, 4), (1, 6),
+        (1, 7), (1, 8), (1, 9), (1, 10), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+        (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (4, 5), (4, 6), (4, 7),
+        (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (5, 10), (6, 7), (6, 9),
+        (6, 10), (7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10),
+    ]
+    g = Graph(11, edges)
+    polar = [(0, 7), (2, 6), (2, 7), (3, 8), (6, 9), (7, 8)]
+    assert oracle_chi3(g, polar)[0] == 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "PIECE", 1)
+        got = decide_tf_q(g, 3, polar=polar)
+    assert got is not None and verify_triangle_free(g, got, polar)
+
+
+def test_decide_backjumping_agrees_with_plain_search():
+    # up to PIECE vertices the default search runs without conflict
+    # analysis, so PIECE = 1 against the default checks the backjumping
+    # on graphs too large for the oracle
+    rng = random.Random(5)
+    answers = set()
+    for it in range(40):
+        n = rng.randint(12, 26)
+        p = rng.uniform(0.3, 0.7)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        polar = [e for e in g.edges() if rng.random() < 0.15] if it % 2 else None
+        for q in (2, 3, 4):
+            plain = decide_tf_q(g, q, polar=polar)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "PIECE", 1)
+                got = decide_tf_q(g, q, polar=polar)
+            assert (got is None) == (plain is None)
+            answers.add(got is None)
+    assert answers == {True, False}
 
 
 def test_decide_sparse_graph_has_no_deep_chain():
