@@ -77,6 +77,8 @@ def _cmd_solve(args) -> int:
             raise ValueError("--fpt requires --q")
         if polar is not None:
             raise ValueError("--fpt does not take polar constraints")
+        if args.cls and args.cls != "general":
+            raise ValueError("--fpt does not take a class pipeline")
         witness = solvers.fpt_tf_q_coloring(g, args.q)
         if witness is None:
             _emit({"feasible": False})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import Coloring, greedy_extend_independent, verify_triangle_free
-from .graph import Graph, as_edge_subset, triangle_pairs
+from .graph import Graph, as_edge_subset, connected_components, triangle_pairs
 
 
 @dataclass(frozen=True)
@@ -512,58 +512,61 @@ def _cover_paths_cycles(adj):
     return cover
 
 
-def _vc_branch(adj, k, cover_out):
-    if not adj:
-        return True
-    v = max(adj, key=lambda u: (len(adj[u]), -u))
-    if len(adj[v]) <= 2:
-        extra = _cover_paths_cycles(adj)
-        if len(extra) <= k:
-            cover_out.extend(extra)
-            return True
-        return False
-    if k == 0:
-        return False
-    nbrs, emptied = _remove_vertex(adj, v)
-    cover_out.append(v)
-    ok = _vc_branch(adj, k - 1, cover_out)
-    _restore_vertex(adj, v, nbrs, emptied)
-    if ok:
-        return True
-    cover_out.pop()
-    ns = sorted(nbrs)
-    if k >= len(ns):
-        undos = []
-        for u in ns:
-            undos.append((u,) + _remove_vertex(adj, u))
-        cover_out.extend(ns)
-        ok = _vc_branch(adj, k - len(ns), cover_out)
-        for u, un, ue in reversed(undos):
-            _restore_vertex(adj, u, un, ue)
-        if ok:
-            return True
-        del cover_out[-len(ns):]
-    return False
-
-
 def min_vertex_cover(g: Graph) -> frozenset:
-    """A minimum-cardinality vertex cover by bounded-depth branching on a
-    maximum-degree vertex versus its whole neighborhood, with degree-2
-    remainders solved directly."""
-    if g.m == 0:
-        return frozenset()
-    adj = {v: set(g.neighbors(v)) for v in range(g.n) if g.degree(v) > 0}
-    matched = set()
-    lb = 0
-    for u, v in g.edges():
-        if u not in matched and v not in matched:
-            matched.update((u, v))
-            lb += 1
-    for k in range(lb, g.n + 1):
-        cover = []
-        if _vc_branch(adj, k, cover):
-            return frozenset(cover)
-    raise AssertionError("all vertices always form a cover")
+    """A minimum-cardinality vertex cover, by one branch-and-bound pass
+    per connected component. Each node first applies the degree-1 rule
+    (the neighbor of a degree-1 vertex joins the cover), driven by a
+    worklist of the vertices whose degree just fell to 1; it then prunes
+    when the cover so far plus a greedy maximal matching of what is left
+    cannot beat the best cover found, solves a remainder of degree <= 2
+    directly, and otherwise branches on a maximum-degree vertex versus
+    its whole neighborhood."""
+    cover = []
+    for comp in connected_components(g):
+        if len(comp) < 2:
+            continue
+        adj = {v: set(g.neighbors(v)) for v in comp}
+        best = comp
+        cur = []
+
+        def node(pend):
+            nonlocal best
+            undo = []
+            while pend:
+                u = pend.pop()
+                if len(adj.get(u, ())) == 1:
+                    (w,) = adj[u]
+                    nbrs, emptied = _remove_vertex(adj, w)
+                    undo.append((w, nbrs, emptied))
+                    cur.append(w)
+                    pend.extend(x for x in nbrs if len(adj.get(x, ())) == 1)
+            matched = set()
+            for u in adj:
+                if u not in matched:
+                    w = next((w for w in adj[u] if w not in matched), None)
+                    if w is not None:
+                        matched.update((u, w))
+            if len(cur) + len(matched) // 2 < len(best):
+                v = max(adj, key=lambda u: (len(adj[u]), -u), default=None)
+                if v is None or len(adj[v]) <= 2:
+                    extra = _cover_paths_cycles(adj)
+                    if len(cur) + len(extra) < len(best):
+                        best = cur + extra
+                else:
+                    for side in ([v], sorted(adj[v])):
+                        removed = [(u,) + _remove_vertex(adj, u) for u in side]
+                        cur.extend(side)
+                        node([x for _, nb, _ in removed for x in nb if len(adj.get(x, ())) == 1])
+                        del cur[-len(side):]
+                        for u, nb, em in reversed(removed):
+                            _restore_vertex(adj, u, nb, em)
+            for w, nb, em in reversed(undo):
+                _restore_vertex(adj, w, nb, em)
+            del cur[len(cur) - len(undo):]
+
+        node([v for v in comp if len(adj[v]) == 1])
+        cover.extend(best)
+    return frozenset(cover)
 
 
 def fpt_tf_q_coloring(g: Graph, q: int):
@@ -600,28 +603,30 @@ def fpt_tf_q_coloring(g: Graph, q: int):
         [(pos[a], pos[b]) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
         for i, w in enumerate(cover)
     ]
+    # depth-first over the cover in order with the first-use label cap, as
+    # a loop over positions so a large cover cannot reach the recursion limit
     wcolors = [0] * k
-
-    def wsearch(i, used):
+    used = [0] * (k + 1)  # used[i]: the largest label among wcolors[:i]
+    i = 0
+    while i >= 0:
         if i == k:
-            partial = {cover[j]: wcolors[j] for j in range(k)}
-            return greedy_extend_independent(g, partial, indep, q)
-        cap = used + 1 if used < q else q
-        for x in range(1, cap + 1):
-            ok = True
-            for j1, j2 in tri_pairs[i]:
-                if wcolors[j1] == x and wcolors[j2] == x:
-                    ok = False
-                    break
-            if ok:
-                wcolors[i] = x
-                res = wsearch(i + 1, used if x <= used else x)
-                if res is not None:
-                    return res
-        wcolors[i] = 0
-        return None
-
-    return wsearch(0, 0)
+            res = greedy_extend_independent(g, dict(zip(cover, wcolors)), indep, q)
+            if res is not None:
+                return res
+            i -= 1
+            continue
+        cap = used[i] + 1 if used[i] < q else q
+        x = wcolors[i] + 1
+        while x <= cap and any(wcolors[a] == x and wcolors[b] == x for a, b in tri_pairs[i]):
+            x += 1
+        if x > cap:
+            wcolors[i] = 0
+            i -= 1
+        else:
+            wcolors[i] = x
+            used[i + 1] = max(used[i], x)
+            i += 1
+    return None
 
 
 def compute_params(g: Graph) -> StructuralParams:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from tfcolor import cli, read_dimacs_graph, solvers
+from tfcolor.graph_classes import CLASS_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,6 +131,14 @@ def test_solve_fpt_path(monkeypatch, capsys):
     code, out = run_cli(["solve", "--fpt", "--q", "2"], stdin_text=k4,
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0 and json.loads(out)["feasible"] is True
+    code, out = run_cli(["solve", "--fpt", "--q", "2", "--class", "general"], stdin_text=k4,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and json.loads(out)["feasible"] is True
+    for tag in CLASS_TAGS:
+        if tag != "general":
+            code, out = run_cli(["solve", "--fpt", "--q", "2", "--class", tag], stdin_text=k4,
+                                monkeypatch=monkeypatch, capsys=capsys)
+            assert code == 2 and out == ""
 
 
 def test_unexpected_exception_is_exit_three(monkeypatch, capsys):

@@ -186,19 +186,56 @@ def test_min_vertex_cover_examples():
 
 def test_min_vertex_cover_matches_brute_force():
     rng = random.Random(31)
-    for _ in range(120):
-        n = rng.randint(1, 9)
-        g = rand_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        cover = min_vertex_cover(g)
-        for u, v in g.edges():
-            assert u in cover or v in cover
-        best = g.n
-        for r in range(g.n + 1):
-            if any(all(u in set(s) or v in set(s) for u, v in g.edges())
-                   for s in combinations(range(g.n), r)):
-                best = r
-                break
-        assert len(cover) == best
+    # the sparse inputs bring pendant chains and several components
+    for count, top, ps in ((120, 9, [0.2, 0.5, 0.8]), (80, 12, [0.1, 0.15])):
+        for _ in range(count):
+            n = rng.randint(1, top)
+            g = rand_graph(rng, n, rng.choice(ps))
+            cover = min_vertex_cover(g)
+            for u, v in g.edges():
+                assert u in cover or v in cover
+            best = g.n
+            for r in range(g.n + 1):
+                if any(all(u in set(s) or v in set(s) for u, v in g.edges())
+                       for s in combinations(range(g.n), r)):
+                    best = r
+                    break
+            assert len(cover) == best
+
+
+def test_min_vertex_cover_random_tree_equals_matching():
+    # Koenig: on a tree the minimum cover equals the maximum matching, and
+    # matching each free vertex to its free parent, children first, is maximum
+    rng = random.Random(34)
+    n = 1500
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    cover = min_vertex_cover(Graph(n, edges))
+    assert all(u in cover or v in cover for u, v in edges)
+    parent = {v: u for u, v in edges}
+    matched = set()
+    matching = 0
+    for v in range(n - 1, 0, -1):  # every child follows its parent
+        if v not in matched and parent[v] not in matched:
+            matched.update((v, parent[v]))
+            matching += 1
+    assert len(cover) == matching
+
+
+def test_min_vertex_cover_disjoint_k4s():
+    blocks = 200
+    edges = [(4 * i + a, 4 * i + b) for i in range(blocks) for a, b in combinations(range(4), 2)]
+    cover = min_vertex_cover(Graph(4 * blocks, edges))
+    assert len(cover) == 3 * blocks
+    assert all(u in cover or v in cover for u, v in edges)
+
+
+def test_fpt_large_tree_has_no_deep_recursion():
+    rng = random.Random(35)
+    n = 3000
+    g = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    assert len(min_vertex_cover(g)) > 1000
+    got = fpt_tf_q_coloring(g, 1)
+    assert got is not None and verify_triangle_free(g, got)
 
 
 def test_fpt_direct_construction_case():
@@ -219,15 +256,16 @@ def test_fpt_k4_one_color():
 
 def test_fpt_matches_oracle():
     rng = random.Random(33)
-    for _ in range(60):
-        n = rng.randint(1, 11)
-        g = rand_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
-        best, _ = oracle_chi3(g)
-        for q in (1, 2, 3):
-            got = fpt_tf_q_coloring(g, q)
-            assert (got is not None) == (best <= q)
-            if got is not None:
-                assert verify_triangle_free(g, got)
+    for count, top, ps in ((60, 11, [0.25, 0.5, 0.75]), (40, 12, [0.1, 0.15])):
+        for _ in range(count):
+            n = rng.randint(1, top)
+            g = rand_graph(rng, n, rng.choice(ps))
+            best, _ = oracle_chi3(g)
+            for q in (1, 2, 3):
+                got = fpt_tf_q_coloring(g, q)
+                assert (got is not None) == (best <= q)
+                if got is not None:
+                    assert verify_triangle_free(g, got)
 
 
 def test_every_color_twice_on_k2k():
