@@ -130,25 +130,27 @@ def decide_proper_q(g: Graph, q: int):
     adj = [g.neighbors(v) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     colors = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            return True
-        v = order[i]
-        cap = used + 1 if used < q else q
-        taken = {colors[u] for u in adj[v] if colors[u]}
-        for x in range(1, cap + 1):
-            if x not in taken:
-                colors[v] = x
-                if rec(i + 1, used if x <= used else x):
-                    return True
-        colors[v] = 0
-        return False
-
-    if rec(0, 0):
-        return Coloring(q, tuple(colors))
-    return None
-
+    # a loop over positions, not a recursion, so no n reaches the recursion limit
+    used = [0] * (n + 1)  # used[i]: the largest label among the first i
+    taken = [None] * n  # taken[i]: the labels next to order[i] on arrival
+    i = 0
+    while i < n:
+        taken[i] = {colors[u] for u in adj[order[i]]}
+        x = 1
+        while True:
+            while x in taken[i]:
+                x += 1
+            if x <= (used[i] + 1 if used[i] < q else q):
+                break
+            colors[order[i]] = 0  # no label left here: step back
+            i -= 1
+            if i < 0:
+                return None
+            x = colors[order[i]] + 1
+        colors[order[i]] = x
+        used[i + 1] = used[i] if x <= used[i] else x
+        i += 1
+    return Coloring(q, tuple(colors))
 
 def oracle_omega(g: Graph) -> int:
     """Exact clique number by branch and bound with a size cutoff."""
@@ -196,7 +198,15 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     the one label after the largest label in use, so the first assigned
     vertex takes color 1 and no more than min(q, n) labels are ever
     searched. Forced moves are exempt from the cap but never need labels
-    beyond it, because an unused label is never blocked.
+    beyond it: an unused label is blocked only by a twin nogood, and that
+    nogood rules out every unused label alike.
+
+    Twins (equal closed or open neighborhoods, equal polar neighborhoods)
+    are interchangeable, so once v = x has failed at a node, x is blocked
+    on each uncolored twin u of v until the node's assignment is undone:
+    the swap (u v) fixes that assignment (Gent and Smith's symmetry
+    breaking during search). Where the search backjumps, the nogood is
+    blamed on the decisions behind the failure of v = x.
 
     After each decision, the pieces of at most PIECE uncolored vertices
     that it cut off from the rest are solved first, smallest first; a
@@ -228,6 +238,22 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     nbrs = [{x for ab in tri[v] for x in ab} - {v} for v in range(n)]
     labels = min(q, n)
 
+    # twins[v]: v's twin class in index order, or () when it has none; no
+    # vertex has twins of both kinds, so it is in at most one real class
+    classes = {}
+    for v in range(n):
+        if tri[v]:
+            adj = g.neighbors(v)
+            pol = frozenset(b for a, b in tri[v] if a == v) if pairs else ()
+            for key in (adj, adj | {v}):
+                classes.setdefault((key, pol), []).append(v)
+    twins = [()] * n
+    for cls in classes.values():
+        if len(cls) > 1:
+            for v in cls:
+                twins[v] = cls
+    del classes
+
     tie = list(range(n))
     if rng is not None:
         rng.shuffle(tie)
@@ -237,6 +263,9 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     # a forced vertex follows from the pairs that blocked its other colors
     why = [0] * n
     block = [[0] * (labels + 1) for _ in range(n)]
+    # held[v]: the decision levels behind the twin nogoods that block
+    # colors at v; each nogood's block sits on bstack over (~v, old held[v])
+    held = [0] * n
     assigned = []
     bstack = []
     conflict = 0  # the decision levels behind the latest failure
@@ -244,13 +273,16 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     def undo(a_mark, b_mark):
         while len(bstack) > b_mark:
             u, x = bstack.pop()
-            block[u][x] -= 1
+            if u < 0:
+                held[~u] = x
+            else:
+                block[u][x] -= 1
         while len(assigned) > a_mark:
             color[assigned.pop()] = 0
 
     def blame(w):
         """The decision levels behind every color blocked at uncolored w."""
-        m = 0
+        m = held[w]
         for a, b in tri[w]:
             cb = color[b]
             if cb and (a == w or color[a] == cb):
@@ -390,7 +422,8 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         label in use, or None when infeasible (caller undoes). depth is
         the decision level for conflict analysis, or None inside a piece.
         near holds the vertices of comp next to a colored one: only they
-        can be blocked or have colored neighbors, so while one of them is
+        have colored neighbors or colors blocked by a constraint (a twin
+        nogood can block a vertex outside near), so while one of them is
         uncolored the decision is among them."""
         nonlocal conflict
         cap = labels if maxused >= labels else maxused + 1
@@ -418,6 +451,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                         if bit:
                             conflict = 0
                             for w in piece:
+                                conflict |= held[w]
                                 for u in nbrs[w]:
                                     if color[u]:
                                         conflict |= why[u]
@@ -431,6 +465,13 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                 if not conflict & bit:
                     return None  # v is not to blame: its other colors fail too
                 tried |= conflict
+            # twin nogoods: a twin blocked here shares v's uncolored
+            # constraint neighbors, so it lies in v's uncolored component
+            for u in twins[v]:
+                if u != v and not color[u]:
+                    bstack.extend(((~u, held[u]), (u, x)))
+                    block[u][x] += 1
+                    held[u] |= conflict & ~bit if bit else 0
         if bit:
             conflict = (tried | blame(v)) & ~bit
         return None

@@ -39,6 +39,7 @@ from tfcolor import (
     reduce_nae_to_k4free,
     reduce_q_to_q1,
     reduce_sat4_to_nae4,
+    solve_chi3,
     solve_polar_small_degree,
     variable_occurrences,
     verify_triangle_free,
@@ -121,6 +122,24 @@ def test_03b_clover_extremality_k3():
         and oracle_omega(clover) == 6
     )
     report(3, "clover extremality (k=3)", ok)
+
+
+def test_03c_clover_extremality_k4_k5():
+    # the twin nogoods in decide_tf_q make these infeasibility proofs fast
+    ok = True
+    for k in (4, 5):
+        clover = gen_clover(k)
+        witness = decide_tf_q(clover, k + 1)
+        ok = ok and (
+            decide_tf_q(clover, k) is None
+            and witness is not None
+            and verify_triangle_free(clover, witness)
+            and oracle_omega(clover) == 2 * k
+        )
+    ring = gen_cycle_clique(5).graph
+    chi3, witness = solve_chi3(ring)
+    ok = ok and chi3 == 5 and verify_triangle_free(ring, witness)
+    report(3, "clover extremality (k=4, 5), cycle-clique(5) chi3", ok)
 
 
 def test_04_gadget_triangle():

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from tfcolor import cli, read_dimacs_graph, solvers
+from tfcolor import Coloring, cli, read_dimacs_graph, solvers, verify_triangle_free
 from tfcolor.graph_classes import CLASS_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
 
@@ -121,6 +121,38 @@ def test_solve_class_chordal(monkeypatch, capsys):
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert json.loads(out)["chi3"] == 3
+
+
+def test_solve_class_planar_large_grid(monkeypatch, capsys):
+    # a 45 x 45 grid with one diagonal per square: 2025 vertices, planar,
+    # deeper than the recursion limit for a search recursing per vertex
+    s = 45
+    edges = []
+    for r in range(s):
+        for c in range(s):
+            v = r * s + c
+            if c + 1 < s:
+                edges.append((v, v + 1))
+            if r + 1 < s:
+                edges.append((v, v + s))
+            if r + 1 < s and c + 1 < s:
+                edges.append((v, v + s + 1))
+    text = f"p edge {s * s} {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+    code, out = run_cli(["solve", "--class", "planar"], stdin_text=text,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["chi3"] == 2
+    coloring = Coloring(2, tuple(doc["coloring"]))
+    assert verify_triangle_free(read_dimacs_graph(text), coloring)
+
+
+def test_gen_clover_five_solve_budget_five_infeasible(monkeypatch, capsys):
+    code, clover = run_cli(["gen", "clover", "--k", "5"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    code, out = run_cli(["solve", "--q", "5"], stdin_text=clover, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == {"feasible": False}
 
 
 def test_solve_fpt_path(monkeypatch, capsys):

@@ -72,7 +72,7 @@ def polar_instances(draw):
     return g, [e for e in g.edges() if draw(st.booleans())]
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(polar_instances())
 def test_decide_feasible_iff_oracle_fits(inst):
     # with PIECE = 1 every part of more than one vertex is searched with
@@ -87,6 +87,85 @@ def test_decide_feasible_iff_oracle_fits(inst):
                 assert (got is not None) == (best <= q)
                 if got is not None:
                     assert got.k == q and verify_triangle_free(g, got, polar)
+
+
+def blow_up(sizes, cliques, base_edges, perm):
+    """Base vertex i becomes a clique (cliques[i]) or an independent set
+    of sizes[i] vertices, one twin class; a base edge joins every copy of
+    its ends. perm relabels the vertices."""
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(perm[start:start + size])
+        start += size
+    edges = []
+    for grp, clique in zip(groups, cliques):
+        if clique:
+            edges += combinations(grp, 2)
+    for a, b in base_edges:
+        edges += [(x, y) for x in groups[a] for y in groups[b]]
+    return Graph(start, edges), groups
+
+
+@st.composite
+def twin_instances(draw):
+    """A blow-up of a random base graph (n <= 10) with a polar subset
+    drawn either per base edge, keeping twin classes intact, or per
+    edge, splitting them."""
+    sizes = []
+    while len(sizes) < 5 and sum(sizes) < 10:
+        sizes.append(draw(st.integers(1, min(3, 10 - sum(sizes)))))
+    cliques = [draw(st.booleans()) for _ in sizes]
+    base = [e for e in combinations(range(len(sizes)), 2) if draw(st.booleans())]
+    g, groups = blow_up(sizes, cliques, base, draw(st.permutations(range(sum(sizes)))))
+    if draw(st.booleans()):
+        polar = [(x, y) for a, b in base if draw(st.booleans()) for x in groups[a] for y in groups[b]]
+    else:
+        polar = [e for e in g.edges() if draw(st.booleans())]
+    return g, polar
+
+
+@settings(max_examples=250)
+@given(twin_instances())
+def test_decide_twin_blow_ups_match_oracle(inst):
+    g, polar = inst
+    best, _ = oracle_chi3(g, polar)
+    for piece in (solvers.PIECE, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "PIECE", piece)
+            for q in range(1, best + 1):
+                got = decide_tf_q(g, q, polar=polar)
+                assert (got is not None) == (q == best)
+                if got is not None:
+                    assert verify_triangle_free(g, got, polar)
+
+
+@st.composite
+def twin_cover_instances(draw):
+    """A blow-up of up to 3 core base vertices joined at random, plus up
+    to 4 outer base vertices, independent sets pairwise non-adjacent and
+    each joined to some of the core: at most 21 vertices, covered by the
+    core's at most 9, so fpt_tf_q_coloring stays cheap."""
+    core = draw(st.integers(1, 3))
+    outer = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(core + outer)]
+    cliques = [draw(st.booleans()) for _ in range(core)] + [False] * outer
+    base = [(a, b) for a in range(core) for b in range(a + 1, core + outer) if draw(st.booleans())]
+    g, _ = blow_up(sizes, cliques, base, draw(st.permutations(range(sum(sizes)))))
+    return g
+
+
+@settings(max_examples=120)
+@given(twin_cover_instances())
+def test_decide_twin_blow_ups_match_fpt(g):
+    for q in range(1, 5):
+        fits = fpt_tf_q_coloring(g, q) is not None
+        for piece in (solvers.PIECE, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "PIECE", piece)
+                got = decide_tf_q(g, q)
+            assert (got is not None) == fits
+            if got is not None:
+                assert verify_triangle_free(g, got)
 
 
 def test_decide_backjumping_blames_blocked_colors():
