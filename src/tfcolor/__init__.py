@@ -69,7 +69,6 @@ from .reductions import (
 from .solvers import (
     StructuralParams,
     compute_params,
-    decide_proper_q,
     decide_tf_q,
     fpt_tf_q_coloring,
     min_vertex_cover,

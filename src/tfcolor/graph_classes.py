@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, standard_recolor, verify_triangle_free
 from .graph import Graph, connected_components, is_triangle_free
-from .solvers import decide_proper_q
+from .solvers import decide_tf_q
 
 BOUNDED_TAGS = ("planar", "outerplanar", "regular4")
 CLASS_TAGS = ("chordal",) + BOUNDED_TAGS + ("general",)
@@ -114,7 +114,8 @@ def bounded_chi_chi3(g: Graph, hint):
     """Triangle-free chromatic number for classes with chromatic number
     at most 4: the value is 0/1/2 read off emptiness and a triangle
     check, and the witness comes from an exact small-budget proper
-    coloring merged pairwise. The planar/outerplanar tags are trusted; a
+    coloring (the triangle-free search with every edge polar) merged
+    pairwise. The planar/outerplanar tags are trusted; a
     failed proper coloring therefore signals a violated hint. Regular
     inputs are re-checked, and a 5-clique component (the one Brooks
     exception reachable at degree 4) bumps the answer to 3."""
@@ -137,7 +138,7 @@ def bounded_chi_chi3(g: Graph, hint):
         budget = 3
     else:
         budget = 4
-    proper = decide_proper_q(g, budget)
+    proper = decide_tf_q(g, budget, polar=g.edges())
     if proper is None:
         raise ValueError(f"class hint {tag!r} violated: graph is not {budget}-colorable")
     witness = standard_recolor(proper)

@@ -1,7 +1,8 @@
 """Exact solvers: the pruned backtracking decision procedure for
-triangle-free q-colorings (plain and polar), plain-enumeration oracles
-kept independent of it, clique / chromatic / vertex-cover search, and
-the vertex-cover-parameter algorithm.
+triangle-free q-colorings (plain and polar; with every edge polar it
+decides proper q-coloring, so it gives chi as well as chi3),
+plain-enumeration oracles kept independent of it, clique and
+vertex-cover search, and the vertex-cover-parameter algorithm.
 
 The oracle_* functions are deliberately naive: they share no pruning
 machinery with decide_tf_q and serve as ground truth in tests.
@@ -110,47 +111,12 @@ def oracle_chi3(g: Graph, polar=None):
 
 
 def oracle_chi(g: Graph) -> int:
-    """Exact chromatic number via iterated proper-coloring search."""
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        if decide_proper_q(g, k) is not None:
-            return k
-    raise AssertionError("n colors always fit")
+    """Exact chromatic number by the plain enumeration of oracle_chi3: a
+    proper k-coloring is one with every edge polar, and then no triangle
+    constraint is needed."""
+    pol = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
+    return next(k for k in range(g.n + 1) if _tf_enumerate(g.n, k, [()] * g.n, pol) is not None)
 
-
-def decide_proper_q(g: Graph, q: int):
-    """Backtracking proper q-coloring (descending-degree order, first-use
-    label canonicalization), or None."""
-    if q < 1:
-        raise ValueError("color budget must be at least 1")
-    n = g.n
-    if n == 0:
-        return Coloring(q, ())
-    adj = [g.neighbors(v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    colors = [0] * n
-    # a loop over positions, not a recursion, so no n reaches the recursion limit
-    used = [0] * (n + 1)  # used[i]: the largest label among the first i
-    taken = [None] * n  # taken[i]: the labels next to order[i] on arrival
-    i = 0
-    while i < n:
-        taken[i] = {colors[u] for u in adj[order[i]]}
-        x = 1
-        while True:
-            while x in taken[i]:
-                x += 1
-            if x <= (used[i] + 1 if used[i] < q else q):
-                break
-            colors[order[i]] = 0  # no label left here: step back
-            i -= 1
-            if i < 0:
-                return None
-            x = colors[order[i]] + 1
-        colors[order[i]] = x
-        used[i + 1] = used[i] if x <= used[i] else x
-        i += 1
-    return Coloring(q, tuple(colors))
 
 def oracle_omega(g: Graph) -> int:
     """Exact clique number by branch and bound with a size cutoff."""
@@ -186,6 +152,8 @@ PIECE = 64
 
 def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     """Search for a triangle-free q-coloring honoring the polar edges.
+    With every edge polar (polar=g.edges()) this decides proper
+    q-coloring, so chi and chi3 share this one search.
 
     Backtracking with propagation over the constraints alone, triangles
     and polar edges: a per-vertex table counts blocked colors (a color
@@ -216,6 +184,9 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     decisions it follows from, and a decision that is not in that set is
     undone without trying its other colors. A failed piece is blamed on
     everything colored around it.
+
+    The search keeps its frames on an explicit stack, not the Python call
+    stack, so no input is too deep for the recursion limit.
 
     rng, when given, shuffles decision ties and candidate colors to
     randomize which witness is found; feasibility is unaffected.
@@ -373,15 +344,14 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         subs.sort(key=len)
         return subs
 
-    def split(comp, fresh, near):
-        """(pieces, rest, near) of the uncolored part of comp once fresh
-        has been colored: pieces are the components of at most PIECE
-        vertices next to fresh, smallest first; rest is everything else,
-        possibly more than one component; near is the uncolored part of
-        the given near plus the neighbors of fresh, outside the pieces. A
-        walk from a neighbor of fresh stops once it passes PIECE vertices
-        or meets a vertex known to lie beyond a piece, so a decision costs
-        no walk over the whole of comp."""
+    def split(fresh, near):
+        """(pieces, near) once fresh has been colored: pieces are the
+        uncolored components of at most PIECE vertices next to fresh,
+        smallest first; near is the uncolored part of the given near plus
+        the neighbors of fresh, outside the pieces. A walk from a
+        neighbor of fresh stops once it passes PIECE vertices or meets a
+        vertex known to lie beyond a piece, so a decision costs no walk
+        over the whole part it searches."""
         far = set()
         seen = set()
         pieces = []
@@ -410,12 +380,9 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                 else:
                     far.update(mark)
         pieces.sort(key=len)
-        rest = [v for v in comp if not color[v] and v not in seen]
-        if rest:
-            near = {u for u in near if not color[u]}
-            near.update(u for f in fresh for u in nbrs[f] if not color[u])
-            near -= seen
-        return pieces, rest, near
+        near = {u for u in near if not color[u]}
+        near.update(u for f in fresh for u in nbrs[f] if not color[u])
+        return pieces, near - seen
 
     def search(comp, maxused, depth, near=()):
         """Fully color the uncolored vertices of comp; returns the new max
@@ -424,7 +391,11 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         near holds the vertices of comp next to a colored one: only they
         have colored neighbors or colors blocked by a constraint (a twin
         nogood can block a vertex outside near), so while one of them is
-        uncolored the decision is among them."""
+        uncolored the decision is among them.
+
+        A generator and one frame of the explicit stack: it yields the
+        arguments of each part it needs colored, the pieces and then the
+        rest of comp, and is sent back that part's result."""
         nonlocal conflict
         cap = labels if maxused >= labels else maxused + 1
         v = pick_decision(near, cap) if near else None
@@ -442,11 +413,11 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             res = apply_with_propagation(v, x, maxused, bit)
             if res is not None:
                 if bit:
-                    pieces, rest, near_rest = split(comp, assigned[a_mark:], near)
+                    pieces, near_rest = split(assigned[a_mark:], near)
                 else:
-                    pieces, rest = components(comp), ()
+                    pieces = components(comp)
                 for piece in pieces:
-                    res = search(piece, res, None)
+                    res = yield piece, res, None
                     if res is None:
                         if bit:
                             conflict = 0
@@ -456,8 +427,8 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                                     if color[u]:
                                         conflict |= why[u]
                         break
-                if res is not None and rest:
-                    res = search(rest, res, depth + 1, near_rest)
+                if res is not None and bit:
+                    res = yield comp, res, depth + 1, near_rest
                 if res is not None:
                     return res
             undo(a_mark, b_mark)
@@ -478,7 +449,17 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
 
     maxused = 0
     for sub in components(range(n)):
-        maxused = search(sub, maxused, 0 if len(sub) > PIECE else None)
+        stack = [search(sub, maxused, 0 if len(sub) > PIECE else None)]
+        maxused = None
+        while stack:
+            try:
+                part = stack[-1].send(maxused)
+            except StopIteration as done:
+                stack.pop()
+                maxused = done.value
+            else:
+                stack.append(search(*part))
+                maxused = None  # a new generator is started with None
         if maxused is None:
             return None
     result = Coloring(q, tuple(color))
@@ -672,10 +653,11 @@ def fpt_tf_q_coloring(g: Graph, q: int):
 
 def compute_params(g: Graph) -> StructuralParams:
     """Exact structural parameters; chi and chi3 come from the
-    backtracking paths so mid-sized gadget graphs stay tractable."""
+    triangle-free search, chi with every edge polar, so mid-sized gadget
+    graphs stay tractable."""
     return StructuralParams(
         omega=oracle_omega(g),
-        chi=oracle_chi(g),
+        chi=solve_chi3(g, polar=g.edges())[0],
         chi3=solve_chi3(g)[0],
         vc=len(min_vertex_cover(g)),
         delta=g.max_degree,

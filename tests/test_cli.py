@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from tfcolor import Coloring, cli, read_dimacs_graph, solvers, verify_triangle_free
+from tfcolor import Coloring, cli, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
 from tfcolor.graph_classes import CLASS_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
+from util_graphs import triangulated_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,20 +125,9 @@ def test_solve_class_chordal(monkeypatch, capsys):
 
 
 def test_solve_class_planar_large_grid(monkeypatch, capsys):
-    # a 45 x 45 grid with one diagonal per square: 2025 vertices, planar,
-    # deeper than the recursion limit for a search recursing per vertex
-    s = 45
-    edges = []
-    for r in range(s):
-        for c in range(s):
-            v = r * s + c
-            if c + 1 < s:
-                edges.append((v, v + 1))
-            if r + 1 < s:
-                edges.append((v, v + s))
-            if r + 1 < s and c + 1 < s:
-                edges.append((v, v + s + 1))
-    text = f"p edge {s * s} {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+    # 2025 vertices, deeper than the recursion limit for a search
+    # recursing per vertex
+    text = write_dimacs_graph(triangulated_grid(45))
     code, out = run_cli(["solve", "--class", "planar"], stdin_text=text,
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0

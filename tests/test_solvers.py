@@ -13,6 +13,7 @@ from tfcolor import solvers
 from tfcolor import (
     Graph,
     StructuralParams,
+    compute_params,
     decide_tf_q,
     fpt_tf_q_coloring,
     gen_clover,
@@ -23,9 +24,10 @@ from tfcolor import (
     oracle_chi,
     oracle_chi3,
     oracle_omega,
+    verify_proper,
     verify_triangle_free,
 )
-from util_graphs import rand_graph
+from util_graphs import brute_min_cover, rand_graph, triangulated_grid
 
 
 def test_oracle_chi3_stock_values():
@@ -76,9 +78,11 @@ def polar_instances(draw):
 @given(polar_instances())
 def test_decide_feasible_iff_oracle_fits(inst):
     # with PIECE = 1 every part of more than one vertex is searched with
-    # conflict analysis, so small graphs exercise the backjumping too
+    # conflict analysis, so small graphs exercise the backjumping too;
+    # with every edge polar the search decides proper q-coloring
     g, polar = inst
     best, _ = oracle_chi3(g, polar)
+    chi = oracle_chi(g)
     for piece in (solvers.PIECE, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "PIECE", piece)
@@ -87,6 +91,10 @@ def test_decide_feasible_iff_oracle_fits(inst):
                 assert (got is not None) == (best <= q)
                 if got is not None:
                     assert got.k == q and verify_triangle_free(g, got, polar)
+                got = decide_tf_q(g, q, polar=g.edges())
+                assert (got is not None) == (chi <= q)
+                if got is not None:
+                    assert got.k == q and verify_proper(g, got)
 
 
 def blow_up(sizes, cliques, base_edges, perm):
@@ -223,6 +231,17 @@ def test_decide_sparse_graph_has_no_deep_chain():
     assert got is not None and verify_triangle_free(g, got)
 
 
+def test_decide_deep_chains_stay_within_recursion_limit():
+    # one decision after another along a chain thousands of vertices long;
+    # a search recursing per decision overruns the recursion limit here
+    n = 3000
+    path_square = Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+    grid = triangulated_grid(45)
+    for g, q, polar in ((path_square, 2, None), (grid, 2, None), (grid, 4, grid.edges())):
+        got = decide_tf_q(g, q, polar=polar)
+        assert got is not None and verify_triangle_free(g, got, polar)
+
+
 def test_decide_huge_budget_searches_at_most_n_labels():
     tracemalloc.start()
     try:
@@ -273,13 +292,7 @@ def test_min_vertex_cover_matches_brute_force():
             cover = min_vertex_cover(g)
             for u, v in g.edges():
                 assert u in cover or v in cover
-            best = g.n
-            for r in range(g.n + 1):
-                if any(all(u in set(s) or v in set(s) for u, v in g.edges())
-                       for s in combinations(range(g.n), r)):
-                    best = r
-                    break
-            assert len(cover) == best
+            assert len(cover) == brute_min_cover(g)
 
 
 def test_min_vertex_cover_random_tree_equals_matching():
@@ -367,6 +380,17 @@ def test_randomized_restarts_stay_correct():
         assert decide_tf_q(clover, 2, rng=random.Random(seed)) is None
         got = decide_tf_q(clover, 3, rng=random.Random(seed))
         assert got is not None and verify_triangle_free(clover, got)
+
+
+def test_compute_params_matches_oracles():
+    rng = random.Random(2024)
+    for _ in range(200):
+        g = rand_graph(rng, rng.randint(0, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        p = compute_params(g)
+        assert p.omega == oracle_omega(g)
+        assert p.chi == oracle_chi(g)
+        assert p.chi3 == oracle_chi3(g)[0]
+        assert p.vc == brute_min_cover(g)
 
 
 def test_structural_params_validation():

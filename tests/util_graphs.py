@@ -13,6 +13,32 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def triangulated_grid(s):
+    """An s x s grid with one diagonal per square: planar, chi3 = 2 for
+    s >= 2, and one long chain of triangles for the search."""
+    edges = []
+    for r in range(s):
+        for c in range(s):
+            v = r * s + c
+            if c + 1 < s:
+                edges.append((v, v + 1))
+            if r + 1 < s:
+                edges.append((v, v + s))
+            if r + 1 < s and c + 1 < s:
+                edges.append((v, v + s + 1))
+    return Graph(s * s, edges)
+
+
+def brute_min_cover(g):
+    """Size of a minimum vertex cover, by trying every vertex subset in
+    order of size."""
+    for r in range(g.n + 1):
+        if any(all(u in set(s) or v in set(s) for u, v in g.edges())
+               for s in combinations(range(g.n), r)):
+            return r
+    return g.n
+
+
 def brute_triangles(g):
     """Raw scan over all vertex triples, the oracle for triangle listing."""
     out = set()
