@@ -1,81 +1,51 @@
 """tfcolor: compute and certify vertex colorings of simple undirected
-graphs with no monochromatic triangle."""
+graphs with no monochromatic triangle.
 
-from .coloring import (
-    Coloring,
-    greedy_extend_independent,
-    standard_recolor,
-    verify_proper,
-    verify_triangle_free,
-)
-from .gadgets import (
-    CycleClique,
-    PolarGadget,
-    clique_contraction,
-    gen_clover,
-    gen_complete,
-    gen_cycle,
-    gen_cycle_clique,
-    gen_gadget_triangle,
-    gen_mycielski,
-    gen_polar_gadget,
-    mycielskian,
-)
-from .graph import (
-    Graph,
-    as_edge_subset,
-    connected_components,
-    contains_k4,
-    degeneracy_ordering,
-    is_connected,
-    is_triangle_free,
-    list_triangles,
-    quotient,
-    read_dimacs_graph,
-    triangle_pairs,
-    write_dimacs_graph,
-    write_dot,
-)
-from .graph_classes import (
-    ClassHint,
-    bounded_chi_chi3,
-    chordal_chi3,
-    lex_bfs,
-    recognize_chordal,
-)
-from .reductions import (
-    Assignment,
-    CnfFormula,
-    PolarInstance,
-    ReductionOutput,
-    fits_occurrence_limit,
-    lift_witness,
-    nae_satisfies,
-    oracle_nae,
-    oracle_sat,
-    parse_dimacs_cnf,
-    parse_polar_instance,
-    pull_witness,
-    reduce_nae4_to_polar,
-    reduce_nae_to_k4free,
-    reduce_q_to_q1,
-    reduce_sat4_to_nae4,
-    sat_satisfies,
-    solve_polar_small_degree,
-    variable_occurrences,
-    write_dimacs_cnf,
-    write_polar_instance,
-)
-from .solvers import (
-    StructuralParams,
-    compute_params,
-    decide_tf_q,
-    fpt_tf_q_coloring,
-    min_vertex_cover,
-    oracle_chi,
-    oracle_chi3,
-    oracle_omega,
-    solve_chi3,
-)
+The public names resolve from their submodules on first use (PEP 562),
+so importing the package loads only the submodules a caller touches."""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "coloring": (
+        "Coloring", "greedy_extend_independent", "standard_recolor", "verify_proper",
+        "verify_triangle_free",
+    ),
+    "gadgets": (
+        "CycleClique", "PolarGadget", "clique_contraction", "gen_clover", "gen_complete",
+        "gen_cycle", "gen_cycle_clique", "gen_gadget_triangle", "gen_mycielski",
+        "gen_polar_gadget", "mycielskian",
+    ),
+    "graph": (
+        "Graph", "as_edge_subset", "connected_components", "contains_k4", "degeneracy_ordering",
+        "is_connected", "is_triangle_free", "list_triangles", "quotient", "read_dimacs_graph",
+        "triangle_pairs", "write_dimacs_graph", "write_dot",
+    ),
+    "graph_classes": ("ClassHint", "bounded_chi_chi3", "chordal_chi3", "lex_bfs", "recognize_chordal"),
+    "reductions": (
+        "Assignment", "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
+        "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "parse_dimacs_cnf",
+        "parse_polar_instance", "pull_witness", "reduce_nae4_to_polar", "reduce_nae_to_k4free",
+        "reduce_q_to_q1", "reduce_sat4_to_nae4", "sat_satisfies", "solve_polar_small_degree",
+        "variable_occurrences", "write_dimacs_cnf", "write_polar_instance",
+    ),
+    "solvers": (
+        "StructuralParams", "compute_params", "decide_tf_q", "fpt_tf_q_coloring",
+        "min_vertex_cover", "oracle_chi", "oracle_chi3", "oracle_omega", "solve_chi3",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # no caching: a name patched in its submodule is seen here too
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import gadgets, graph_classes, reductions, solvers
+from . import graph_classes, solvers
 from .coloring import Coloring, verify_triangle_free
 from .graph import read_dimacs_graph, write_dimacs_graph, write_dot
 
@@ -31,6 +31,8 @@ def _emit(doc: dict):
 
 
 def _gen_graph(family, k):
+    from . import gadgets
+
     needs_k = {"cycle-clique", "clover", "mycielski", "complete", "cycle"}
     if family in needs_k and k is None:
         raise ValueError(f"family {family!r} requires --k")
@@ -63,6 +65,8 @@ def _load_graph_maybe_polar(args):
     if getattr(args, "polar", None):
         if args.input not in (None, "-") :
             raise ValueError("give either a graph input or --polar FILE, not both")
+        from . import reductions
+
         with open(args.polar, "r", encoding="utf-8") as fh:
             inst = reductions.parse_polar_instance(fh.read())
         return inst.graph, inst.polar
@@ -140,6 +144,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import reductions
+
     pairs = {("sat4", "nae4"), ("nae", "k4free"), ("nae4", "polar")}
     if args.to == "q+1":
         if args.q is None:

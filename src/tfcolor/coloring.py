@@ -4,23 +4,20 @@ over an independent set."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, as_edge_subset, list_triangles, triangle_pairs
+from .graph import Graph, Record, as_edge_subset, list_triangles, triangle_pairs
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Total map vertex -> color in {1..k}; k is the color budget.
 
     Colors are 1-based; 0 is reserved for "uncolored" inside solver
     internals and never appears in a finished Coloring.
     """
 
-    k: int
-    colors: tuple
+    __slots__ = ("k", "colors")
 
-    def __post_init__(self):
+    def __init__(self, k: int, colors: tuple):
+        super().__init__(k, colors)
         object.__setattr__(self, "colors", tuple(self.colors))
         if self.k < 0:
             raise ValueError("color count must be non-negative")

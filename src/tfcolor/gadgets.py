@@ -5,21 +5,20 @@ stock graphs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, contains_k4, list_triangles, quotient
+from .graph import Graph, Record, contains_k4, list_triangles, quotient
 
 
-@dataclass(frozen=True)
-class CycleClique:
+class CycleClique(Record):
     """A ring of five size-k cliques (the joints J0..J4); consecutive
     joints are fully joined, so each J_i together with the next joint
     induces a clique on 2k vertices."""
 
-    graph: Graph
-    joints: tuple
-    k: int
+    __slots__ = ("graph", "joints", "k")
+
+    def __init__(self, graph: Graph, joints: tuple, k: int):
+        super().__init__(graph, joints, k)
 
 
 def gen_cycle_clique(k: int) -> CycleClique:
@@ -110,15 +109,15 @@ GADGET_EDGES = (
 )
 
 
-@dataclass(frozen=True)
-class PolarGadget:
+class PolarGadget(Record):
     """12-vertex, 30-edge graph whose (u, v) edge is forced bichromatic:
     it admits a triangle-free 2-coloring, every triangle-free 2-coloring
     gives u and v different colors, and it contains no 4-clique."""
 
-    graph: Graph
-    u: int
-    v: int
+    __slots__ = ("graph", "u", "v")
+
+    def __init__(self, graph: Graph, u: int, v: int):
+        super().__init__(graph, u, v)
 
 
 _gadget_certified = False

@@ -1,10 +1,47 @@
 """Immutable simple-graph core: construction, vertex identification,
 triangle listing and the per-vertex triangle index that every solver
-shares, clique detection, and DIMACS/DOT serialization."""
+shares, clique detection, DIMACS/DOT serialization, and the read-only
+record base of the package's value classes."""
 
 from __future__ import annotations
 
 from itertools import combinations
+
+
+class Record:
+    """Base of the immutable value classes. A subclass names its fields
+    in __slots__ and sets them once through Record.__init__, in slot
+    order; equality, hash, repr and pickling go over the fields in that
+    order, and assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _read_only(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
 
 
 class Graph:

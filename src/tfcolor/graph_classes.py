@@ -4,27 +4,24 @@ the answer off a triangle check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import Coloring, standard_recolor, verify_triangle_free
-from .graph import Graph, connected_components, is_triangle_free
+from .graph import Graph, Record, connected_components, is_triangle_free
 from .solvers import decide_tf_q
 
 BOUNDED_TAGS = ("planar", "outerplanar", "regular4")
 CLASS_TAGS = ("chordal",) + BOUNDED_TAGS + ("general",)
 
 
-@dataclass(frozen=True)
-class ClassHint:
+class ClassHint(Record):
     """Claimed graph class of an input. 'chordal' is always re-verified;
     the planar/outerplanar/regular4 tags are trusted assertions
     (recognition is out of scope), though regularity itself is checked
     and witnesses are re-verified before being returned."""
 
-    tag: str
-    trusted: bool = True
+    __slots__ = ("tag", "trusted")
 
-    def __post_init__(self):
+    def __init__(self, tag: str, trusted: bool = True):
+        super().__init__(tag, trusted)
         if self.tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.tag!r}")
 

@@ -8,12 +8,11 @@ style. Assignments are dicts variable -> bool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import Coloring, verify_triangle_free
 from .gadgets import GADGET_EDGES, U, V, gen_cycle_clique
 from .graph import (
     Graph,
+    Record,
     as_edge_subset,
     connected_components,
     contains_k4,
@@ -27,15 +26,14 @@ from .graph import (
 Assignment = dict
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Width-3 CNF: every clause is exactly three signed literals;
     repeated literals inside a clause are allowed."""
 
-    num_vars: int
-    clauses: tuple
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self):
+    def __init__(self, num_vars: int, clauses: tuple):
+        super().__init__(num_vars, clauses)
         object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
@@ -47,26 +45,24 @@ class CnfFormula:
                     raise ValueError(f"clause {i + 1} holds invalid literal {lit}")
 
 
-@dataclass(frozen=True)
-class PolarInstance:
+class PolarInstance(Record):
     """A graph plus the subset of its edges that must be bichromatic."""
 
-    graph: Graph
-    polar: frozenset
+    __slots__ = ("graph", "polar")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, polar: frozenset):
+        super().__init__(graph, polar)
         object.__setattr__(self, "polar", as_edge_subset(self.graph, self.polar))
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(Record):
     """Produced instance plus the correspondence needed to translate
     witnesses in both directions."""
 
-    kind: str
-    instance: object
-    forward_map: dict
-    metadata: dict
+    __slots__ = ("kind", "instance", "forward_map", "metadata")
+
+    def __init__(self, kind: str, instance: object, forward_map: dict, metadata: dict):
+        super().__init__(kind, instance, forward_map, metadata)
 
 
 # ---------------------------------------------------------------------------

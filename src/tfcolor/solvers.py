@@ -10,26 +10,21 @@ machinery with decide_tf_q and serve as ground truth in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import Coloring, greedy_extend_independent, verify_triangle_free
-from .graph import Graph, as_edge_subset, connected_components, triangle_pairs
+from .graph import Graph, Record, as_edge_subset, connected_components, triangle_pairs
 
 
-@dataclass(frozen=True)
-class StructuralParams:
+class StructuralParams(Record):
     """Exact structural parameters of one graph; construction re-checks
     the sandwich ceil(omega/2) <= chi3 <= ceil(chi/2) and the classic
     omega <= chi <= delta+1 chain."""
 
-    omega: int
-    chi: int
-    chi3: int
-    vc: int
-    delta: int
+    __slots__ = ("omega", "chi", "chi3", "vc", "delta")
 
-    def __post_init__(self):
+    def __init__(self, omega: int, chi: int, chi3: int, vc: int, delta: int):
+        super().__init__(omega, chi, chi3, vc, delta)
         if not ((self.omega + 1) // 2 <= self.chi3 <= (self.chi + 1) // 2):
             raise ValueError("chi3 violates its clique/chromatic sandwich")
         if not (self.omega <= self.chi <= self.delta + 1):
@@ -209,21 +204,25 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     nbrs = [{x for ab in tri[v] for x in ab} - {v} for v in range(n)]
     labels = min(q, n)
 
-    # twins[v]: v's twin class in index order, or () when it has none; no
-    # vertex has twins of both kinds, so it is in at most one real class
-    classes = {}
-    for v in range(n):
-        if tri[v]:
-            adj = g.neighbors(v)
-            pol = frozenset(b for a, b in tri[v] if a == v) if pairs else ()
-            for key in (adj, adj | {v}):
-                classes.setdefault((key, pol), []).append(v)
-    twins = [()] * n
-    for cls in classes.values():
-        if len(cls) > 1:
-            for v in cls:
-                twins[v] = cls
-    del classes
+    def twin_classes():
+        """twins[v]: v's twin class in index order, or () when it has
+        none; no vertex has twins of both kinds, so it is in at most one
+        real class."""
+        classes = {}
+        for v in range(n):
+            if tri[v]:
+                adj = g.neighbors(v)
+                pol = frozenset(b for a, b in tri[v] if a == v) if pairs else ()
+                for key in (adj, adj | {v}):
+                    classes.setdefault((key, pol), []).append(v)
+        twins = [()] * n
+        for cls in classes.values():
+            if len(cls) > 1:
+                for v in cls:
+                    twins[v] = cls
+        return twins
+
+    twins = None  # built at the first failed decision; a search that fails none skips it
 
     tie = list(range(n))
     if rng is not None:
@@ -396,7 +395,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         A generator and one frame of the explicit stack: it yields the
         arguments of each part it needs colored, the pieces and then the
         rest of comp, and is sent back that part's result."""
-        nonlocal conflict
+        nonlocal conflict, twins
         cap = labels if maxused >= labels else maxused + 1
         v = pick_decision(near, cap) if near else None
         if v is None:
@@ -438,6 +437,8 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                 tried |= conflict
             # twin nogoods: a twin blocked here shares v's uncolored
             # constraint neighbors, so it lies in v's uncolored component
+            if twins is None:
+                twins = twin_classes()
             for u in twins[v]:
                 if u != v and not color[u]:
                     bstack.extend(((~u, held[u]), (u, x)))

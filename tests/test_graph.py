@@ -4,6 +4,7 @@ the triangle index, 4-clique detection, and DIMACS/DOT round trips."""
 import random
 
 import pytest
+from hypothesis import given, settings
 from tfcolor import (
     Coloring,
     Graph,
@@ -18,7 +19,7 @@ from tfcolor import (
     write_dimacs_graph,
     write_dot,
 )
-from util_graphs import brute_triangles, rand_graph
+from util_graphs import brute_triangles, graphs_with_polar, rand_graph
 
 
 def test_build_c5():
@@ -134,6 +135,16 @@ def test_dimacs_round_trip_bit_exact():
         back = read_dimacs_graph(text)
         assert back == g
         assert write_dimacs_graph(back) == text
+
+
+@settings(max_examples=200)
+@given(graphs_with_polar())
+def test_dimacs_round_trip_property(inst):
+    g, _ = inst
+    text = write_dimacs_graph(g)
+    back = read_dimacs_graph(text)
+    assert back == g and back.m == g.m
+    assert write_dimacs_graph(back) == text
 
 
 def test_dimacs_tolerates_comments():

@@ -4,6 +4,7 @@ witness round trips, and the degree-2 polar decision procedure."""
 import random
 
 import pytest
+from hypothesis import given, settings
 from tfcolor import (
     CnfFormula,
     Graph,
@@ -32,7 +33,7 @@ from tfcolor import (
     write_dimacs_cnf,
     write_polar_instance,
 )
-from util_graphs import draw_nm_occ4, path_graph, rand_cnf, rand_cnf_occ4
+from util_graphs import draw_nm_occ4, graphs_with_polar, path_graph, rand_cnf, rand_cnf_occ4
 
 
 def test_cnf_validation():
@@ -251,6 +252,17 @@ def test_polar_instance_file_round_trip():
     assert back.graph == inst.graph and back.polar == inst.polar
     with pytest.raises(ValueError, match="not present"):
         parse_polar_instance("p edge 2 1\ne 1 2\ns 1 3\n")
+
+
+@settings(max_examples=200)
+@given(graphs_with_polar())
+def test_polar_instance_text_round_trip_property(inst):
+    g, polar = inst
+    inst = PolarInstance(g, polar)
+    text = write_polar_instance(inst)
+    back = parse_polar_instance(text)
+    assert back == inst
+    assert write_polar_instance(back) == text
 
 
 # --- budget increment

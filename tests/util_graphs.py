@@ -2,11 +2,23 @@
 
 from itertools import combinations
 
+from hypothesis import strategies as st
 from tfcolor import CnfFormula, Graph, fits_occurrence_limit
 
 
 def rand_graph(rng, n, p):
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+@st.composite
+def graphs_with_polar(draw, max_n=16):
+    """A graph on up to max_n vertices with any edge set, and a random
+    subset of its edges as polar pairs, each in a random orientation."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    polar = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges if draw(st.booleans())]
+    return Graph(n, edges), polar
 
 
 def path_graph(n):
