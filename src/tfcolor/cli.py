@@ -120,17 +120,19 @@ def _cmd_solve(args) -> int:
 
 
 def _coloring_from_doc(doc, n) -> Coloring:
-    if "colors" in doc:
-        colors = doc["colors"]
-    elif "coloring" in doc:
-        colors = doc["coloring"]
-    else:
+    if not isinstance(doc, dict):
+        raise ValueError("coloring file must hold a JSON object")
+    colors = doc.get("colors", doc.get("coloring"))
+    if not isinstance(colors, list):
         raise ValueError("coloring file needs a 'colors' (or 'coloring') array")
-    colors = [int(c) for c in colors]
+    if any(type(c) is not int for c in colors):
+        raise ValueError("every color in a coloring file must be an integer")
+    k = doc.get("k", doc.get("chi3", max(colors, default=0)))
+    if type(k) is not int:
+        raise ValueError("'k' in a coloring file must be an integer")
     if len(colors) != n:
         raise ValueError(f"coloring covers {len(colors)} vertices, graph has {n}")
-    k = doc.get("k", doc.get("chi3", max(colors, default=0)))
-    return Coloring(int(k), tuple(colors))
+    return Coloring(k, tuple(colors))
 
 
 def _cmd_verify(args) -> int:

@@ -5,6 +5,7 @@ record base of the package's value classes."""
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations
 
 
@@ -150,28 +151,36 @@ def quotient(g: Graph, pairs):
 
 
 def degeneracy_ordering(g: Graph) -> list:
-    """Repeated minimum-degree removal order (smallest index on ties)."""
+    """Repeated minimum-degree removal order (smallest index on ties).
+
+    Linear up to a log factor (degree buckets after Matula & Beck 1983):
+    each degree has a heap of vertex indices, a vertex whose degree drops
+    is pushed into its new bucket and left in its old one, and a popped
+    entry is skipped once its vertex is gone or its degree has moved.
+    """
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
-    maxdeg = max(deg, default=0)
-    buckets = [set() for _ in range(maxdeg + 1)]
+    adj = g._adj
+    deg = [len(s) for s in adj]
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(n):
-        buckets[deg[v]].add(v)
+        buckets[deg[v]].append(v)
     removed = [False] * n
     order = []
     d = 0
     while len(order) < n:
-        while d <= maxdeg and not buckets[d]:
+        bucket = buckets[d]
+        if not bucket:
             d += 1
-        v = min(buckets[d])
-        buckets[d].discard(v)
+            continue
+        v = heappop(bucket)
+        if removed[v] or deg[v] != d:
+            continue
         removed[v] = True
         order.append(v)
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if not removed[u]:
-                buckets[deg[u]].discard(u)
                 deg[u] -= 1
-                buckets[deg[u]].add(u)
+                heappush(buckets[deg[u]], u)
         d = max(d - 1, 0)
     return order
 

@@ -27,26 +27,51 @@ class ClassHint(Record):
 
 
 def lex_bfs(g: Graph) -> list:
-    """Lexicographic BFS visit order by partition refinement; smallest
-    index wins ties."""
+    """Lexicographic BFS visit order; smallest index wins ties.
+
+    Linear-time partition refinement (Rose, Tarjan & Lueker 1976): the
+    unvisited vertices sit in a linked sequence of parts, each an
+    ascending list. Visiting v moves its unvisited neighbours, in
+    ascending order, into fresh parts placed just before their old ones,
+    so a visit touches only v's neighbourhood. A moved vertex stays in
+    its old list and is skipped when that list is read."""
+    n = g.n
+    part = [0] * n  # each unvisited vertex's part; -1 once visited
+    members, start = [list(range(n))], [0]
+    before, after = [-1], [-1]
+    first = 0 if n else -1
     order = []
-    partitions = [sorted(range(g.n))] if g.n else []
-    while partitions:
-        first = partitions[0]
-        v = first.pop(0)
-        if not first:
-            partitions.pop(0)
+    while first != -1:
+        lst, i = members[first], start[first]
+        while i < len(lst) and part[lst[i]] != first:
+            i += 1
+        if i == len(lst):
+            first = after[first]
+            if first != -1:
+                before[first] = -1
+            continue
+        start[first] = i + 1
+        v = lst[i]
+        part[v] = -1
         order.append(v)
-        nv = g.neighbors(v)
-        refined = []
-        for part in partitions:
-            hit = [w for w in part if w in nv]
-            miss = [w for w in part if w not in nv]
-            if hit:
-                refined.append(hit)
-            if miss:
-                refined.append(miss)
-        partitions = refined
+        split = {}
+        for w in sorted(u for u in g.neighbors(v) if part[u] >= 0):
+            old = part[w]
+            new = split.get(old)
+            if new is None:
+                new = split[old] = len(members)
+                members.append([])
+                start.append(0)
+                prev = before[old]
+                before.append(prev)
+                after.append(old)
+                before[old] = new
+                if prev == -1:
+                    first = new
+                else:
+                    after[prev] = new
+            members[new].append(w)
+            part[w] = new
     return order
 
 

@@ -135,6 +135,16 @@ def variable_occurrences(phi: CnfFormula) -> dict:
     return occ
 
 
+def _literal_slots(phi: CnfFormula) -> dict:
+    """literal -> the clause-triangle vertices 3i + j holding it, in
+    clause order."""
+    slots = {}
+    for i, cl in enumerate(phi.clauses):
+        for j, lit in enumerate(cl):
+            slots.setdefault(lit, []).append(3 * i + j)
+    return slots
+
+
 def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
     return all(c <= limit for c in variable_occurrences(phi).values())
 
@@ -207,10 +217,7 @@ def parse_polar_instance(text: str) -> PolarInstance:
 
 
 def write_polar_instance(inst: PolarInstance) -> str:
-    out = write_dimacs_graph(inst.graph)
-    for u, v in sorted(inst.polar):
-        out += f"s {u + 1} {v + 1}\n"
-    return out
+    return write_dimacs_graph(inst.graph) + "".join(f"s {u + 1} {v + 1}\n" for u, v in sorted(inst.polar))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +302,7 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
     the opposite polarity endpoint. Every non-clause edge is then forced
     bichromatic by attaching a fresh bichromatic-edge gadget across it.
     Clauses of three identical literals are rejected (they are never
-    not-all-equal satisfiable).
+    not-all-equal satisfiable). Output: 33m + 12n vertices.
     """
     for i, cl in enumerate(phi.clauses):
         if len(set(cl)) < 2:
@@ -310,15 +317,10 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
         a, b, c = occ[(i, 0)], occ[(i, 1)], occ[(i, 2)]
         clause_edges += [(a, b), (b, c), (a, c)]
     forced_edges = [(t_end[x], f_end[x]) for x in range(1, n + 1)]
+    slots = _literal_slots(phi)
     for x in range(1, n + 1):
-        for i, cl in enumerate(phi.clauses):
-            for j, lit in enumerate(cl):
-                if lit == -x:
-                    forced_edges.append((t_end[x], occ[(i, j)]))
-        for i, cl in enumerate(phi.clauses):
-            for j, lit in enumerate(cl):
-                if lit == x:
-                    forced_edges.append((f_end[x], occ[(i, j)]))
+        forced_edges += [(t_end[x], vtx) for vtx in slots.get(-x, ())]
+        forced_edges += [(f_end[x], vtx) for vtx in slots.get(x, ())]
 
     base = 3 * m + 2 * n
     gadgets = []
@@ -429,12 +431,11 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
                 polar.append((node(x, i), node(x, 2 * i)))
                 polar.append((node(x, i), node(x, 2 * i + 1)))
         polar.append((tnode(x, 1), fnode(x, 1)))
+    slots = _literal_slots(phi)
     for x in range(1, n + 1):
-        positives = [occ[(i, j)] for i, cl in enumerate(phi.clauses) for j, lit in enumerate(cl) if lit == x]
-        negatives = [occ[(i, j)] for i, cl in enumerate(phi.clauses) for j, lit in enumerate(cl) if lit == -x]
-        for idx, vtx in enumerate(positives):
+        for idx, vtx in enumerate(slots.get(x, ())):
             polar.append((vtx, tnode(x, 4 + idx)))
-        for idx, vtx in enumerate(negatives):
+        for idx, vtx in enumerate(slots.get(-x, ())):
             polar.append((vtx, fnode(x, 4 + idx)))
 
     graph = Graph(3 * m + 14 * n, plain + polar)

@@ -4,6 +4,7 @@ bounded-chromatic dispatch."""
 import random
 
 import pytest
+from hypothesis import given, settings
 from tfcolor import (
     ClassHint,
     Graph,
@@ -12,11 +13,12 @@ from tfcolor import (
     gen_complete,
     gen_cycle,
     is_triangle_free,
+    lex_bfs,
     oracle_chi3,
     recognize_chordal,
     verify_triangle_free,
 )
-from util_graphs import icosahedron, petersen, planar_subgraph, random_ktree
+from util_graphs import graphs, icosahedron, petersen, planar_subgraph, quadratic_lex_bfs, random_ktree
 
 
 def _is_peo(g, peo):
@@ -66,6 +68,20 @@ def test_chordal_chi3_matches_oracle():
         k, w = chordal_chi3(g)
         assert k == oracle_chi3(g)[0]
         assert verify_triangle_free(g, w)
+
+
+@settings(max_examples=200)
+@given(graphs())
+def test_lex_bfs_matches_quadratic_refinement(g):
+    assert lex_bfs(g) == quadratic_lex_bfs(g)
+
+
+def test_chordal_chi3_large_ktree():
+    # quadratic partition refinement took about 5 s at 5000 vertices
+    g = random_ktree(random.Random(73), 3, 20000)
+    k, w = chordal_chi3(g)
+    assert k == 2
+    assert verify_triangle_free(g, w)
 
 
 def test_chordal_chi3_rejects_non_chordal():

@@ -98,6 +98,16 @@ def test_verify_rejects_bad_coloring(tmp_path, monkeypatch, capsys):
     assert json.loads(out) == {"valid": False}
 
 
+@pytest.mark.parametrize("doc", [{"colors": None}, "colors", {"colors": [1, 1, {}]}])
+def test_verify_malformed_coloring_is_exit_two(doc, tmp_path, monkeypatch, capsys):
+    coloring_file = tmp_path / "bad.json"
+    coloring_file.write_text(json.dumps(doc))
+    code, out = run_cli(["verify", "--coloring", str(coloring_file)],
+                        stdin_text=(GOLDEN / "polar_gadget.dimacs").read_text(),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+
+
 def test_params_polar_gadget_matches_golden(monkeypatch, capsys):
     gadget = (GOLDEN / "polar_gadget.dimacs").read_text()
     code, out = run_cli(["params"], stdin_text=gadget, monkeypatch=monkeypatch, capsys=capsys)

@@ -19,7 +19,7 @@ from tfcolor import (
     write_dimacs_graph,
     write_dot,
 )
-from util_graphs import brute_triangles, graphs_with_polar, rand_graph
+from util_graphs import brute_degeneracy_ordering, brute_triangles, graphs, graphs_with_polar, rand_graph
 
 
 def test_build_c5():
@@ -125,6 +125,12 @@ def test_degeneracy_ordering_is_a_permutation():
         g = rand_graph(rng, rng.randint(0, 9), 0.4)
         order = degeneracy_ordering(g)
         assert sorted(order) == list(range(g.n))
+
+
+@settings(max_examples=200)
+@given(graphs())
+def test_degeneracy_ordering_matches_definition(g):
+    assert degeneracy_ordering(g) == brute_degeneracy_ordering(g)
 
 
 def test_dimacs_round_trip_bit_exact():

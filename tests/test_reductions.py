@@ -4,9 +4,10 @@ witness round trips, and the degree-2 polar decision procedure."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from tfcolor import (
     CnfFormula,
+    Coloring,
     Graph,
     PolarInstance,
     contains_k4,
@@ -33,7 +34,16 @@ from tfcolor import (
     write_dimacs_cnf,
     write_polar_instance,
 )
-from util_graphs import draw_nm_occ4, graphs_with_polar, path_graph, rand_cnf, rand_cnf_occ4
+from util_graphs import (
+    cnf_formulas,
+    draw_nm_occ4,
+    graphs,
+    graphs_with_polar,
+    path_graph,
+    planted_nae_cnf,
+    rand_cnf,
+    rand_cnf_occ4,
+)
 
 
 def test_cnf_validation():
@@ -306,6 +316,61 @@ def test_q_to_q1_forces_hub_color_apart():
         assert w is not None
         for v in range(g.n):
             assert w.colors[out.forward_map["g_vertex"][v]] != w.colors[hub]
+
+
+# --- witness round trips and large inputs
+
+
+@settings(max_examples=100)
+@given(cnf_formulas())
+def test_sat4_to_nae4_lift_pull_round_trip(phi):
+    assume(fits_occurrence_limit(phi, 4))
+    w = oracle_sat(phi)
+    assume(w is not None)
+    out = reduce_sat4_to_nae4(phi)
+    assert pull_witness(out, lift_witness(out, w)) == w
+
+
+@settings(max_examples=100)
+@given(cnf_formulas())
+def test_nae_to_k4free_lift_pull_round_trip(phi):
+    assume(all(len(set(cl)) > 1 for cl in phi.clauses))
+    w = oracle_nae(phi)
+    assume(w is not None)
+    out = reduce_nae_to_k4free(phi)
+    assert pull_witness(out, lift_witness(out, w)) == w
+
+
+@settings(max_examples=100)
+@given(cnf_formulas())
+def test_nae4_to_polar_lift_pull_round_trip(phi):
+    assume(fits_occurrence_limit(phi, 4))
+    w = oracle_nae(phi)
+    assume(w is not None)
+    out = reduce_nae4_to_polar(phi)
+    assert pull_witness(out, lift_witness(out, w)) == w
+
+
+@settings(max_examples=50)
+@given(graphs(max_n=6))
+def test_q_to_q1_lift_pull_round_trip(g):
+    assume(g.n > 0)
+    k, w = oracle_chi3(g)
+    q = max(k, 2)
+    w = Coloring(q, w.colors)
+    out = reduce_q_to_q1(g, q)
+    assert pull_witness(out, lift_witness(out, w)) == w
+
+
+def test_nae_reductions_on_large_planted_formula():
+    # both used to rescan every clause for every variable
+    phi = planted_nae_cnf(random.Random(85), 3000)
+    n, m = phi.num_vars, len(phi.clauses)
+    assert fits_occurrence_limit(phi, 4)
+    inst = reduce_nae4_to_polar(phi).instance
+    assert inst.graph.n == 3 * m + 14 * n and inst.graph.max_degree <= 3
+    assert len(inst.polar) == 13 * n + 3 * m
+    assert reduce_nae_to_k4free(phi).instance.n == 33 * m + 12 * n
 
 
 # --- degree-2 polar decision

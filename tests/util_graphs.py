@@ -21,6 +21,25 @@ def graphs_with_polar(draw, max_n=16):
     return Graph(n, edges), polar
 
 
+@st.composite
+def graphs(draw, max_n=30):
+    """A graph on up to max_n vertices. A pair is an edge when its drawn
+    digit is below a drawn density, so sparse and dense graphs both come
+    up."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.integers(0, 10))
+    return Graph(n, [e for e in combinations(range(n), 2) if draw(st.integers(0, 9)) < density])
+
+
+@st.composite
+def cnf_formulas(draw, max_vars=4, max_clauses=4):
+    """A width-3 formula of up to max_clauses clauses over up to max_vars
+    variables, with no occurrence bound."""
+    n = draw(st.integers(1, max_vars))
+    lit = st.integers(-n, n).filter(bool)
+    return CnfFormula(n, tuple(draw(st.lists(st.tuples(lit, lit, lit), max_size=max_clauses))))
+
+
 def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -58,6 +77,42 @@ def brute_triangles(g):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
             out.add((a, b, c))
     return frozenset(out)
+
+
+def brute_degeneracy_ordering(g):
+    """Remove the vertex of smallest (remaining degree, index) until none
+    is left: the definition that degeneracy_ordering implements."""
+    left = set(range(g.n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (len(g.neighbors(u) & left), u))
+        left.remove(v)
+        order.append(v)
+    return order
+
+
+def quadratic_lex_bfs(g):
+    """Lexicographic BFS visit order by partition refinement; smallest
+    index wins ties."""
+    order = []
+    partitions = [sorted(range(g.n))] if g.n else []
+    while partitions:
+        first = partitions[0]
+        v = first.pop(0)
+        if not first:
+            partitions.pop(0)
+        order.append(v)
+        nv = g.neighbors(v)
+        refined = []
+        for part in partitions:
+            hit = [w for w in part if w in nv]
+            miss = [w for w in part if w not in nv]
+            if hit:
+                refined.append(hit)
+            if miss:
+                refined.append(miss)
+        partitions = refined
+    return order
 
 
 def random_ktree(rng, k, n):
@@ -137,6 +192,24 @@ def rand_cnf_occ4(rng, n, m):
         phi = rand_cnf(rng, n, m)
         if fits_occurrence_limit(phi, 4):
             return phi
+
+
+def planted_nae_cnf(rng, n):
+    """A width-3 formula on n variables with 4n//3 clauses, every variable
+    in at most 4 literal slots, that a random planted assignment
+    not-all-equal satisfies; built in linear time, for sizes that
+    rand_cnf_occ4 cannot reach."""
+    truth = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+    slots = [v for v in truth for _ in range(4)]
+    rng.shuffle(slots)
+    clauses = []
+    for i in range(0, 3 * (4 * n // 3), 3):
+        while True:
+            cl = tuple(v if rng.random() < 0.5 else -v for v in slots[i:i + 3])
+            if len({truth[abs(l)] == (l > 0) for l in cl}) == 2:
+                break
+        clauses.append(cl)
+    return CnfFormula(n, tuple(clauses))
 
 
 def greedy_proper(rng, g):
