@@ -59,21 +59,18 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [set() for _ in range(n)]
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if v in adj[u]:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.m = len(seen)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self.m = sum(map(len, adj)) // 2
+        self._adj = tuple(map(frozenset, adj))
 
     def neighbors(self, v: int) -> frozenset:
         return self._adj[v]
@@ -225,9 +222,11 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def contains_k4(g: Graph) -> bool:
-    """True iff some four vertices are pairwise adjacent."""
-    for a, b, c in list_triangles(g):
-        if g.neighbors(a) & g.neighbors(b) & g.neighbors(c):
+    """True iff some four vertices are pairwise adjacent: some triangle's
+    three neighborhoods meet. Stops at the first such triangle."""
+    adj = g._adj
+    for a, b, c in _triangles(g):
+        if adj[a] & adj[b] & adj[c]:
             return True
     return False
 

@@ -151,18 +151,29 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     q-coloring, so chi and chi3 share this one search.
 
     Backtracking with propagation over the constraints alone, triangles
-    and polar edges: a per-vertex table counts blocked colors (a color
-    is blocked when the other two vertices of a triangle already share
-    it, or a polar neighbor holds it), forced vertices are assigned to a
-    fixpoint, and each decision picks a most-constrained uncolored
-    vertex (fewest free colors, then most colored neighbors, then
-    highest degree, where a neighbor is a vertex sharing a constraint).
-    Color symmetry is broken by letting any assignment introduce at most
-    the one label after the largest label in use, so the first assigned
-    vertex takes color 1 and no more than min(q, n) labels are ever
-    searched. Forced moves are exempt from the cap but never need labels
-    beyond it: an unused label is blocked only by a twin nogood, and that
-    nogood rules out every unused label alike.
+    and polar edges: a color is blocked at a vertex when the other two
+    vertices of a triangle already share it, or a polar neighbor holds
+    it; forced vertices are assigned to a fixpoint, and each decision
+    picks a most-constrained uncolored vertex (fewest free colors, then
+    most colored neighbors, then highest degree, where a neighbor is a
+    vertex sharing a constraint). Color symmetry is broken by letting
+    any assignment introduce at most the one label after the largest
+    label in use, so the first assigned vertex takes color 1 and no more
+    than min(q, n) labels are ever searched. Forced moves are exempt from
+    the cap but never need labels beyond it: an unused label is blocked
+    only by a twin nogood, and that nogood rules out every unused label
+    alike.
+
+    The state is held in vertex sets as Python ints, one bit per vertex
+    (bit-parallel after San Segundo et al.): each vertex's constraint
+    neighbors and polar neighbors, the vertices of each color, the
+    vertices at which each color is blocked, and the uncolored vertices.
+    Two vertices of a triangle have the third among their common
+    constraint neighbors, so assigning u = x blocks x on the uncolored
+    common constraint neighbors of u and each x-colored neighbor of u,
+    and on u's polar neighbors, in a few set operations. Every change to
+    a blocked set pushes the old set onto a stack, and undo restores the
+    saved sets in reverse.
 
     Twins (equal closed or open neighborhoods, equal polar neighborhoods)
     are interchangeable, so once v = x has failed at a node, x is blocked
@@ -198,10 +209,16 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     # A polar edge uw joins tri[u] as (u, w) and tri[w] as (w, u): u always
     # holds the color being propagated, so the triangle rule blocks it on w.
     tri = triangle_pairs(g)
+    pol = [0] * n  # pol[v]: v's polar neighbors
     for u, w in pairs:
         tri[u].append((u, w))
         tri[w].append((w, u))
+        pol[u] |= 1 << w
+        pol[w] |= 1 << u
+    # nbrs[v]: the vertices sharing a constraint with v; nmask[v]: the same
+    # as a vertex set
     nbrs = [{x for ab in tri[v] for x in ab} - {v} for v in range(n)]
+    nmask = [sum(1 << u for u in s) for s in nbrs]
     labels = min(q, n)
 
     def twin_classes():
@@ -232,23 +249,37 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     # why[v]: bitmask of the decision levels that colored v follows from;
     # a forced vertex follows from the pairs that blocked its other colors
     why = [0] * n
-    block = [[0] * (labels + 1) for _ in range(n)]
+    cls = [0] * (labels + 1)  # cls[x]: the vertices colored x
+    blocked = [0] * (labels + 1)  # blocked[x]: the vertices at which x is blocked
+    # nblk[v]: how many blocked sets hold v. Every label blocked at v is at
+    # most the cap: a triangle or polar block uses a label in use, and a
+    # twin nogood one that was a candidate at an ancestor node. So an
+    # uncolored v has cap - nblk[v] free colors.
+    nblk = [0] * n
+    uncolored = (1 << n) - 1
     # held[v]: the decision levels behind the twin nogoods that block
-    # colors at v; each nogood's block sits on bstack over (~v, old held[v])
+    # colors at v. bstack holds (x, old blocked[x]) for each growth of a
+    # blocked set and (~v, old held[v]) for each twin nogood at v.
     held = [0] * n
     assigned = []
     bstack = []
     conflict = 0  # the decision levels behind the latest failure
 
     def undo(a_mark, b_mark):
+        nonlocal uncolored
         while len(bstack) > b_mark:
-            u, x = bstack.pop()
-            if u < 0:
-                held[~u] = x
-            else:
-                block[u][x] -= 1
+            x, old = bstack.pop()
+            if x < 0:
+                held[~x] = old
+                continue
+            for w in _members(blocked[x] ^ old):
+                nblk[w] -= 1
+            blocked[x] = old
         while len(assigned) > a_mark:
-            color[assigned.pop()] = 0
+            v = assigned.pop()
+            cls[color[v]] ^= 1 << v
+            uncolored |= 1 << v
+            color[v] = 0
 
     def blame(w):
         """The decision levels behind every color blocked at uncolored w."""
@@ -273,22 +304,22 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         pending = []
 
         def assign(u, xu):
-            nonlocal maxused
+            nonlocal maxused, uncolored
             color[u] = xu
             assigned.append(u)
             if xu > maxused:
                 maxused = xu
-            for a, b in tri[u]:
-                ca, cb = color[a], color[b]
-                if ca == xu and not cb:
-                    w = b
-                elif cb == xu and not ca:
-                    w = a
-                else:
-                    continue
-                block[w][xu] += 1
-                bstack.append((w, xu))
-                pending.append(w)
+            uncolored ^= 1 << u
+            cls[xu] |= 1 << u
+            nu = nmask[u]
+            old = blocked[xu]
+            fresh = ((nu & around(nu & cls[xu])) | pol[u]) & uncolored & ~old
+            if fresh:
+                bstack.append((xu, old))
+                blocked[xu] = old | fresh
+                for w in _members(fresh):
+                    nblk[w] += 1
+                    pending.append(w)
 
         why[v0] = bit
         assign(v0, x0)
@@ -297,66 +328,72 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             if color[w]:
                 continue
             cap = labels if maxused >= labels else maxused + 1
-            bw = block[w]
-            free = [y for y in range(1, cap + 1) if bw[y] == 0]
+            free = cap - nblk[w]
             if not free:
                 if bit:
                     conflict = blame(w)
                 return None
-            if len(free) == 1:
+            if free == 1:
                 why[w] = blame(w) if bit else 0
-                assign(w, free[0])
+                assign(w, next(y for y in range(1, cap + 1) if not blocked[y] >> w & 1))
         return maxused
 
-    def pick_decision(comp, cap):
+    def pick_decision(part):
         best = None
         best_key = None
-        for v in comp:
-            if color[v]:
-                continue
-            sat = 0
-            for u in nbrs[v]:
-                if color[u]:
-                    sat += 1
-            key = (block[v][1:cap + 1].count(0), -sat, -len(nbrs[v]), tie[v])
+        colored = ~uncolored
+        m = part & uncolored
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            key = (-nblk[v], -(nmask[v] & colored).bit_count(), -len(nbrs[v]), tie[v])
             if best_key is None or key < best_key:
                 best, best_key = v, key
         return best
 
+    def around(m):
+        """The vertices sharing a constraint with some vertex of the set m."""
+        reach = 0
+        while m:
+            low = m & -m
+            reach |= nmask[low.bit_length() - 1]
+            m ^= low
+        return reach
+
     def components(comp):
-        """Components of the uncolored part of comp under the
-        constraints, smallest first."""
-        todo = {v for v in comp if not color[v]}
+        """Components of the uncolored part of the vertex set comp under
+        the constraints, as vertex sets, smallest first."""
+        todo = comp & uncolored
         subs = []
         while todo:
-            start = todo.pop()
-            sub = [start]
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in nbrs[v]:
-                    if u in todo:
-                        todo.discard(u)
-                        sub.append(u)
-                        stack.append(u)
+            sub = frontier = todo & -todo
+            while frontier:
+                frontier = around(frontier) & todo & ~sub
+                sub |= frontier
+            todo ^= sub
             subs.append(sub)
-        subs.sort(key=len)
+        subs.sort(key=int.bit_count)
         return subs
 
     def split(fresh, near):
-        """(pieces, near) once fresh has been colored: pieces are the
-        uncolored components of at most PIECE vertices next to fresh,
-        smallest first; near is the uncolored part of the given near plus
-        the neighbors of fresh, outside the pieces. A walk from a
-        neighbor of fresh stops once it passes PIECE vertices or meets a
-        vertex known to lie beyond a piece, so a decision costs no walk
-        over the whole part it searches."""
+        """(pieces, near) once the vertices in fresh have been colored:
+        pieces are the uncolored components of at most PIECE vertices
+        next to fresh, smallest first, as vertex sets; near is the
+        uncolored part of the given near plus the neighbors of fresh,
+        outside the pieces. A walk from a neighbor of fresh stops once it
+        passes PIECE vertices or meets a vertex known to lie beyond a
+        piece, so a decision costs no walk over the whole part it
+        searches. The walks visit vertex by vertex, not by set
+        operations, whose cost grows with n."""
         far = set()
-        seen = set()
+        seen = 0
         pieces = []
+        touched = 0
         for f in fresh:
+            touched |= nmask[f]
             for s in nbrs[f]:
-                if color[s] or s in seen or s in far:
+                if color[s] or seen >> s & 1 or s in far:
                     continue
                 piece = [s]
                 mark = {s}
@@ -374,36 +411,34 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                         piece.append(u)
                         stack.append(u)
                 if closed:
-                    pieces.append(piece)
-                    seen.update(piece)
+                    pieces.append(sum(1 << u for u in piece))
+                    seen |= pieces[-1]
                 else:
                     far.update(mark)
-        pieces.sort(key=len)
-        near = {u for u in near if not color[u]}
-        near.update(u for f in fresh for u in nbrs[f] if not color[u])
-        return pieces, near - seen
+        pieces.sort(key=int.bit_count)
+        return pieces, (near | touched) & uncolored & ~seen
 
-    def search(comp, maxused, depth, near=()):
-        """Fully color the uncolored vertices of comp; returns the new max
-        label in use, or None when infeasible (caller undoes). depth is
-        the decision level for conflict analysis, or None inside a piece.
-        near holds the vertices of comp next to a colored one: only they
-        have colored neighbors or colors blocked by a constraint (a twin
-        nogood can block a vertex outside near), so while one of them is
-        uncolored the decision is among them.
+    def search(comp, maxused, depth, near=0):
+        """Fully color the uncolored vertices of the vertex set comp;
+        returns the new max label in use, or None when infeasible (caller
+        undoes). depth is the decision level for conflict analysis, or
+        None inside a piece. near holds the vertices of comp next to a
+        colored one: only they have colored neighbors or colors blocked by
+        a constraint (a twin nogood can block a vertex outside near), so
+        while one of them is uncolored the decision is among them.
 
         A generator and one frame of the explicit stack: it yields the
         arguments of each part it needs colored, the pieces and then the
         rest of comp, and is sent back that part's result."""
         nonlocal conflict, twins
         cap = labels if maxused >= labels else maxused + 1
-        v = pick_decision(near, cap) if near else None
+        v = pick_decision(near) if near else None
         if v is None:
-            v = pick_decision(comp, cap)
+            v = pick_decision(comp)
             if v is None:
                 return maxused
         bit = 0 if depth is None else 1 << depth
-        cand = [x for x in range(1, cap + 1) if block[v][x] == 0]
+        cand = [x for x in range(1, cap + 1) if not blocked[x] >> v & 1]
         if rng is not None:
             rng.shuffle(cand)
         tried = 0
@@ -420,11 +455,10 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                     if res is None:
                         if bit:
                             conflict = 0
-                            for w in piece:
+                            for w in _members(piece):
                                 conflict |= held[w]
-                                for u in nbrs[w]:
-                                    if color[u]:
-                                        conflict |= why[u]
+                            for u in _members(around(piece) & ~uncolored):
+                                conflict |= why[u]
                         break
                 if res is not None and bit:
                     res = yield comp, res, depth + 1, near_rest
@@ -441,16 +475,30 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                 twins = twin_classes()
             for u in twins[v]:
                 if u != v and not color[u]:
-                    bstack.extend(((~u, held[u]), (u, x)))
-                    block[u][x] += 1
+                    bstack.append((~u, held[u]))
                     held[u] |= conflict & ~bit if bit else 0
+                    old = blocked[x]
+                    if not old >> u & 1:
+                        bstack.append((x, old))
+                        blocked[x] = old | 1 << u
+                        nblk[u] += 1
         if bit:
             conflict = (tried | blame(v)) & ~bit
         return None
 
     maxused = 0
-    for sub in components(range(n)):
-        stack = [search(sub, maxused, 0 if len(sub) > PIECE else None)]
+    for v in range(n):
+        if not nbrs[v]:
+            # v is under no constraint, a component of its own that takes
+            # its first candidate color; no vertex set needs to record it
+            cand = list(range(1, min(maxused + 1, labels) + 1))
+            if rng is not None:
+                rng.shuffle(cand)
+            color[v] = cand[0]
+            maxused = max(maxused, cand[0])
+            uncolored ^= 1 << v
+    for sub in components(uncolored):
+        stack = [search(sub, maxused, 0 if sub.bit_count() > PIECE else None)]
         maxused = None
         while stack:
             try:
@@ -467,6 +515,14 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     if not verify_triangle_free(g, result, pairs or None):
         raise RuntimeError("internal error: solver produced an invalid coloring")
     return result
+
+
+def _members(m):
+    """The vertices of the vertex set m, in index order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def solve_chi3(g: Graph, polar=None):

@@ -3,11 +3,15 @@ exit codes, and the pinned golden outputs."""
 
 import io
 import json
+import os
+import random
+import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from tfcolor import Coloring, cli, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
+from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
 from tfcolor.graph_classes import CLASS_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
 from util_graphs import triangulated_grid
@@ -240,3 +244,30 @@ def test_solve_with_polar_instance_file(tmp_path, monkeypatch, capsys):
     code, out = run_cli(["solve", "--q", "3", "--polar", str(inst)],
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
+
+
+def test_solve_output_independent_of_hash_seed(tmp_path):
+    # the same input gives the same stdout in fresh interpreters whose
+    # string and set hashing differ
+    rng = random.Random(30)
+    dense = Graph(30, [e for e in combinations(range(30), 2) if rng.random() < 0.5])
+    clover = gen_clover(4)
+    perm = list(range(clover.n))
+    rng.shuffle(perm)
+    clover = Graph(clover.n, [(perm[u], perm[v]) for u, v in clover.edges()])
+    small = Graph(12, [e for e in combinations(range(12), 2) if rng.random() < 0.5])
+    polar = "".join(f"s {u + 1} {v + 1}\n" for u, v in small.edges() if rng.random() < 0.3)
+    (tmp_path / "dense.dimacs").write_text(write_dimacs_graph(dense))
+    (tmp_path / "clover.dimacs").write_text(write_dimacs_graph(clover))
+    (tmp_path / "polar.txt").write_text(write_dimacs_graph(small) + polar)
+    runs = (["dense.dimacs"], ["clover.dimacs", "--q", "5"], ["--polar", "polar.txt"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        for args in runs:
+            done = subprocess.run([sys.executable, "-m", "tfcolor.cli", "solve", *args], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outs.setdefault(args[0], set()).add(done.stdout)
+    assert all(len(got) == 1 for got in outs.values())

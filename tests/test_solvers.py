@@ -79,10 +79,14 @@ def polar_instances(draw):
 def test_decide_feasible_iff_oracle_fits(inst):
     # with PIECE = 1 every part of more than one vertex is searched with
     # conflict analysis, so small graphs exercise the backjumping too;
-    # with every edge polar the search decides proper q-coloring
+    # with every edge polar the search decides proper q-coloring. The same
+    # instance spread over 300 vertices (vertex i becomes 37i + 5, the
+    # rest isolated) makes every vertex set wider than a machine word.
     g, polar = inst
     best, _ = oracle_chi3(g, polar)
     chi = oracle_chi(g)
+    wide = Graph(300, [(37 * u + 5, 37 * v + 5) for u, v in g.edges()])
+    wide_polar = [(37 * u + 5, 37 * v + 5) for u, v in polar]
     for piece in (solvers.PIECE, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "PIECE", piece)
@@ -95,6 +99,10 @@ def test_decide_feasible_iff_oracle_fits(inst):
                 assert (got is not None) == (chi <= q)
                 if got is not None:
                     assert got.k == q and verify_proper(g, got)
+                got = decide_tf_q(wide, q, polar=wide_polar)
+                assert (got is not None) == (best <= q)
+                if got is not None:
+                    assert verify_triangle_free(wide, got, wide_polar)
 
 
 def blow_up(sizes, cliques, base_edges, perm):
@@ -293,6 +301,34 @@ def test_min_vertex_cover_matches_brute_force():
             for u, v in g.edges():
                 assert u in cover or v in cover
             assert len(cover) == brute_min_cover(g)
+
+
+@st.composite
+def cover_instances(draw):
+    """A random core of up to 6 vertices with pendant paths hanging off
+    it and a disjoint cycle, n <= 12, so both the degree-1 rule and the
+    path-and-cycle leaf come up."""
+    core = draw(st.integers(1, 6))
+    edges = [e for e in combinations(range(core), 2) if draw(st.booleans())]
+    n = core
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(1, 12 - n)) if n < 12 else 0
+        if length:
+            edges.append((draw(st.integers(0, n - 1)), n))
+            edges += [(v, v + 1) for v in range(n, n + length - 1)]
+            n += length
+    length = draw(st.integers(0, 12 - n))
+    if length >= 3:
+        edges += [(v, v + 1) for v in range(n, n + length - 1)] + [(n, n + length - 1)]
+        n += length
+    return Graph(n, edges)
+
+
+@given(cover_instances())
+def test_min_vertex_cover_property(g):
+    cover = min_vertex_cover(g)
+    assert all(u in cover or v in cover for u, v in g.edges())
+    assert len(cover) == brute_min_cover(g)
 
 
 def test_min_vertex_cover_random_tree_equals_matching():
