@@ -4,7 +4,7 @@ over an independent set."""
 
 from __future__ import annotations
 
-from .graph import Graph, Record, as_edge_subset, list_triangles, triangle_pairs
+from .graph import Graph, Record, as_edge_subset, triangle_pairs
 
 
 class Coloring(Record):
@@ -33,7 +33,10 @@ class Coloring(Record):
 
     @staticmethod
     def from_json_dict(d: dict) -> "Coloring":
-        return Coloring(int(d["k"]), tuple(int(c) for c in d["colors"]))
+        k, colors = d["k"], tuple(d["colors"])
+        if type(k) is not int or any(type(c) is not int for c in colors):
+            raise ValueError("'k' and every color must be integers")
+        return Coloring(k, colors)
 
 
 def verify_proper(g: Graph, c: Coloring) -> bool:
@@ -49,18 +52,21 @@ def verify_proper(g: Graph, c: Coloring) -> bool:
 
 def verify_triangle_free(g: Graph, c: Coloring, polar=None) -> bool:
     """True iff no triangle is monochromatic and, when a polar edge set
-    is given, no polar edge is monochromatic."""
+    is given, no polar edge is monochromatic. Reads only the adjacency
+    sets: same[v] = N(v) & (v's color class), and a monochromatic edge
+    vu, v < u, lies in a monochromatic triangle iff same[v] meets same[u]."""
     if len(c.colors) != g.n:
         raise ValueError("coloring size does not match graph")
     cols = c.colors
-    for a, b, d in list_triangles(g):
-        if cols[a] == cols[b] == cols[d]:
-            return False
-    if polar:
-        for u, v in as_edge_subset(g, polar):
-            if cols[u] == cols[v]:
+    classes = {}
+    for v, x in enumerate(cols):
+        classes.setdefault(x, set()).add(v)
+    same = [g.neighbors(v) & classes[x] for v, x in enumerate(cols)]
+    for v, sv in enumerate(same):
+        for u in sv:
+            if u > v and not sv.isdisjoint(same[u]):
                 return False
-    return True
+    return not polar or all(cols[u] != cols[v] for u, v in as_edge_subset(g, polar))
 
 
 def standard_recolor(c: Coloring) -> Coloring:

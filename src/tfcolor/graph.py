@@ -1,7 +1,7 @@
 """Immutable simple-graph core: construction, vertex identification,
-triangle listing and the per-vertex triangle index that every solver
-shares, clique detection, DIMACS/DOT serialization, and the read-only
-record base of the package's value classes."""
+triangle listing and the per-vertex triangle index the solvers share,
+a K4 certifier that reads only the adjacency sets, DIMACS/DOT
+serialization, and the read-only record base of the value classes."""
 
 from __future__ import annotations
 
@@ -222,12 +222,17 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def contains_k4(g: Graph) -> bool:
-    """True iff some four vertices are pairwise adjacent: some triangle's
-    three neighborhoods meet. Stops at the first such triangle."""
+    """True iff some four vertices are pairwise adjacent: for some edge
+    uv, u < v, a w in common = N(u) & N(v) has a neighbor in common. Reads
+    only the adjacency sets, never the triangle index."""
     adj = g._adj
-    for a, b, c in _triangles(g):
-        if adj[a] & adj[b] & adj[c]:
-            return True
+    for u, au in enumerate(adj):
+        for v in au:
+            if v > u:
+                common = au & adj[v]
+                for w in common:
+                    if not adj[w].isdisjoint(common):
+                        return True
     return False
 
 
@@ -285,25 +290,28 @@ def read_dimacs_graph(text: str) -> Graph:
     n = None
     m = None
     edges = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ValueError(f"line {ln}: duplicate DIMACS header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"line {ln}: expected 'p edge N M'")
-            n, m = int(parts[2]), int(parts[3])
-        elif parts[0] == "e":
-            if n is None:
-                raise ValueError(f"line {ln}: edge line before 'p edge' header")
-            if len(parts) != 3:
-                raise ValueError(f"line {ln}: expected 'e u v'")
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        else:
-            raise ValueError(f"line {ln}: unrecognized line kind {parts[0]!r}")
+    try:
+        for ln, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if n is not None:
+                    raise ValueError("duplicate DIMACS header")
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise ValueError("expected 'p edge N M'")
+                n, m = int(parts[2]), int(parts[3])
+            elif parts[0] == "e":
+                if n is None:
+                    raise ValueError("edge line before 'p edge' header")
+                if len(parts) != 3:
+                    raise ValueError("expected 'e u v'")
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            else:
+                raise ValueError(f"unrecognized line kind {parts[0]!r}")
+    except ValueError as e:
+        raise ValueError(f"line {ln}: {e}") from None
     if n is None:
         raise ValueError("missing 'p edge' header")
     if m != len(edges):

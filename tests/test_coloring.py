@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tfcolor import (
     Coloring,
     Graph,
@@ -16,7 +18,7 @@ from tfcolor import (
     verify_proper,
     verify_triangle_free,
 )
-from util_graphs import greedy_proper, rand_graph
+from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph
 
 
 def test_coloring_validates_range():
@@ -29,6 +31,18 @@ def test_coloring_validates_range():
 def test_coloring_json_round_trip():
     c = Coloring(3, (1, 3, 2))
     assert Coloring.from_json_dict(c.to_json_dict()) == c
+
+
+@pytest.mark.parametrize("doc", [
+    {"k": 2, "colors": [1.9, "2", True]},
+    {"k": 2, "colors": [1, 2.0]},
+    {"k": "2", "colors": [1, 2]},
+    {"k": 2.0, "colors": [1, 2]},
+    {"k": True, "colors": [1]},
+])
+def test_coloring_json_rejects_non_integers(doc):
+    with pytest.raises(ValueError, match="integers"):
+        Coloring.from_json_dict(doc)
 
 
 def test_verify_proper_examples():
@@ -61,6 +75,18 @@ def test_verify_polar_edges():
     assert not verify_triangle_free(c5, c, polar=[(0, 1)])
     with pytest.raises(ValueError, match="not present"):
         verify_triangle_free(c5, c, polar=[(0, 2)])
+
+
+@settings(max_examples=300)
+@given(graphs_with_polar(), st.data())
+def test_verify_triangle_free_matches_brute_force(inst, data):
+    # one to three colors, so that both verdicts come up
+    g, polar = inst
+    k = data.draw(st.integers(1, 3))
+    colors = data.draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n))
+    brute = (all(not colors[a] == colors[b] == colors[c] for a, b, c in brute_triangles(g))
+             and all(colors[u] != colors[v] for u, v in polar))
+    assert verify_triangle_free(g, Coloring(k, tuple(colors)), polar) == brute
 
 
 def test_standard_recolor_examples():

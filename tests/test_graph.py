@@ -2,6 +2,7 @@
 the triangle index, 4-clique detection, and DIMACS/DOT round trips."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,13 @@ def test_contains_k4():
     assert not contains_k4(gen_cycle(5))
 
 
+@given(graphs())
+def test_contains_k4_matches_brute_force(g):
+    brute = any(all(g.has_edge(a, b) for a, b in combinations(quad, 2))
+                for quad in combinations(range(g.n), 4))
+    assert contains_k4(g) == brute
+
+
 def test_degeneracy_ordering_is_a_permutation():
     rng = random.Random(303)
     for _ in range(50):
@@ -163,6 +171,8 @@ def test_dimacs_tolerates_comments():
     ("p edge 2 1\n", "claims"),
     ("p col 2 1\ne 1 2\n", "expected"),
     ("p edge 2 1\ne 1 3\n", "out of range"),
+    ("p edge x 1\n", "^line 1: .*'x'"),
+    ("c header next\np edge 2 1\ne 1 x\n", "^line 3: .*'x'"),
 ])
 def test_dimacs_rejects_malformed(text, msg):
     with pytest.raises(ValueError, match=msg):

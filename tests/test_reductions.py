@@ -92,6 +92,15 @@ def test_occurrence_validator():
     assert fits_occurrence_limit(phi, 6)
 
 
+def test_rand_cnf_occ4_reaches_the_occurrence_bound():
+    # clauses are dealt from a pool of literal slots, so m = 4n/3 needs no retries
+    rng = random.Random(1)
+    for n in range(1, 31):
+        phi = rand_cnf_occ4(rng, n, 4 * n // 3)
+        assert phi.num_vars == n and len(phi.clauses) == 4 * n // 3
+        assert fits_occurrence_limit(phi, 4)
+
+
 # --- plain SAT to not-all-equal, occurrence bound preserved
 
 

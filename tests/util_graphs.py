@@ -3,7 +3,7 @@
 from itertools import combinations
 
 from hypothesis import strategies as st
-from tfcolor import CnfFormula, Graph, fits_occurrence_limit
+from tfcolor import CnfFormula, Graph
 
 
 def rand_graph(rng, n, p):
@@ -186,19 +186,20 @@ def draw_nm_occ4(rng, max_n=4, max_m=3):
 
 
 def rand_cnf_occ4(rng, n, m):
-    """Random width-3 formula honoring the 4-occurrence budget."""
+    """Random width-3 formula honoring the 4-occurrence budget: the
+    clauses are dealt from a shuffled pool of four literal slots per
+    variable, each signed at random, so any m <= 4n/3 takes linear time."""
     assert 3 * m <= 4 * n
-    while True:
-        phi = rand_cnf(rng, n, m)
-        if fits_occurrence_limit(phi, 4):
-            return phi
+    slots = [v for v in range(1, n + 1) for _ in range(4)]
+    rng.shuffle(slots)
+    clauses = [tuple(rng.choice((1, -1)) * v for v in slots[i:i + 3]) for i in range(0, 3 * m, 3)]
+    return CnfFormula(n, tuple(clauses))
 
 
 def planted_nae_cnf(rng, n):
     """A width-3 formula on n variables with 4n//3 clauses, every variable
     in at most 4 literal slots, that a random planted assignment
-    not-all-equal satisfies; built in linear time, for sizes that
-    rand_cnf_occ4 cannot reach."""
+    not-all-equal satisfies; built in linear time."""
     truth = {v: rng.random() < 0.5 for v in range(1, n + 1)}
     slots = [v for v in truth for _ in range(4)]
     rng.shuffle(slots)
