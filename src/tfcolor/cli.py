@@ -119,27 +119,11 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _coloring_from_doc(doc, n) -> Coloring:
-    if not isinstance(doc, dict):
-        raise ValueError("coloring file must hold a JSON object")
-    colors = doc.get("colors", doc.get("coloring"))
-    if not isinstance(colors, list):
-        raise ValueError("coloring file needs a 'colors' (or 'coloring') array")
-    if any(type(c) is not int for c in colors):
-        raise ValueError("every color in a coloring file must be an integer")
-    k = doc.get("k", doc.get("chi3", max(colors, default=0)))
-    if type(k) is not int:
-        raise ValueError("'k' in a coloring file must be an integer")
-    if len(colors) != n:
-        raise ValueError(f"coloring covers {len(colors)} vertices, graph has {n}")
-    return Coloring(k, tuple(colors))
-
-
 def _cmd_verify(args) -> int:
     g, polar = _load_graph_maybe_polar(args)
     with open(args.coloring, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    c = _coloring_from_doc(doc, g.n)
+    c = Coloring.from_json_dict(doc, g.n)
     ok = verify_triangle_free(g, c, polar)
     _emit({"valid": ok})
     return 0 if ok else 1

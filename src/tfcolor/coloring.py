@@ -32,11 +32,23 @@ class Coloring(Record):
         return {"k": self.k, "colors": list(self.colors)}
 
     @staticmethod
-    def from_json_dict(d: dict) -> "Coloring":
-        k, colors = d["k"], tuple(d["colors"])
-        if type(k) is not int or any(type(c) is not int for c in colors):
+    def from_json_dict(d: dict, n=None) -> "Coloring":
+        """Colors from 'colors' (or 'coloring', as solve prints them), the
+        budget from 'k' (or 'chi3'; by default the largest color); given n,
+        exactly n colors. Raises ValueError on any malformed document."""
+        if not isinstance(d, dict):
+            raise ValueError("a coloring must be a JSON object")
+        colors = d.get("colors", d.get("coloring"))
+        if not isinstance(colors, list):
+            raise ValueError("a coloring needs a 'colors' (or 'coloring') array")
+        if any(type(c) is not int for c in colors):
             raise ValueError("'k' and every color must be integers")
-        return Coloring(k, colors)
+        k = d.get("k", d.get("chi3", max(colors, default=0)))
+        if type(k) is not int:
+            raise ValueError("'k' and every color must be integers")
+        if n is not None and len(colors) != n:
+            raise ValueError(f"coloring covers {len(colors)} vertices, graph has {n}")
+        return Coloring(k, tuple(colors))
 
 
 def verify_proper(g: Graph, c: Coloring) -> bool:

@@ -191,10 +191,16 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     undone without trying its other colors. A failed piece is blamed on
     everything colored around it.
 
+    A decision tries its vertex's free colors least used first, by how
+    many of its constraint neighbors hold each (ties in label order;
+    promise-first value ordering, after Geelen), so a new label comes
+    before any label a neighbor holds. With every edge polar no neighbor
+    holds a free color, so the order is label order.
+
     The search keeps its frames on an explicit stack, not the Python call
     stack, so no input is too deep for the recursion limit.
 
-    rng, when given, shuffles decision ties and candidate colors to
+    rng, when given, shuffles decision ties and colors of equal count to
     randomize which witness is found; feasibility is unaffected.
 
     Returns a verified Coloring or None.
@@ -272,8 +278,11 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             if x < 0:
                 held[~x] = old
                 continue
-            for w in _members(blocked[x] ^ old):
-                nblk[w] -= 1
+            m = blocked[x] ^ old
+            while m:
+                low = m & -m
+                nblk[low.bit_length() - 1] -= 1
+                m ^= low
             blocked[x] = old
         while len(assigned) > a_mark:
             v = assigned.pop()
@@ -317,9 +326,12 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             if fresh:
                 bstack.append((xu, old))
                 blocked[xu] = old | fresh
-                for w in _members(fresh):
+                while fresh:
+                    low = fresh & -fresh
+                    w = low.bit_length() - 1
                     nblk[w] += 1
                     pending.append(w)
+                    fresh ^= low
 
         why[v0] = bit
         assign(v0, x0)
@@ -441,6 +453,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         cand = [x for x in range(1, cap + 1) if not blocked[x] >> v & 1]
         if rng is not None:
             rng.shuffle(cand)
+        cand.sort(key=lambda x: (nmask[v] & cls[x]).bit_count())
         tried = 0
         for x in cand:
             a_mark, b_mark = len(assigned), len(bstack)
@@ -526,11 +539,16 @@ def _members(m):
 
 
 def solve_chi3(g: Graph, polar=None):
-    """Exact chi3 (optionally polar-constrained) with a verified witness,
-    by running the decision procedure with a growing budget."""
+    """Exact chi3 (optionally polar-constrained) with a verified witness:
+    the all-ones coloring when no edge is polar and the verifier accepts
+    it, else the decision procedure with a growing budget from 2."""
     if g.n == 0:
         return 0, Coloring(0, ())
-    for k in range(1, g.n + 1):
+    polar = as_edge_subset(g, polar) if polar else None
+    ones = Coloring(1, (1,) * g.n)
+    if not polar and verify_triangle_free(g, ones):
+        return 1, ones
+    for k in range(2, g.n + 1):
         c = decide_tf_q(g, k, polar=polar)
         if c is not None:
             return k, c

@@ -45,6 +45,18 @@ def test_coloring_json_rejects_non_integers(doc):
         Coloring.from_json_dict(doc)
 
 
+def test_coloring_json_aliases():
+    # solve prints {"chi3": k, "coloring": [...]} or {"feasible": true, "coloring": [...]}
+    assert Coloring.from_json_dict({"chi3": 3, "coloring": [1, 3, 2]}) == Coloring(3, (1, 3, 2))
+    assert Coloring.from_json_dict({"feasible": True, "coloring": [2, 1]}) == Coloring(2, (2, 1))
+    assert Coloring.from_json_dict({"k": 4, "colors": [1, 2]}, 2) == Coloring(4, (1, 2))
+
+
+def test_coloring_json_length_must_match():
+    with pytest.raises(ValueError, match="covers 2 vertices, graph has 3"):
+        Coloring.from_json_dict({"k": 2, "colors": [1, 2]}, 3)
+
+
 def test_verify_proper_examples():
     assert verify_proper(gen_cycle(5), Coloring(3, (1, 2, 1, 2, 3)))
     assert not verify_proper(Graph(2, [(0, 1)]), Coloring(1, (1, 1)))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tfcolor import solvers
 from tfcolor import (
+    Coloring,
     Graph,
     StructuralParams,
     compute_params,
@@ -24,6 +25,7 @@ from tfcolor import (
     oracle_chi,
     oracle_chi3,
     oracle_omega,
+    solve_chi3,
     verify_proper,
     verify_triangle_free,
 )
@@ -223,6 +225,26 @@ def test_decide_backjumping_agrees_with_plain_search():
             assert (got is None) == (plain is None)
             answers.add(got is None)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("piece", [solvers.PIECE, 1])
+def test_decide_tries_least_used_color_first(piece, monkeypatch):
+    # the wheel W5: the hub 0 is decided first and takes 1; rim vertex 1
+    # is decided next with the hub, colored 1, among its constraint
+    # neighbors, so the least-used color 2 comes before 1; label order
+    # would give (1, 1, 2, 1, 2, 2) at both budgets
+    monkeypatch.setattr(solvers, "PIECE", piece)
+    wheel = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    for q, want in ((2, (1, 2, 1, 2, 1, 2)), (3, (1, 2, 3, 2, 3, 1))):
+        got = decide_tf_q(wheel, q)
+        assert got.colors == want and verify_triangle_free(wheel, got)
+
+
+def test_solve_chi3_one_color_needs_no_search():
+    c5 = gen_cycle(5)
+    assert solve_chi3(c5) == (1, Coloring(1, (1,) * 5))
+    k, got = solve_chi3(c5, polar=[(1, 2)])
+    assert k == 2 and got.colors[1] != got.colors[2] and verify_triangle_free(c5, got, [(1, 2)])
 
 
 def test_decide_sparse_graph_has_no_deep_chain():
