@@ -19,9 +19,9 @@ _EXPORTS = {
         "gen_polar_gadget", "mycielskian",
     ),
     "graph": (
-        "Graph", "as_edge_subset", "connected_components", "contains_k4", "degeneracy_ordering",
-        "is_connected", "is_triangle_free", "list_triangles", "quotient", "read_dimacs_graph",
-        "triangle_pairs", "write_dimacs_graph", "write_dot",
+        "Graph", "as_edge_subset", "connected_components", "contains_k4", "is_connected",
+        "is_triangle_free", "list_triangles", "quotient", "read_dimacs_graph", "triangle_pairs",
+        "write_dimacs_graph", "write_dot",
     ),
     "graph_classes": ("ClassHint", "bounded_chi_chi3", "chordal_chi3", "lex_bfs", "recognize_chordal"),
     "reductions": (

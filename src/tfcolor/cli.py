@@ -74,6 +74,8 @@ def _load_graph_maybe_polar(args):
 
 
 def _cmd_solve(args) -> int:
+    if args.q is not None and args.q < 1:
+        raise ValueError("color budget must be at least 1")
     g, polar = _load_graph_maybe_polar(args)
 
     if args.fpt:

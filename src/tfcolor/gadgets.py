@@ -155,29 +155,24 @@ def gen_polar_gadget() -> PolarGadget:
     return PolarGadget(g, U, V)
 
 
+def gadget_edges_across(u: int, v: int, base: int) -> list:
+    """The edges of a bichromatic-edge gadget laid across the host edge
+    uv: U goes at u, V at v, and private label i at base + i - 2. The
+    host edge itself is left out."""
+    place = (u, v) + tuple(range(base, base + 10))
+    return [(place[a], place[b]) for a, b in GADGET_EDGES if (a, b) != (U, V)]
+
+
 def gen_gadget_triangle() -> Graph:
     """Three bichromatic-edge gadgets whose (u, v) edges are identified
     with the three edges of a central triangle; 33 vertices. The forced
     bichromatic edges make the triangle need a third color while the
     graph stays free of 4-cliques."""
     centers = ((0, 1), (1, 2), (2, 0))
-    edges = {(0, 1), (1, 2), (0, 2)}
+    edges = list(centers)
     for gi, (ea, eb) in enumerate(centers):
-        base = 3 + 10 * gi
-
-        def place(x, ea=ea, eb=eb, base=base):
-            if x == U:
-                return ea
-            if x == V:
-                return eb
-            return base + (x - 2)
-
-        for a, b in GADGET_EDGES:
-            if (a, b) == (U, V):
-                continue
-            pa, pb = place(a), place(b)
-            edges.add((pa, pb) if pa < pb else (pb, pa))
-    return Graph(33, sorted(edges))
+        edges += gadget_edges_across(ea, eb, 3 + 10 * gi)
+    return Graph(33, edges)
 
 
 def mycielskian(g: Graph) -> Graph:

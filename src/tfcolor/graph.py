@@ -1,12 +1,10 @@
 """Immutable simple-graph core: construction, vertex identification,
-triangle listing and the per-vertex triangle index the solvers share,
-a K4 certifier that reads only the adjacency sets, DIMACS/DOT
-serialization, and the read-only record base of the value classes."""
+triangle listing by intersecting the adjacency sets of each edge and
+the per-vertex triangle index the solvers share, a K4 certifier that
+reads only the adjacency sets, DIMACS/DOT serialization, and the
+read-only record base of the value classes."""
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
-from itertools import combinations
 
 
 class Record:
@@ -147,57 +145,21 @@ def quotient(g: Graph, pairs):
     return Graph(len(index), edges), vmap
 
 
-def degeneracy_ordering(g: Graph) -> list:
-    """Repeated minimum-degree removal order (smallest index on ties).
-
-    Linear up to a log factor (degree buckets after Matula & Beck 1983):
-    each degree has a heap of vertex indices, a vertex whose degree drops
-    is pushed into its new bucket and left in its old one, and a popped
-    entry is skipped once its vertex is gone or its degree has moved.
-    """
-    n = g.n
-    adj = g._adj
-    deg = [len(s) for s in adj]
-    buckets = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(n):
-        buckets[deg[v]].append(v)
-    removed = [False] * n
-    order = []
-    d = 0
-    while len(order) < n:
-        bucket = buckets[d]
-        if not bucket:
-            d += 1
-            continue
-        v = heappop(bucket)
-        if removed[v] or deg[v] != d:
-            continue
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heappush(buckets[deg[u]], u)
-        d = max(d - 1, 0)
-    return order
-
-
 def _triangles(g: Graph):
     """Yield each triangle once, as a sorted vertex triple.
 
-    Walks a degeneracy ordering and tests adjacency among each removed
-    vertex's not-yet-removed neighbors, so the work per vertex is
-    bounded by the squared degeneracy.
+    For each edge ab, a < b, intersect the two adjacency sets and keep
+    the common neighbours c > b. A set intersection walks the smaller
+    set, so the work is the sum over edges of min(deg a, deg b), which
+    Chiba & Nishizeki (1985) bound by 2·arboricity·m.
     """
-    order = degeneracy_ordering(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in order:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        for a, b in combinations(later, 2):
-            if g.has_edge(a, b):
-                yield tuple(sorted((v, a, b)))
+    adj = g._adj
+    for a, na in enumerate(adj):
+        for b in na:
+            if b > a:
+                for c in na & adj[b]:
+                    if c > b:
+                        yield a, b, c
 
 
 def list_triangles(g: Graph) -> frozenset:

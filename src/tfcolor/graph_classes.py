@@ -18,10 +18,10 @@ class ClassHint(Record):
     (recognition is out of scope), though regularity itself is checked
     and witnesses are re-verified before being returned."""
 
-    __slots__ = ("tag", "trusted")
+    __slots__ = ("tag",)
 
-    def __init__(self, tag: str, trusted: bool = True):
-        super().__init__(tag, trusted)
+    def __init__(self, tag: str):
+        super().__init__(tag)
         if self.tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.tag!r}")
 

@@ -9,7 +9,7 @@ style. Assignments are dicts variable -> bool.
 from __future__ import annotations
 
 from .coloring import Coloring, verify_triangle_free
-from .gadgets import GADGET_EDGES, U, V, gen_cycle_clique
+from .gadgets import gadget_edges_across, gen_cycle_clique
 from .graph import (
     Graph,
     Record,
@@ -155,13 +155,16 @@ def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """Parse 'p cnf N M' DIMACS text with width-3 clauses terminated by
-    0; 'c' comment lines are ignored."""
+    0; 'c' comment lines are ignored, and a '%' line ends the input, as
+    in the SATLIB files that trail it with a lone 0."""
     num_vars = None
     num_clauses = None
     tokens = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith(("c", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
@@ -326,13 +329,7 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
     gadgets = []
     gadget_edges = []
     for host_u, host_v in forced_edges:
-        place = {U: host_u, V: host_v}
-        for loc in range(2, 12):
-            place[loc] = base + loc - 2
-        for a, b in GADGET_EDGES:
-            if (a, b) == (U, V):
-                continue
-            gadget_edges.append((place[a], place[b]))
+        gadget_edges += gadget_edges_across(host_u, host_v, base)
         gadgets.append((host_u, host_v, base))
         base += 10
 

@@ -177,6 +177,21 @@ def test_solve_fpt_path(monkeypatch, capsys):
             assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--q", "0"],
+    ["solve", "--fpt", "--q", "0"],
+    ["solve", "--class", "chordal", "--q", "0"],
+    ["solve", "--class", "planar", "--q", "0"],
+    ["solve", "--class", "chordal", "--q", "-3"],
+])
+def test_solve_budget_below_one_is_exit_two(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"))
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: color budget must be at least 1\n"
+
+
 def test_unexpected_exception_is_exit_three(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
@@ -208,6 +223,12 @@ def test_reduce_cnf_pipelines(monkeypatch, capsys):
     assert code == 0
     inst = parse_polar_instance(out)
     assert inst.graph.n == 45 and inst.graph.max_degree <= 3
+
+    satlib = "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n%\n0\n"
+    code, out = run_cli(["reduce", "--from", "sat4", "--to", "nae4"], stdin_text=satlib,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert len(parse_dimacs_cnf(out).clauses) == 6
 
 
 def test_reduce_budget_increment(monkeypatch, capsys):

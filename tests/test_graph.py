@@ -10,7 +10,6 @@ from tfcolor import (
     Coloring,
     Graph,
     contains_k4,
-    degeneracy_ordering,
     gen_cycle,
     is_triangle_free,
     list_triangles,
@@ -20,7 +19,7 @@ from tfcolor import (
     write_dimacs_graph,
     write_dot,
 )
-from util_graphs import brute_degeneracy_ordering, brute_triangles, graphs, graphs_with_polar, rand_graph
+from util_graphs import brute_triangles, graphs, graphs_with_polar, rand_graph
 
 
 def test_build_c5():
@@ -93,19 +92,29 @@ def test_identify_never_leaves_loops_or_duplicates():
         }
 
 
+def check_triangle_listing(g):
+    brute = brute_triangles(g)
+    assert list_triangles(g) == brute
+    assert is_triangle_free(g) == (not brute)
+    tri = triangle_pairs(g)
+    for v in range(g.n):
+        through = {frozenset(t) - {v} for t in brute if v in t}
+        assert len(tri[v]) == len(through)  # a triangle listed twice shows here
+        assert {frozenset(ab) for ab in tri[v]} == through
+
+
 def test_triangle_listing_matches_brute_force():
     rng = random.Random(202)
     for _ in range(500):
-        n = rng.randint(0, 8)
-        g = rand_graph(rng, n, rng.choice([0.15, 0.35, 0.55, 0.8]))
-        brute = brute_triangles(g)
-        assert list_triangles(g) == brute
-        assert is_triangle_free(g) == (not brute)
-        tri = triangle_pairs(g)
-        for v in range(n):
-            through = {frozenset(t) - {v} for t in brute if v in t}
-            assert len(tri[v]) == len(through)
-            assert {frozenset(ab) for ab in tri[v]} == through
+        check_triangle_listing(rand_graph(rng, rng.randint(0, 8), rng.choice([0.15, 0.35, 0.55, 0.8])))
+    # a hub joined to every vertex: each edge below it closes a triangle
+    base = rand_graph(rng, 30, 0.3)
+    check_triangle_listing(Graph(31, base.edges() + [(v, 30) for v in range(30)]))
+
+
+@given(graphs())
+def test_triangle_listing_matches_brute_force_on_drawn_graphs(g):
+    check_triangle_listing(g)
 
 
 def test_triangle_listing_examples():
@@ -125,20 +134,6 @@ def test_contains_k4_matches_brute_force(g):
     brute = any(all(g.has_edge(a, b) for a, b in combinations(quad, 2))
                 for quad in combinations(range(g.n), 4))
     assert contains_k4(g) == brute
-
-
-def test_degeneracy_ordering_is_a_permutation():
-    rng = random.Random(303)
-    for _ in range(50):
-        g = rand_graph(rng, rng.randint(0, 9), 0.4)
-        order = degeneracy_ordering(g)
-        assert sorted(order) == list(range(g.n))
-
-
-@settings(max_examples=200)
-@given(graphs())
-def test_degeneracy_ordering_matches_definition(g):
-    assert degeneracy_ordering(g) == brute_degeneracy_ordering(g)
 
 
 def test_dimacs_round_trip_bit_exact():

@@ -79,6 +79,8 @@ def test_cnf_dimacs_round_trip():
     text = write_dimacs_cnf(phi)
     assert parse_dimacs_cnf(text) == phi
     assert parse_dimacs_cnf("c hi\np cnf 2 1\n1 -2 2 0\n").clauses == ((1, -2, 2),)
+    # SATLIB files end with a '%' line and a lone 0, which is not a clause
+    assert parse_dimacs_cnf("p cnf 3 2\n1 -2 3 0\n-1 2 2 0\n%\n0\n\n") == CnfFormula(3, ((1, -2, 3), (-1, 2, 2)))
     with pytest.raises(ValueError, match="claims"):
         parse_dimacs_cnf("p cnf 2 2\n1 2 2 0\n")
     with pytest.raises(ValueError, match="literals"):

@@ -79,18 +79,6 @@ def brute_triangles(g):
     return frozenset(out)
 
 
-def brute_degeneracy_ordering(g):
-    """Remove the vertex of smallest (remaining degree, index) until none
-    is left: the definition that degeneracy_ordering implements."""
-    left = set(range(g.n))
-    order = []
-    while left:
-        v = min(left, key=lambda u: (len(g.neighbors(u) & left), u))
-        left.remove(v)
-        order.append(v)
-    return order
-
-
 def quadratic_lex_bfs(g):
     """Lexicographic BFS visit order by partition refinement; smallest
     index wins ties."""
