@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coloring": (
-        "Coloring", "greedy_extend_independent", "standard_recolor", "verify_proper",
-        "verify_triangle_free",
+        "Coloring", "greedy_extend_independent", "standard_recolor", "verify_triangle_free",
     ),
     "gadgets": (
         "CycleClique", "PolarGadget", "clique_contraction", "gen_clover", "gen_complete",
@@ -23,7 +22,7 @@ _EXPORTS = {
         "is_triangle_free", "list_triangles", "quotient", "read_dimacs_graph", "triangle_pairs",
         "write_dimacs_graph", "write_dot",
     ),
-    "graph_classes": ("ClassHint", "bounded_chi_chi3", "chordal_chi3", "lex_bfs", "recognize_chordal"),
+    "graph_classes": ("bounded_chi_chi3", "chordal_chi3", "lex_bfs", "recognize_chordal"),
     "reductions": (
         "Assignment", "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
         "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "parse_dimacs_cnf",

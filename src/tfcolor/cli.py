@@ -30,6 +30,14 @@ def _emit(doc: dict):
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
+def _emit_decision(witness) -> int:
+    if witness is None:
+        _emit({"feasible": False})
+        return 1
+    _emit({"feasible": True, "coloring": list(witness.colors)})
+    return 0
+
+
 def _gen_graph(family, k):
     from . import gadgets
 
@@ -85,12 +93,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("--fpt does not take polar constraints")
         if args.cls and args.cls != "general":
             raise ValueError("--fpt does not take a class pipeline")
-        witness = solvers.fpt_tf_q_coloring(g, args.q)
-        if witness is None:
-            _emit({"feasible": False})
-            return 1
-        _emit({"feasible": True, "coloring": list(witness.colors)})
-        return 0
+        return _emit_decision(solvers.fpt_tf_q_coloring(g, args.q))
 
     if args.cls and args.cls != "general":
         if polar is not None:
@@ -98,25 +101,13 @@ def _cmd_solve(args) -> int:
         if args.cls == "chordal":
             k, witness = graph_classes.chordal_chi3(g)
         else:
-            k, witness = graph_classes.bounded_chi_chi3(g, graph_classes.ClassHint(args.cls))
+            k, witness = graph_classes.bounded_chi_chi3(g, args.cls)
         if args.q is not None:
-            if args.q < k:
-                _emit({"feasible": False})
-                return 1
-            _emit({"feasible": True, "coloring": list(witness.colors)})
-            return 0
-        _emit({"chi3": k, "coloring": list(witness.colors)})
-        return 0
-
-    if args.q is not None:
-        witness = solvers.decide_tf_q(g, args.q, polar=polar)
-        if witness is None:
-            _emit({"feasible": False})
-            return 1
-        _emit({"feasible": True, "coloring": list(witness.colors)})
-        return 0
-
-    k, witness = solvers.solve_chi3(g, polar=polar)
+            return _emit_decision(witness if k <= args.q else None)
+    elif args.q is not None:
+        return _emit_decision(solvers.decide_tf_q(g, args.q, polar=polar))
+    else:
+        k, witness = solvers.solve_chi3(g, polar=polar)
     _emit({"chi3": k, "coloring": list(witness.colors)})
     return 0
 

@@ -1,6 +1,6 @@
-"""Coloring values and their verifiers (proper / triangle-free / polar
-constrained), the pairwise class-merging recoloring, and greedy extension
-over an independent set."""
+"""Coloring values, their verifier (triangle-free, honoring optional polar
+edges; with every edge polar it checks a proper coloring), the pairwise
+class-merging recoloring, and greedy extension over an independent set."""
 
 from __future__ import annotations
 
@@ -49,17 +49,6 @@ class Coloring(Record):
         if n is not None and len(colors) != n:
             raise ValueError(f"coloring covers {len(colors)} vertices, graph has {n}")
         return Coloring(k, tuple(colors))
-
-
-def verify_proper(g: Graph, c: Coloring) -> bool:
-    """True iff no edge is monochromatic."""
-    if len(c.colors) != g.n:
-        raise ValueError("coloring size does not match graph")
-    cols = c.colors
-    for u, v in g.edges():
-        if cols[u] == cols[v]:
-            return False
-    return True
 
 
 def verify_triangle_free(g: Graph, c: Coloring, polar=None) -> bool:

@@ -278,7 +278,24 @@ def read_dimacs_graph(text: str) -> Graph:
         raise ValueError("missing 'p edge' header")
     if m != len(edges):
         raise ValueError(f"header claims {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError as e:
+        refusal = e
+    # name the refused edge's line and 1-based labels only now, at no cost to valid input
+    seen = set()
+    for ln, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if parts[:1] == ["e"]:
+            u, v = sorted((int(parts[1]), int(parts[2])))
+            if u < 1 or v > n:
+                raise ValueError(f"line {ln}: edge endpoint out of range: ({parts[1]}, {parts[2]}) with n={n}")
+            if u == v:
+                raise ValueError(f"line {ln}: self-loop on vertex {u}")
+            if (u, v) in seen:
+                raise ValueError(f"line {ln}: duplicate edge ({u}, {v})")
+            seen.add((u, v))
+    raise refusal
 
 
 def write_dot(g: Graph, coloring=None) -> str:

@@ -1,29 +1,15 @@
 """Pipelines for graph classes where the problem is easy: chordal
-recognition and exact coloring, the bounded-chromatic dispatch that reads
-the answer off a triangle check."""
+recognition and exact coloring, and the bounded-chromatic classes, where
+the triangle-free search needs at most budget 2 (or 3)."""
 
 from __future__ import annotations
 
 from .coloring import Coloring, standard_recolor, verify_triangle_free
-from .graph import Graph, Record, connected_components, is_triangle_free
+from .graph import Graph, is_triangle_free
 from .solvers import decide_tf_q
 
 BOUNDED_TAGS = ("planar", "outerplanar", "regular4")
 CLASS_TAGS = ("chordal",) + BOUNDED_TAGS + ("general",)
-
-
-class ClassHint(Record):
-    """Claimed graph class of an input. 'chordal' is always re-verified;
-    the planar/outerplanar/regular4 tags are trusted assertions
-    (recognition is out of scope), though regularity itself is checked
-    and witnesses are re-verified before being returned."""
-
-    __slots__ = ("tag",)
-
-    def __init__(self, tag: str):
-        super().__init__(tag)
-        if self.tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class tag {self.tag!r}")
 
 
 def lex_bfs(g: Graph) -> list:
@@ -122,26 +108,15 @@ def chordal_chi3(g: Graph):
     return witness.k, witness
 
 
-def _complete_component_sizes(g: Graph):
-    """Sizes of connected components that are complete graphs."""
-    out = []
-    for comp in connected_components(g):
-        size = len(comp)
-        if all(g.degree(v) == size - 1 for v in comp):
-            out.append(size)
-    return out
-
-
-def bounded_chi_chi3(g: Graph, hint):
-    """Triangle-free chromatic number for classes with chromatic number
-    at most 4: the value is 0/1/2 read off emptiness and a triangle
-    check, and the witness comes from an exact small-budget proper
-    coloring (the triangle-free search with every edge polar) merged
-    pairwise. The planar/outerplanar tags are trusted; a
-    failed proper coloring therefore signals a violated hint. Regular
-    inputs are re-checked, and a 5-clique component (the one Brooks
-    exception reachable at degree 4) bumps the answer to 3."""
-    tag = hint.tag if isinstance(hint, ClassHint) else str(hint)
+def bounded_chi_chi3(g: Graph, tag: str):
+    """Triangle-free chromatic number on the tagged classes, where chi3 <=
+    ceil(chi/2) is at most 2 on planar and outerplanar graphs and at most 3
+    on regular graphs of degree at most 4 (by Brooks' theorem only a K5
+    component needs 3). After the empty and triangle-free cases, the
+    triangle-free search decides budget 2, then for regular4 only budget
+    3, and returns the first witness. The planar/outerplanar tags are
+    trusted, so a failure within the class bound signals a violated hint;
+    regularity and degree are checked."""
     if tag not in BOUNDED_TAGS:
         raise ValueError(f"class tag {tag!r} is not handled by the bounded pipeline")
     if g.n == 0:
@@ -152,18 +127,10 @@ def bounded_chi_chi3(g: Graph, hint):
         degs = {g.degree(v) for v in range(g.n)}
         if len(degs) != 1:
             raise ValueError("regular4 hint violated: graph is not regular")
-        d = degs.pop()
-        if d > 4:
+        if degs.pop() > 4:
             raise ValueError("regular4 hint violated: degree exceeds 4")
-        budget = 5 if any(s == 5 for s in _complete_component_sizes(g)) else 4
-    elif tag == "outerplanar":
-        budget = 3
-    else:
-        budget = 4
-    proper = decide_tf_q(g, budget, polar=g.edges())
-    if proper is None:
-        raise ValueError(f"class hint {tag!r} violated: graph is not {budget}-colorable")
-    witness = standard_recolor(proper)
-    if not verify_triangle_free(g, witness):
-        raise RuntimeError("internal error: recolored witness is invalid")
-    return witness.k, witness
+    for q in (2, 3) if tag == "regular4" else (2,):
+        witness = decide_tf_q(g, q)
+        if witness is not None:
+            return q, witness
+    raise ValueError(f"class hint {tag!r} violated: chi3 exceeds {q}")

@@ -206,17 +206,21 @@ def parse_polar_instance(text: str) -> PolarInstance:
     edges; every polar edge must exist in the graph."""
     graph_lines = []
     polar = []
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("s "):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad polar line: {line!r}")
-            polar.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        else:
-            graph_lines.append(raw)
+            try:
+                _, u, v = line.split()
+                polar.append((ln, int(u), int(v)))
+            except ValueError:
+                raise ValueError(f"line {ln}: bad polar line {line!r}") from None
+            raw = ""  # a blank line keeps the DIMACS parser's line numbers
+        graph_lines.append(raw)
     g = read_dimacs_graph("\n".join(graph_lines))
-    return PolarInstance(g, as_edge_subset(g, polar))
+    for ln, u, v in polar:
+        if not (1 <= u <= g.n and 1 <= v <= g.n and g.has_edge(u - 1, v - 1)):
+            raise ValueError(f"line {ln}: polar edge ({u}, {v}) not present in graph")
+    return PolarInstance(g, [(u - 1, v - 1) for _, u, v in polar])
 
 
 def write_polar_instance(inst: PolarInstance) -> str:
@@ -438,7 +442,7 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
     graph = Graph(3 * m + 14 * n, plain + polar)
     if graph.max_degree > 3:
         raise RuntimeError("reduction bug: output degree exceeds 3")
-    inst = PolarInstance(graph, frozenset((min(a, b), max(a, b)) for a, b in polar))
+    inst = PolarInstance(graph, polar)
     return ReductionOutput(
         kind="nae4_to_polar",
         instance=inst,

@@ -6,19 +6,20 @@ import random
 import pytest
 from hypothesis import given, settings
 from tfcolor import (
-    ClassHint,
     Graph,
     bounded_chi_chi3,
     chordal_chi3,
     gen_complete,
     gen_cycle,
+    gen_mycielski,
     is_triangle_free,
     lex_bfs,
     oracle_chi3,
     recognize_chordal,
+    solve_chi3,
     verify_triangle_free,
 )
-from util_graphs import graphs, icosahedron, petersen, planar_subgraph, quadratic_lex_bfs, random_ktree
+from util_graphs import circulant, graphs, icosahedron, petersen, planar_subgraph, quadratic_lex_bfs, random_ktree
 
 
 def _is_peo(g, peo):
@@ -91,18 +92,18 @@ def test_chordal_chi3_rejects_non_chordal():
 
 def test_bounded_triangle_free_case():
     g = gen_cycle(7)
-    k, w = bounded_chi_chi3(g, ClassHint("planar"))
+    k, w = bounded_chi_chi3(g, "planar")
     assert k == 1 and w.colors == (1,) * 7
 
 
 def test_bounded_k4():
-    k, w = bounded_chi_chi3(gen_complete(4), ClassHint("planar"))
+    k, w = bounded_chi_chi3(gen_complete(4), "planar")
     assert k == 2 and sorted(w.colors) == [1, 1, 2, 2]
 
 
 def test_bounded_icosahedron():
     g = icosahedron()
-    k, w = bounded_chi_chi3(g, ClassHint("planar"))
+    k, w = bounded_chi_chi3(g, "planar")
     assert k == 2 == oracle_chi3(g)[0]
     assert verify_triangle_free(g, w)
 
@@ -111,7 +112,7 @@ def test_bounded_matches_oracle_on_planar_subgraphs():
     rng = random.Random(73)
     for _ in range(80):
         g = planar_subgraph(rng, rng.randint(3, 10))
-        k, w = bounded_chi_chi3(g, ClassHint("planar"))
+        k, w = bounded_chi_chi3(g, "planar")
         assert k == oracle_chi3(g)[0]
         assert verify_triangle_free(g, w)
 
@@ -120,35 +121,55 @@ def test_bounded_outerplanar_path():
     # maximal outerplanar strip: triangles sharing edges along a fan
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
                   (0, 2), (0, 3), (3, 5)])
-    k, w = bounded_chi_chi3(g, ClassHint("outerplanar"))
+    k, w = bounded_chi_chi3(g, "outerplanar")
     assert k == 2 == oracle_chi3(g)[0]
     assert verify_triangle_free(g, w)
 
 
 def test_bounded_regular_cases():
     k5 = gen_complete(5)
-    k, w = bounded_chi_chi3(k5, ClassHint("regular4"))
+    k, w = bounded_chi_chi3(k5, "regular4")
     assert k == 3 == oracle_chi3(k5)[0]
     assert verify_triangle_free(k5, w)
     k4 = gen_complete(4)
-    assert bounded_chi_chi3(k4, ClassHint("regular4"))[0] == 2
+    assert bounded_chi_chi3(k4, "regular4")[0] == 2
     assert is_triangle_free(petersen())
-    assert bounded_chi_chi3(petersen(), ClassHint("regular4"))[0] == 1
+    assert bounded_chi_chi3(petersen(), "regular4")[0] == 1
     two_k5 = Graph(10, gen_complete(5).edges()
                    + [(u + 5, v + 5) for u, v in gen_complete(5).edges()])
-    k, w = bounded_chi_chi3(two_k5, ClassHint("regular4"))
+    k, w = bounded_chi_chi3(two_k5, "regular4")
     assert k == 3 and verify_triangle_free(two_k5, w)
+
+
+def test_bounded_wrong_chi_hint_still_exact():
+    # M4 has chi = 5, so a planar hint is wrong about chi, yet chi3 = 2
+    # still fits the class bound and is returned exactly
+    m4 = gen_mycielski(3)
+    g = Graph(26, m4.edges() + [(23, 24), (24, 25), (23, 25)])
+    k, w = bounded_chi_chi3(g, "planar")
+    assert k == 2 == solve_chi3(g)[0]
+    assert w.k == 2 and verify_triangle_free(g, w)
+
+
+def test_bounded_regular_circulants():
+    # C_n(1, 2) is 4-regular with chi3 = 2; beside two K5 the answer is 3
+    for n in (20, 21):
+        g = circulant(n)
+        k, w = bounded_chi_chi3(g, "regular4")
+        assert k == 2 and verify_triangle_free(g, w)
+    k5 = gen_complete(5).edges()
+    g = Graph(20, k5 + [(u + 5, v + 5) for u, v in k5]
+              + [(u + 10, v + 10) for u, v in circulant(10).edges()])
+    k, w = bounded_chi_chi3(g, "regular4")
+    assert k == 3 and verify_triangle_free(g, w)
 
 
 def test_bounded_rejects_violated_hints():
     with pytest.raises(ValueError, match="violated"):
-        bounded_chi_chi3(gen_complete(5), ClassHint("planar"))
+        bounded_chi_chi3(gen_complete(5), "planar")
     with pytest.raises(ValueError, match="regular"):
-        bounded_chi_chi3(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), ClassHint("regular4"))
+        bounded_chi_chi3(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), "regular4")
     with pytest.raises(ValueError):
-        bounded_chi_chi3(gen_cycle(5), ClassHint("chordal"))
-
-
-def test_class_hint_validation():
-    with pytest.raises(ValueError):
-        ClassHint("bipartite")
+        bounded_chi_chi3(gen_cycle(5), "chordal")
+    with pytest.raises(ValueError, match="not handled"):
+        bounded_chi_chi3(gen_complete(3), "bipartite")

@@ -15,7 +15,6 @@ from tfcolor import (
     gen_polar_gadget,
     greedy_extend_independent,
     standard_recolor,
-    verify_proper,
     verify_triangle_free,
 )
 from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph
@@ -58,14 +57,17 @@ def test_coloring_json_length_must_match():
 
 
 def test_verify_proper_examples():
-    assert verify_proper(gen_cycle(5), Coloring(3, (1, 2, 1, 2, 3)))
-    assert not verify_proper(Graph(2, [(0, 1)]), Coloring(1, (1, 1)))
-    assert verify_proper(Graph(3, []), Coloring(1, (1, 1, 1)))
+    # a proper coloring is a triangle-free one with every edge polar
+    c5 = gen_cycle(5)
+    assert verify_triangle_free(c5, Coloring(3, (1, 2, 1, 2, 3)), c5.edges())
+    assert not verify_triangle_free(Graph(2, [(0, 1)]), Coloring(1, (1, 1)), [(0, 1)])
+    assert verify_triangle_free(Graph(3, []), Coloring(1, (1, 1, 1)), [])
 
 
 def test_verify_proper_size_mismatch():
+    c5 = gen_cycle(5)
     with pytest.raises(ValueError, match="size"):
-        verify_proper(gen_cycle(5), Coloring(1, (1, 1)))
+        verify_triangle_free(c5, Coloring(1, (1, 1)), c5.edges())
 
 
 def test_verify_triangle_free_examples():
@@ -120,7 +122,7 @@ def test_standard_recolor_property():
         colors = greedy_proper(rng, g)
         k = max(colors)
         c = Coloring(k, tuple(colors))
-        assert verify_proper(g, c)
+        assert verify_triangle_free(g, c, g.edges())
         merged = standard_recolor(c)
         assert verify_triangle_free(g, merged)
         assert len(set(merged.colors)) == (k + 1) // 2

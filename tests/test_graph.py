@@ -165,7 +165,9 @@ def test_dimacs_tolerates_comments():
     ("e 1 2\n", "before"),
     ("p edge 2 1\n", "claims"),
     ("p col 2 1\ne 1 2\n", "expected"),
-    ("p edge 2 1\ne 1 3\n", "out of range"),
+    ("p edge 2 1\ne 1 3\n", "^line 2: .*out of range: [(]1, 3[)] with n=2$"),
+    ("p edge 3 1\nc loop\ne 3 3\n", "^line 3: self-loop on vertex 3$"),
+    ("p edge 2 2\ne 1 2\ne 2 1\n", "^line 3: duplicate edge [(]1, 2[)]$"),
     ("p edge x 1\n", "^line 1: .*'x'"),
     ("c header next\np edge 2 1\ne 1 x\n", "^line 3: .*'x'"),
 ])

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 import tfcolor
 from tfcolor import (
-    ClassHint,
     CnfFormula,
     Coloring,
     CycleClique,
@@ -80,7 +79,7 @@ def test_no_command_loads_dataclasses(argv, inputs):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 63
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 61
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")
@@ -110,7 +109,6 @@ FIELDS = {
     Coloring: ("k", "colors"),
     CycleClique: ("graph", "joints", "k"),
     PolarGadget: ("graph", "u", "v"),
-    ClassHint: ("tag",),
     CnfFormula: ("num_vars", "clauses"),
     PolarInstance: ("graph", "polar"),
     ReductionOutput: ("kind", "instance", "forward_map", "metadata"),
@@ -123,7 +121,6 @@ def _records():
         Coloring(2, [1, 2, 1]),
         gen_cycle_clique(1),
         gen_polar_gadget(),
-        ClassHint(tag="chordal"),
         CnfFormula(2, [[1, 2, -1]]),
         PolarInstance(Graph(2, [(0, 1)]), [(1, 0)]),
         ReductionOutput(kind="x", instance=1, forward_map={}, metadata={}),
@@ -136,7 +133,6 @@ def test_records_repr_lists_fields_in_order():
         "Coloring(k=2, colors=(1, 2, 1))",
         "CycleClique(graph=Graph(n=5, m=5), joints=((0,), (1,), (2,), (3,), (4,)), k=1)",
         "PolarGadget(graph=Graph(n=12, m=30), u=0, v=1)",
-        "ClassHint(tag='chordal')",
         "CnfFormula(num_vars=2, clauses=((1, 2, -1),))",
         "PolarInstance(graph=Graph(n=2, m=1), polar=frozenset({(0, 1)}))",
         "ReductionOutput(kind='x', instance=1, forward_map={}, metadata={})",
@@ -164,7 +160,6 @@ def test_records_equality_hash_and_read_only_fields():
         with pytest.raises(AttributeError):
             r.extra = 1
     assert Coloring(2, (1, 2)) != Coloring(3, (1, 2))
-    assert ClassHint("planar") == ClassHint(tag="planar") != ClassHint("outerplanar")
 
 
 def test_records_keep_their_validation():
@@ -176,8 +171,6 @@ def test_records_keep_their_validation():
         StructuralParams(omega=2, chi=3, chi3=3, vc=3, delta=2)
     with pytest.raises(ValueError, match="delta"):
         StructuralParams(omega=2, chi=4, chi3=2, vc=3, delta=2)
-    with pytest.raises(ValueError, match="unknown class tag"):
-        ClassHint("bipartite")
     with pytest.raises(ValueError, match="expected exactly 3"):
         CnfFormula(2, ((1, 2),))
     with pytest.raises(ValueError, match="invalid literal 3"):

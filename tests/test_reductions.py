@@ -271,8 +271,12 @@ def test_polar_instance_file_round_trip():
     text = write_polar_instance(inst)
     back = parse_polar_instance(text)
     assert back.graph == inst.graph and back.polar == inst.polar
-    with pytest.raises(ValueError, match="not present"):
+    with pytest.raises(ValueError, match=r"^line 3: .*\(1, 3\) not present"):
         parse_polar_instance("p edge 2 1\ne 1 2\ns 1 3\n")
+    with pytest.raises(ValueError, match="^line 2: .*'s 1 x'"):
+        parse_polar_instance("p edge 2 1\ns 1 x\ne 1 2\n")
+    with pytest.raises(ValueError, match="^line 3: .*out of range"):
+        parse_polar_instance("p edge 2 1\ns 1 2\ne 1 3\n")
 
 
 @settings(max_examples=200)

@@ -26,7 +26,6 @@ from tfcolor import (
     oracle_chi3,
     oracle_omega,
     solve_chi3,
-    verify_proper,
     verify_triangle_free,
 )
 from util_graphs import brute_min_cover, rand_graph, triangulated_grid
@@ -100,7 +99,7 @@ def test_decide_feasible_iff_oracle_fits(inst):
                 got = decide_tf_q(g, q, polar=g.edges())
                 assert (got is not None) == (chi <= q)
                 if got is not None:
-                    assert got.k == q and verify_proper(g, got)
+                    assert got.k == q and verify_triangle_free(g, got, g.edges())
                 got = decide_tf_q(wide, q, polar=wide_polar)
                 assert (got is not None) == (best <= q)
                 if got is not None:

@@ -44,6 +44,11 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def circulant(n):
+    """C_n(1, 2), the square of the n-cycle: 4-regular for n >= 5."""
+    return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2)}))
+
+
 def triangulated_grid(s):
     """An s x s grid with one diagonal per square: planar, chi3 = 2 for
     s >= 2, and one long chain of triangles for the search."""
