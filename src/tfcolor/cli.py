@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
-from . import graph_classes, solvers
+from . import graph_classes
 from .coloring import Coloring, verify_triangle_free
-from .graph import read_dimacs_graph, write_dimacs_graph, write_dot
+from .graph import read_dimacs_graph, read_polar_graph, write_dimacs_graph, write_dot
 
 GEN_FAMILIES = ("cycle-clique", "clover", "polar-gadget", "theorem9", "mycielski", "complete", "cycle")
 
@@ -71,17 +71,15 @@ def _load_graph_maybe_polar(args):
     """Graph plus polar edge set; --polar names a polar-instance file
     that supplies both."""
     if getattr(args, "polar", None):
-        if args.input not in (None, "-") :
+        if args.input not in (None, "-"):
             raise ValueError("give either a graph input or --polar FILE, not both")
-        from . import reductions
-
-        with open(args.polar, "r", encoding="utf-8") as fh:
-            inst = reductions.parse_polar_instance(fh.read())
-        return inst.graph, inst.polar
+        return read_polar_graph(_read_input(args.polar))
     return read_dimacs_graph(_read_input(args.input)), None
 
 
 def _cmd_solve(args) -> int:
+    from . import solvers
+
     if args.q is not None and args.q < 1:
         raise ValueError("color budget must be at least 1")
     g, polar = _load_graph_maybe_polar(args)
@@ -151,6 +149,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from . import solvers
+
     g = read_dimacs_graph(_read_input(args.input))
     if g.n > args.max_n:
         raise ValueError(f"graph has {g.n} vertices, above the --max-n guard of {args.max_n}")

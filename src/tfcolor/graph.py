@@ -1,7 +1,8 @@
 """Immutable simple-graph core: construction, vertex identification,
 triangle listing by intersecting the adjacency sets of each edge and
 the per-vertex triangle index the solvers share, a K4 certifier that
-reads only the adjacency sets, DIMACS/DOT serialization, and the
+reads only the adjacency sets, DIMACS/DOT output, the one DIMACS-style
+reader behind the graph, polar-instance and CNF readers, and the
 read-only record base of the value classes."""
 
 from __future__ import annotations
@@ -227,11 +228,12 @@ def is_connected(g: Graph) -> bool:
 def as_edge_subset(g: Graph, pairs) -> frozenset:
     """Normalize pairs to (min, max) tuples and require each to be an
     edge of g."""
+    adj = g._adj
     out = set()
     for u, v in pairs:
         if u > v:
             u, v = v, u
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        if not (0 <= u and v < g.n and v in adj[u]):
             raise ValueError(f"edge ({u}, {v}) not present in graph")
         out.add((u, v))
     return frozenset(out)
@@ -246,56 +248,88 @@ def write_dimacs_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_dimacs_graph(text: str) -> Graph:
-    """Parse DIMACS graph text; comment lines starting with 'c' are
-    ignored."""
-    n = None
-    m = None
-    edges = []
-    try:
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if n is not None:
-                    raise ValueError("duplicate DIMACS header")
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise ValueError("expected 'p edge N M'")
-                n, m = int(parts[2]), int(parts[3])
-            elif parts[0] == "e":
-                if n is None:
-                    raise ValueError("edge line before 'p edge' header")
-                if len(parts) != 3:
-                    raise ValueError("expected 'e u v'")
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-            else:
-                raise ValueError(f"unrecognized line kind {parts[0]!r}")
-    except ValueError as e:
-        raise ValueError(f"line {ln}: {e}") from None
-    if n is None:
-        raise ValueError("missing 'p edge' header")
-    if m != len(edges):
-        raise ValueError(f"header claims {m} edges, found {len(edges)}")
-    try:
-        return Graph(n, edges)
-    except ValueError as e:
-        refusal = e
-    # name the refused edge's line and 1-based labels only now, at no cost to valid input
-    seen = set()
+def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
+    """Stream DIMACS-style text in one pass. Yields (N, M) from its one
+    'p <fmt> N M' header, then per data line (kind, a, b) for a 'kind a b'
+    line with kind in kinds or, with no kinds, the line's integers. Blank
+    and 'c' lines are skipped and a '%' line ends the input. Every error
+    names its line, also one a caller throws in at the row it refuses."""
+    header = None
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
-        if parts[:1] == ["e"]:
-            u, v = sorted((int(parts[1]), int(parts[2])))
-            if u < 1 or v > n:
-                raise ValueError(f"line {ln}: edge endpoint out of range: ({parts[1]}, {parts[2]}) with n={n}")
-            if u == v:
-                raise ValueError(f"line {ln}: self-loop on vertex {u}")
-            if (u, v) in seen:
-                raise ValueError(f"line {ln}: duplicate edge ({u}, {v})")
-            seen.add((u, v))
-    raise refusal
+        if not parts:
+            continue
+        head = parts[0]
+        try:
+            if head in kinds and len(parts) == 3 and header is not None:
+                row = head, int(parts[1]), int(parts[2])
+            elif head[0] == "c":
+                continue
+            elif head[0] == "%":
+                break
+            elif head == "p":
+                if header is not None:
+                    raise ValueError("duplicate header")
+                if len(parts) != 4 or parts[1] != fmt:
+                    raise ValueError(f"expected 'p {fmt} N M'")
+                row = header = int(parts[2]), int(parts[3])
+            elif header is None:
+                raise ValueError(f"data before the 'p {fmt}' header")
+            elif not kinds:
+                row = [int(t) for t in parts]
+            else:
+                raise ValueError(f"expected {' or '.join(repr(k + ' u v') for k in kinds)}")
+        except ValueError as e:
+            raise ValueError(f"line {ln}: bad line {raw.strip()!r}: {e}") from None
+        try:
+            yield row
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from None
+    if header is None:
+        raise ValueError(f"missing 'p {fmt}' header")
+
+
+def _read_graph(text: str, kinds: tuple):
+    rows = dimacs_rows(text, "edge", kinds)
+    n, m = next(rows)
+    edges, polar = [], []
+    for kind, u, v in rows:
+        (edges if kind == "e" else polar).append((u - 1, v - 1))
+    if m != len(edges):
+        raise ValueError(f"header claims {m} edges, found {len(edges)}")
+    g = None
+    try:
+        g = Graph(n, edges)
+        return g, as_edge_subset(g, polar)
+    except ValueError:
+        # name the refused pair's line and 1-based labels only now, at no cost to valid input
+        rows = dimacs_rows(text, "edge", kinds)
+        next(rows)
+        seen = set()
+        for kind, u, v in rows:
+            a, b = sorted((u, v))
+            if kind == "s":
+                if g is not None and not (1 <= a and b <= n and g.has_edge(a - 1, b - 1)):
+                    rows.throw(ValueError(f"polar edge ({u}, {v}) not present in graph"))
+            elif a < 1 or b > n:
+                rows.throw(ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}"))
+            elif a == b:
+                rows.throw(ValueError(f"self-loop on vertex {a}"))
+            elif (a, b) in seen:
+                rows.throw(ValueError(f"duplicate edge ({a}, {b})"))
+            else:
+                seen.add((a, b))
+        raise
+
+
+def read_dimacs_graph(text: str) -> Graph:
+    """Graph of DIMACS 'p edge N M' text with 'e u v' lines, 1-based."""
+    return _read_graph(text, ("e",))[0]
+
+
+def read_polar_graph(text: str):
+    """(graph, polar edges as (min, max) pairs) of DIMACS graph text plus 's u v' lines."""
+    return _read_graph(text, ("e", "s"))
 
 
 def write_dot(g: Graph, coloring=None) -> str:

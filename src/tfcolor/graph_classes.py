@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from .coloring import Coloring, standard_recolor, verify_triangle_free
 from .graph import Graph, is_triangle_free
-from .solvers import decide_tf_q
 
 BOUNDED_TAGS = ("planar", "outerplanar", "regular4")
 CLASS_TAGS = ("chordal",) + BOUNDED_TAGS + ("general",)
@@ -129,6 +128,8 @@ def bounded_chi_chi3(g: Graph, tag: str):
             raise ValueError("regular4 hint violated: graph is not regular")
         if degs.pop() > 4:
             raise ValueError("regular4 hint violated: degree exceeds 4")
+    from .solvers import decide_tf_q
+
     for q in (2, 3) if tag == "regular4" else (2,):
         witness = decide_tf_q(g, q)
         if witness is not None:

@@ -16,8 +16,9 @@ from .graph import (
     as_edge_subset,
     connected_components,
     contains_k4,
+    dimacs_rows,
     quotient,
-    read_dimacs_graph,
+    read_polar_graph,
     write_dimacs_graph,
 )
 
@@ -154,40 +155,19 @@ def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
 
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
-    """Parse 'p cnf N M' DIMACS text with width-3 clauses terminated by
-    0; 'c' comment lines are ignored, and a '%' line ends the input, as
-    in the SATLIB files that trail it with a lone 0."""
-    num_vars = None
-    num_clauses = None
-    tokens = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line.startswith("%"):
-            break
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if num_vars is not None:
-                raise ValueError(f"line {ln}: duplicate CNF header")
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {ln}: expected 'p cnf N M'")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
-        else:
-            if num_vars is None:
-                raise ValueError(f"line {ln}: clause line before 'p cnf' header")
-            tokens.extend(int(t) for t in parts)
-    if num_vars is None:
-        raise ValueError("missing 'p cnf' header")
-    clauses = []
-    cur = []
-    for t in tokens:
-        if t == 0:
-            clauses.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(t)
-    if cur:
+    """Width-3 clauses terminated by 0 under a 'p cnf N M' header, read
+    by graph.dimacs_rows, so a '%' line ends the input as in the SATLIB
+    files that trail it with a lone 0."""
+    rows = dimacs_rows(text, "cnf")
+    num_vars, num_clauses = next(rows)
+    clauses = [[]]  # each 0 closes the last clause and opens the next
+    for row in rows:
+        for t in row:
+            if t == 0:
+                clauses.append([])
+            else:
+                clauses[-1].append(t)
+    if clauses.pop():
         raise ValueError("final clause is not terminated by 0")
     if num_clauses != len(clauses):
         raise ValueError(f"header claims {num_clauses} clauses, found {len(clauses)}")
@@ -202,25 +182,9 @@ def write_dimacs_cnf(phi: CnfFormula) -> str:
 
 
 def parse_polar_instance(text: str) -> PolarInstance:
-    """A DIMACS graph followed by 's u v' lines (1-based) declaring polar
-    edges; every polar edge must exist in the graph."""
-    graph_lines = []
-    polar = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line.startswith("s "):
-            try:
-                _, u, v = line.split()
-                polar.append((ln, int(u), int(v)))
-            except ValueError:
-                raise ValueError(f"line {ln}: bad polar line {line!r}") from None
-            raw = ""  # a blank line keeps the DIMACS parser's line numbers
-        graph_lines.append(raw)
-    g = read_dimacs_graph("\n".join(graph_lines))
-    for ln, u, v in polar:
-        if not (1 <= u <= g.n and 1 <= v <= g.n and g.has_edge(u - 1, v - 1)):
-            raise ValueError(f"line {ln}: polar edge ({u}, {v}) not present in graph")
-    return PolarInstance(g, [(u - 1, v - 1) for _, u, v in polar])
+    """A DIMACS graph plus 's u v' lines (1-based) declaring polar
+    edges, each an edge of the graph (graph.read_polar_graph)."""
+    return PolarInstance(*read_polar_graph(text))
 
 
 def write_polar_instance(inst: PolarInstance) -> str:

@@ -265,6 +265,10 @@ def test_solve_with_polar_instance_file(tmp_path, monkeypatch, capsys):
     code, out = run_cli(["solve", "--q", "3", "--polar", str(inst)],
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
+    # '-' reads the polar instance from stdin, like every other input
+    code, out = run_cli(["solve", "--q", "2", "--polar", "-"], stdin_text=inst.read_text(),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and json.loads(out) == {"feasible": False}
 
 
 def test_solve_output_independent_of_hash_seed(tmp_path):

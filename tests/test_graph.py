@@ -144,6 +144,8 @@ def test_dimacs_round_trip_bit_exact():
         back = read_dimacs_graph(text)
         assert back == g
         assert write_dimacs_graph(back) == text
+        # a '%' line ends the input, as in SATLIB files
+        assert read_dimacs_graph(text + "%\n0\n") == g
 
 
 @settings(max_examples=200)

@@ -50,6 +50,9 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     (d / "g.dimacs").write_text("p edge 5 6\ne 1 2\ne 2 3\ne 1 3\ne 3 4\ne 4 5\ne 3 5\n", encoding="utf-8")
     (d / "f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 2 0\n", encoding="utf-8")
+    (d / "p.polar").write_text("p edge 5 6\ne 1 2\ne 2 3\ne 1 3\ne 3 4\ne 4 5\ne 3 5\ns 1 2\ns 4 3\n",
+                               encoding="utf-8")
+    (d / "c.json").write_text('{"k": 2, "colors": [1, 2, 1, 2, 2]}', encoding="utf-8")
     return d
 
 
@@ -58,6 +61,7 @@ def inputs(tmp_path_factory):
     ["solve", "g.dimacs"],
     ["solve", "g.dimacs", "--fpt", "--q", "2"],
     ["params", "g.dimacs"],
+    ["solve", "--polar", "p.polar", "--q", "2"],
 ])
 def test_search_commands_load_no_reductions_gadgets_or_dataclasses(argv, inputs):
     code, modules = modules_after(argv, inputs)
@@ -71,11 +75,16 @@ def test_search_commands_load_no_reductions_gadgets_or_dataclasses(argv, inputs)
     ["reduce", "g.dimacs", "--to", "q+1", "--q", "2"],
     ["reduce", "f.cnf", "--from", "nae4", "--to", "polar"],
     ["solve", "g.dimacs", "--class", "chordal"],
+    ["verify", "g.dimacs", "--coloring", "c.json"],
+    ["verify", "--polar", "p.polar", "--coloring", "c.json"],
 ])
 def test_no_command_loads_dataclasses(argv, inputs):
     code, modules = modules_after(argv, inputs)
     assert code == 0
     assert not modules & {"dataclasses", "heapq"}
+    # only the search commands need the solvers
+    if argv[0] != "solve":
+        assert "tfcolor.solvers" not in modules
 
 
 def test_lazy_exports_resolve_to_submodule_objects():

@@ -87,6 +87,17 @@ def test_cnf_dimacs_round_trip():
         parse_dimacs_cnf("p cnf 2 1\n1 2 0\n")
 
 
+@pytest.mark.parametrize("text,msg", [
+    ("p cnf x 1\n", "^line 1: .*'x'"),
+    ("p cnf 2 1\n1 x 2 0\n", "^line 2: .*'x'"),
+    ("c clause first\n1 2 2 0\np cnf 2 1\n", "^line 2: .*header"),
+    ("p cnf 2 1\n1 2 2 0\np cnf 2 1\n", "^line 3: .*duplicate header"),
+])
+def test_cnf_rejects_malformed(text, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_dimacs_cnf(text)
+
+
 def test_occurrence_validator():
     phi = CnfFormula(1, ((1, 1, 1), (1, -1, -1)))
     assert variable_occurrences(phi) == {1: 6}
@@ -277,6 +288,15 @@ def test_polar_instance_file_round_trip():
         parse_polar_instance("p edge 2 1\ns 1 x\ne 1 2\n")
     with pytest.raises(ValueError, match="^line 3: .*out of range"):
         parse_polar_instance("p edge 2 1\ns 1 2\ne 1 3\n")
+    # an 's' line before its edge is fine, and it is not an edge itself
+    back = parse_polar_instance("c polar first\np edge 3 2\ns 2 1\ne 1 2\ne 2 3\n")
+    assert back.graph.edges() == [(0, 1), (1, 2)] and back.polar == {(0, 1)}
+    with pytest.raises(ValueError, match=r"^line 4: duplicate edge \(1, 2\)$"):
+        parse_polar_instance("p edge 2 2\ns 1 2\ne 1 2\ne 2 1\n")
+    with pytest.raises(ValueError, match=r"^line 5: polar edge \(2, 4\) not present in graph$"):
+        parse_polar_instance("p edge 3 2\ns 1 2\ne 1 2\ne 2 3\ns 2 4\n")
+    with pytest.raises(ValueError, match="^line 1: .*before the 'p edge' header"):
+        parse_polar_instance("s 1 2\np edge 2 1\ne 1 2\n")
 
 
 @settings(max_examples=200)
