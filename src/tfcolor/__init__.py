@@ -18,17 +18,17 @@ _EXPORTS = {
         "gen_polar_gadget", "mycielskian",
     ),
     "graph": (
-        "Graph", "as_edge_subset", "connected_components", "contains_k4", "is_connected",
-        "is_triangle_free", "list_triangles", "quotient", "read_dimacs_graph", "triangle_pairs",
+        "Graph", "as_edge_subset", "connected_components", "contains_k4", "is_triangle_free",
+        "list_triangles", "quotient", "read_dimacs_graph", "triangle_pairs",
         "write_dimacs_graph", "write_dot",
     ),
     "graph_classes": ("bounded_chi_chi3", "chordal_chi3", "lex_bfs", "recognize_chordal"),
     "reductions": (
-        "Assignment", "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
+        "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
         "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "parse_dimacs_cnf",
         "parse_polar_instance", "pull_witness", "reduce_nae4_to_polar", "reduce_nae_to_k4free",
-        "reduce_q_to_q1", "reduce_sat4_to_nae4", "sat_satisfies", "solve_polar_small_degree",
-        "variable_occurrences", "write_dimacs_cnf", "write_polar_instance",
+        "reduce_q_to_q1", "reduce_sat4_to_nae4", "sat_satisfies", "variable_occurrences",
+        "write_dimacs_cnf", "write_polar_instance",
     ),
     "solvers": (
         "StructuralParams", "compute_params", "decide_tf_q", "fpt_tf_q_coloring",

@@ -221,10 +221,6 @@ def connected_components(g: Graph) -> list:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
 def as_edge_subset(g: Graph, pairs) -> frozenset:
     """Normalize pairs to (min, max) tuples and require each to be an
     edge of g."""
@@ -249,11 +245,12 @@ def write_dimacs_graph(g: Graph) -> str:
 
 
 def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
-    """Stream DIMACS-style text in one pass. Yields (N, M) from its one
-    'p <fmt> N M' header, then per data line (kind, a, b) for a 'kind a b'
-    line with kind in kinds or, with no kinds, the line's integers. Blank
-    and 'c' lines are skipped and a '%' line ends the input. Every error
-    names its line, also one a caller throws in at the row it refuses."""
+    """Stream DIMACS-style text in one pass. Yields (N, M), both
+    non-negative, from its one 'p <fmt> N M' header, then per data line
+    (kind, a, b) for a 'kind a b' line with kind in kinds or, with no
+    kinds, the line's integers. Blank and 'c' lines are skipped and a '%'
+    line ends the input. Every error names its line, also one a caller
+    throws in at the row it refuses."""
     header = None
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
@@ -273,6 +270,8 @@ def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
                 if len(parts) != 4 or parts[1] != fmt:
                     raise ValueError(f"expected 'p {fmt} N M'")
                 row = header = int(parts[2]), int(parts[3])
+                if min(header) < 0:
+                    raise ValueError("counts must be non-negative")
             elif header is None:
                 raise ValueError(f"data before the 'p {fmt}' header")
             elif not kinds:

@@ -1,6 +1,6 @@
-"""CNF machinery (parsing, SAT and not-all-equal brute-force oracles),
-the four instance transformations with bidirectional witness translation,
-and the linear decision procedure for degree-2 polar instances.
+"""CNF machinery (parsing, SAT and not-all-equal brute-force oracles)
+and the four instance transformations with bidirectional witness
+translation.
 
 Literals are nonzero signed integers over 1-based variables, DIMACS
 style. Assignments are dicts variable -> bool.
@@ -14,17 +14,12 @@ from .graph import (
     Graph,
     Record,
     as_edge_subset,
-    connected_components,
     contains_k4,
     dimacs_rows,
     quotient,
     read_polar_graph,
     write_dimacs_graph,
 )
-
-
-# assignments are plain dicts variable -> bool
-Assignment = dict
 
 
 class CnfFormula(Record):
@@ -577,63 +572,3 @@ def lift_witness(out: ReductionOutput, witness):
 def pull_witness(out: ReductionOutput, witness):
     """Translate a target-side witness into a verified source-side one."""
     return _PULLS[out.kind](out, witness)
-
-
-# ---------------------------------------------------------------------------
-# degree-2 polar instances
-
-
-def solve_polar_small_degree(inst: PolarInstance):
-    """Linear decision for polar instances of maximum degree 2 (disjoint
-    paths and cycles): a triangle-free polar-respecting 2-coloring
-    exists unless some odd cycle has every edge polar. Triangle
-    components (3-cycles) additionally get one bichromatic edge."""
-    g = inst.graph
-    if g.max_degree > 2:
-        raise ValueError("decision procedure requires maximum degree at most 2")
-    polar = set(inst.polar)
-
-    def is_polar(a, b):
-        return (a, b) in polar if a < b else (b, a) in polar
-
-    colors = [0] * g.n
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            colors[comp[0]] = 1
-            continue
-        ends = [v for v in comp if g.degree(v) == 1]
-        if ends:
-            cur = min(ends)
-            prev = None
-            colors[cur] = 1
-            while True:
-                nxt = [u for u in g.neighbors(cur) if u != prev]
-                if not nxt:
-                    break
-                colors[nxt[0]] = 3 - colors[cur] if is_polar(cur, nxt[0]) else colors[cur]
-                prev, cur = cur, nxt[0]
-            continue
-        # cycle: walk it once, then fix up flip parity on free edges
-        start = min(comp)
-        walk = [start]
-        prev, cur = None, start
-        while len(walk) < len(comp):
-            nxt = sorted(u for u in g.neighbors(cur) if u != prev)[0]
-            walk.append(nxt)
-            prev, cur = cur, nxt
-        L = len(walk)
-        flips = [is_polar(walk[i], walk[(i + 1) % L]) for i in range(L)]
-        free = [i for i in range(L) if not flips[i]]
-        if not free and L % 2 == 1:
-            return None
-        if sum(flips) % 2 == 1:
-            flips[free[0]] = True
-        if L == 3 and sum(flips) == 0:
-            flips[free[0]] = flips[free[1]] = True
-        colors[walk[0]] = 1
-        for i in range(L - 1):
-            colors[walk[i + 1]] = 3 - colors[walk[i]] if flips[i] else colors[walk[i]]
-    result = Coloring(2, tuple(colors))
-    if not verify_triangle_free(g, result, inst.polar or None):
-        raise RuntimeError("internal error: degree-2 walk produced an invalid coloring")
-    return result

@@ -14,8 +14,8 @@ from itertools import combinations, product
 
 from tfcolor import (
     CnfFormula,
-    PolarInstance,
     chordal_chi3,
+    connected_components,
     contains_k4,
     decide_tf_q,
     fpt_tf_q_coloring,
@@ -26,7 +26,6 @@ from tfcolor import (
     gen_gadget_triangle,
     gen_mycielski,
     gen_polar_gadget,
-    is_connected,
     lift_witness,
     list_triangles,
     oracle_chi,
@@ -40,7 +39,6 @@ from tfcolor import (
     reduce_q_to_q1,
     reduce_sat4_to_nae4,
     solve_chi3,
-    solve_polar_small_degree,
     variable_occurrences,
     verify_triangle_free,
 )
@@ -171,7 +169,7 @@ def bound_sample():
                 "chi": oracle_chi(g),
                 "chi3": oracle_chi3(g)[0],
                 "delta": g.max_degree,
-                "connected": is_connected(g),
+                "connected": len(connected_components(g)) == 1,
             }
         )
     return tuple(records)
@@ -335,7 +333,20 @@ def test_11_budget_increment_on_triangle():
     report(11, "budget increment forces fresh hub color", ok)
 
 
+def has_odd_all_polar_cycle(g, polar):
+    # at maximum degree 2, a component with as many edges as vertices is a cycle
+    for comp in connected_components(g):
+        edges = [(u, v) for u in comp for v in g.neighbors(u) if u < v]
+        odd_cycle = len(edges) == len(comp) and len(comp) % 2 == 1
+        if odd_cycle and polar.issuperset(edges):
+            return True
+    return False
+
+
 def test_12_small_degree_polar_decision():
+    # the paper's polynomial side of the polar dichotomy (maximum degree 2):
+    # a triangle-free polar 2-coloring exists unless some component is an
+    # odd cycle with every edge polar, and the one search engine decides it
     ok = True
     cases = [path_graph(n) for n in range(1, 10)]
     cases += [gen_cycle(n) for n in range(3, 10)]
@@ -343,11 +354,12 @@ def test_12_small_degree_polar_decision():
         edges = g.edges()
         for mask in range(1 << len(edges)):
             polar = frozenset(edges[i] for i in range(len(edges)) if mask >> i & 1)
-            got = solve_polar_small_degree(PolarInstance(g, polar))
+            got = decide_tf_q(g, 2, polar)
             best, _ = oracle_chi3(g, polar)
-            if (got is not None) != (best <= 2):
+            feasible = got is not None
+            if feasible != (best <= 2) or feasible == has_odd_all_polar_cycle(g, polar):
                 ok = False
-            if got is not None and not verify_triangle_free(g, got, polar or None):
+            if got is not None and not (got.k == 2 and verify_triangle_free(g, got, polar or None)):
                 ok = False
     report(12, "degree-2 polar decision is exact", ok)
 

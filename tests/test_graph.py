@@ -172,6 +172,9 @@ def test_dimacs_tolerates_comments():
     ("p edge 2 2\ne 1 2\ne 2 1\n", "^line 3: duplicate edge [(]1, 2[)]$"),
     ("p edge x 1\n", "^line 1: .*'x'"),
     ("c header next\np edge 2 1\ne 1 x\n", "^line 3: .*'x'"),
+    ("p edge -3 0\n", "^line 1: .*non-negative"),
+    ("p edge 3 -1\n", "^line 1: .*non-negative"),
+    ("c negative n\np edge -3 1\ne 1 2\n", "^line 2: .*non-negative"),
 ])
 def test_dimacs_rejects_malformed(text, msg):
     with pytest.raises(ValueError, match=msg):

@@ -1,5 +1,5 @@
 """CNF semantics, file formats, the four instance transformations with
-witness round trips, and the degree-2 polar decision procedure."""
+witness round trips, and degree-2 polar instances."""
 
 import random
 
@@ -28,7 +28,6 @@ from tfcolor import (
     reduce_q_to_q1,
     reduce_sat4_to_nae4,
     sat_satisfies,
-    solve_polar_small_degree,
     variable_occurrences,
     verify_triangle_free,
     write_dimacs_cnf,
@@ -92,6 +91,8 @@ def test_cnf_dimacs_round_trip():
     ("p cnf 2 1\n1 x 2 0\n", "^line 2: .*'x'"),
     ("c clause first\n1 2 2 0\np cnf 2 1\n", "^line 2: .*header"),
     ("p cnf 2 1\n1 2 2 0\np cnf 2 1\n", "^line 3: .*duplicate header"),
+    ("p cnf -2 0\n", "^line 1: .*non-negative"),
+    ("p cnf 2 -1\n", "^line 1: .*non-negative"),
 ])
 def test_cnf_rejects_malformed(text, msg):
     with pytest.raises(ValueError, match=msg):
@@ -297,6 +298,8 @@ def test_polar_instance_file_round_trip():
         parse_polar_instance("p edge 3 2\ns 1 2\ne 1 2\ne 2 3\ns 2 4\n")
     with pytest.raises(ValueError, match="^line 1: .*before the 'p edge' header"):
         parse_polar_instance("s 1 2\np edge 2 1\ne 1 2\n")
+    with pytest.raises(ValueError, match="^line 1: .*non-negative"):
+        parse_polar_instance("p edge -3 1\ne 1 2\ns 1 2\n")
 
 
 @settings(max_examples=200)
@@ -408,41 +411,33 @@ def test_nae_reductions_on_large_planted_formula():
     assert reduce_nae_to_k4free(phi).instance.n == 33 * m + 12 * n
 
 
-# --- degree-2 polar decision
+# --- degree-2 polar instances, decided by the one search engine
 
 
 def test_polar_small_degree_examples():
     c5 = gen_cycle(5)
-    assert solve_polar_small_degree(PolarInstance(c5, frozenset(c5.edges()))) is None
+    assert decide_tf_q(c5, 2, c5.edges()) is None
     c6 = gen_cycle(6)
-    got = solve_polar_small_degree(PolarInstance(c6, frozenset(c6.edges())))
-    assert got is not None and got.colors == (1, 2, 1, 2, 1, 2)
+    got = decide_tf_q(c6, 2, c6.edges())
+    assert got is not None and verify_triangle_free(c6, got, c6.edges())
     p = path_graph(6)
-    got = solve_polar_small_degree(PolarInstance(p, frozenset([(1, 2), (3, 4)])))
+    got = decide_tf_q(p, 2, [(1, 2), (3, 4)])
     assert got is not None and verify_triangle_free(p, got, [(1, 2), (3, 4)])
 
 
 def test_polar_small_degree_triangle_component():
     c3 = gen_cycle(3)
-    got = solve_polar_small_degree(PolarInstance(c3, frozenset()))
+    got = decide_tf_q(c3, 2, frozenset())
     assert got is not None and len(set(got.colors)) == 2
 
 
-def test_polar_small_degree_rejects_high_degree():
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError, match="degree"):
-        solve_polar_small_degree(PolarInstance(star, frozenset()))
-
-
-def test_polar_small_degree_matches_oracle():
-    rng = random.Random(84)
-    for _ in range(200):
-        n = rng.randint(3, 8)
-        g = gen_cycle(n) if rng.random() < 0.5 else path_graph(n)
-        polar = frozenset(e for e in g.edges() if rng.random() < 0.5)
-        inst = PolarInstance(g, polar)
-        got = solve_polar_small_degree(inst)
-        k, _ = oracle_chi3(g, polar)
-        assert (got is not None) == (k <= 2)
-        if got is not None:
-            assert verify_triangle_free(g, got, polar or None)
+def test_polar_small_degree_at_scale():
+    # an odd cycle with every edge polar has no polar 2-coloring; an even one
+    # with any polar subset has one
+    odd = gen_cycle(10001)
+    assert decide_tf_q(odd, 2, odd.edges()) is None
+    even = gen_cycle(10000)
+    rng = random.Random(86)
+    polar = [e for e in even.edges() if rng.random() < 0.7]
+    got = decide_tf_q(even, 2, polar)
+    assert got is not None and got.k == 2 and verify_triangle_free(even, got, polar)
