@@ -18,11 +18,12 @@ _EXPORTS = {
         "gen_polar_gadget", "mycielskian",
     ),
     "graph": (
-        "Graph", "as_edge_subset", "connected_components", "contains_k4", "is_triangle_free",
-        "list_triangles", "quotient", "read_dimacs_graph", "triangle_pairs",
-        "write_dimacs_graph", "write_dot",
+        "Graph", "as_edge_subset", "connected_components", "contains_k4", "quotient",
+        "read_dimacs_graph", "triangle_pairs", "write_dimacs_graph", "write_dot",
     ),
-    "graph_classes": ("bounded_chi_chi3", "chordal_chi3", "lex_bfs", "recognize_chordal"),
+    "graph_classes": (
+        "bounded_chi_chi3", "chordal_chi3", "max_cardinality_search", "recognize_chordal",
+    ),
     "reductions": (
         "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
         "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "parse_dimacs_cnf",

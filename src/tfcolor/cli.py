@@ -1,5 +1,8 @@
 """Command-line front end: gen, solve, verify, reduce, and params.
 
+Every input file, the graph, --polar and verify's --coloring, may be
+given as '-' to read stdin; at most one of them per call.
+
 Exit codes: 0 = feasible / value computed, 1 = infeasible decision or
 failed verification, 2 = input error (bad arguments or malformed input),
 3 = internal error (an unexpected exception, reported as one
@@ -111,10 +114,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.coloring == "-" and (args.polar or args.input) in (None, "-"):
+        raise ValueError("--coloring - reads stdin, so the graph or --polar input must be a file")
     g, polar = _load_graph_maybe_polar(args)
-    with open(args.coloring, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    c = Coloring.from_json_dict(doc, g.n)
+    c = Coloring.from_json_dict(json.loads(_read_input(args.coloring)), g.n)
     ok = verify_triangle_free(g, c, polar)
     _emit({"valid": ok})
     return 0 if ok else 1
@@ -181,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
     p.add_argument("input", nargs="?", default="-", help="DIMACS graph file (default stdin)")
-    p.add_argument("--coloring", required=True, help="JSON coloring file")
+    p.add_argument("--coloring", required=True, help="JSON coloring file ('-' for stdin)")
     p.add_argument("--polar", default=None, help="polar-instance file (graph + s lines)")
     p.set_defaults(func=_cmd_verify)
 

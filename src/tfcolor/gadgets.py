@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, Record, contains_k4, list_triangles, quotient
+from .graph import Graph, Record, contains_k4, quotient, triangle_pairs
 
 
 class CycleClique(Record):
@@ -129,7 +129,7 @@ def _certify_gadget(g: Graph):
     global _gadget_certified
     if _gadget_certified:
         return
-    tris = sorted(list_triangles(g))
+    tris = [(v, a, b) for v, pairs in enumerate(triangle_pairs(g)) for a, b in pairs if v < a]
     found_tf = False
     for mask in range(1 << g.n):
         tf = True

@@ -1,9 +1,9 @@
 """Immutable simple-graph core: construction, vertex identification,
-triangle listing by intersecting the adjacency sets of each edge and
-the per-vertex triangle index the solvers share, a K4 certifier that
-reads only the adjacency sets, DIMACS/DOT output, the one DIMACS-style
-reader behind the graph, polar-instance and CNF readers, and the
-read-only record base of the value classes."""
+the one triangle listing, a per-vertex index built by intersecting the
+adjacency sets of each edge, a K4 certifier that reads only the
+adjacency sets, DIMACS/DOT output, the one DIMACS-style reader behind
+the graph, polar-instance and CNF readers, and the read-only record
+base of the value classes."""
 
 from __future__ import annotations
 
@@ -146,42 +146,27 @@ def quotient(g: Graph, pairs):
     return Graph(len(index), edges), vmap
 
 
-def _triangles(g: Graph):
-    """Yield each triangle once, as a sorted vertex triple.
+def triangle_pairs(g: Graph) -> list:
+    """The triangle index: tri[v] lists the pairs (a, b), a < b, that
+    close a triangle with v, one pair per triangle through v.
 
-    For each edge ab, a < b, intersect the two adjacency sets and keep
-    the common neighbours c > b. A set intersection walks the smaller
-    set, so the work is the sum over edges of min(deg a, deg b), which
-    Chiba & Nishizeki (1985) bound by 2·arboricity·m.
+    Each triangle abc, a < b < c, is found once, from its edge ab: the
+    two adjacency sets are intersected and the common neighbours c > b
+    kept. A set intersection walks the smaller set, so the work is the
+    sum over edges of min(deg a, deg b), which Chiba & Nishizeki (1985)
+    bound by 2·arboricity·m.
     """
     adj = g._adj
+    tri = [[] for _ in range(g.n)]
     for a, na in enumerate(adj):
         for b in na:
             if b > a:
                 for c in na & adj[b]:
                     if c > b:
-                        yield a, b, c
-
-
-def list_triangles(g: Graph) -> frozenset:
-    """The complete set of triangles, each as a sorted vertex triple."""
-    return frozenset(_triangles(g))
-
-
-def triangle_pairs(g: Graph) -> list:
-    """The triangle index: tri[v] lists the pairs (a, b), a < b, that
-    close a triangle with v, one pair per triangle through v."""
-    tri = [[] for _ in range(g.n)]
-    for a, b, c in _triangles(g):
-        tri[a].append((b, c))
-        tri[b].append((a, c))
-        tri[c].append((a, b))
+                        tri[a].append((b, c))
+                        tri[b].append((a, c))
+                        tri[c].append((a, b))
     return tri
-
-
-def is_triangle_free(g: Graph) -> bool:
-    """Early-exit triangle scan; equals emptiness of list_triangles."""
-    return next(_triangles(g), None) is None
 
 
 def contains_k4(g: Graph) -> bool:

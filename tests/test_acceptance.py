@@ -27,7 +27,6 @@ from tfcolor import (
     gen_mycielski,
     gen_polar_gadget,
     lift_witness,
-    list_triangles,
     oracle_chi,
     oracle_chi3,
     oracle_nae,

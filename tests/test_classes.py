@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from tfcolor import (
     Graph,
     bounded_chi_chi3,
@@ -12,14 +13,13 @@ from tfcolor import (
     gen_complete,
     gen_cycle,
     gen_mycielski,
-    is_triangle_free,
-    lex_bfs,
     oracle_chi3,
     recognize_chordal,
     solve_chi3,
+    triangle_pairs,
     verify_triangle_free,
 )
-from util_graphs import circulant, graphs, icosahedron, petersen, planar_subgraph, quadratic_lex_bfs, random_ktree
+from util_graphs import circulant, graphs, icosahedron, petersen, planar_subgraph, random_ktree
 
 
 def _is_peo(g, peo):
@@ -71,10 +71,38 @@ def test_chordal_chi3_matches_oracle():
         assert verify_triangle_free(g, w)
 
 
-@settings(max_examples=200)
-@given(graphs())
-def test_lex_bfs_matches_quadratic_refinement(g):
-    assert lex_bfs(g) == quadratic_lex_bfs(g)
+def naive_is_chordal(g):
+    """Remove simplicial vertices, whose remaining neighbours are pairwise
+    adjacent, one at a time; g is chordal iff every vertex goes."""
+    left = set(range(g.n))
+    while left:
+        v = next((v for v in left
+                  if all(g.has_edge(a, b) for a in g.neighbors(v) & left
+                         for b in g.neighbors(v) & left if a < b)), None)
+        if v is None:
+            return False
+        left.remove(v)
+    return True
+
+
+@st.composite
+def ktrees_less_an_edge(draw):
+    """A random k-tree with one random edge deleted: chordal exactly when
+    that edge lies in one maximal clique, so both answers come up."""
+    rng = draw(st.randoms(use_true_random=False))
+    g = random_ktree(rng, draw(st.integers(1, 4)), draw(st.integers(2, 16)))
+    edges = g.edges()
+    del edges[draw(st.integers(0, len(edges) - 1))]
+    return Graph(g.n, edges)
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(), ktrees_less_an_edge()))
+def test_recognize_chordal_matches_simplicial_elimination(g):
+    peo = recognize_chordal(g)
+    assert (peo is not None) == naive_is_chordal(g)
+    if peo is not None:
+        assert sorted(peo) == list(range(g.n)) and _is_peo(g, peo)
 
 
 def test_chordal_chi3_large_ktree():
@@ -133,7 +161,7 @@ def test_bounded_regular_cases():
     assert verify_triangle_free(k5, w)
     k4 = gen_complete(4)
     assert bounded_chi_chi3(k4, "regular4")[0] == 2
-    assert is_triangle_free(petersen())
+    assert triangle_pairs(petersen()) == [[]] * 10
     assert bounded_chi_chi3(petersen(), "regular4")[0] == 1
     two_k5 = Graph(10, gen_complete(5).edges()
                    + [(u + 5, v + 5) for u, v in gen_complete(5).edges()])
@@ -169,6 +197,11 @@ def test_bounded_rejects_violated_hints():
         bounded_chi_chi3(gen_complete(5), "planar")
     with pytest.raises(ValueError, match="regular"):
         bounded_chi_chi3(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), "regular4")
+    # triangle-free graphs are checked against the regular4 hint too
+    with pytest.raises(ValueError, match="not regular"):
+        bounded_chi_chi3(Graph(3, [(0, 1), (1, 2)]), "regular4")
+    with pytest.raises(ValueError, match="degree exceeds 4"):
+        bounded_chi_chi3(Graph(10, [(u, v) for u in range(5) for v in range(5, 10)]), "regular4")
     with pytest.raises(ValueError):
         bounded_chi_chi3(gen_cycle(5), "chordal")
     with pytest.raises(ValueError, match="not handled"):

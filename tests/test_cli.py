@@ -14,7 +14,7 @@ import pytest
 from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
 from tfcolor.graph_classes import CLASS_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
-from util_graphs import triangulated_grid
+from util_graphs import random_ktree, triangulated_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +100,29 @@ def test_verify_rejects_bad_coloring(tmp_path, monkeypatch, capsys):
                         stdin_text=gadget, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert json.loads(out) == {"valid": False}
+
+
+def test_verify_reads_coloring_from_stdin(tmp_path, monkeypatch, capsys):
+    gadget = GOLDEN / "polar_gadget.dimacs"
+    code, witness = run_cli(["solve"], stdin_text=gadget.read_text(), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    code, out = run_cli(["verify", str(gadget), "--coloring", "-"], stdin_text=witness,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and json.loads(out) == {"valid": True}
+    polar = tmp_path / "polar.txt"
+    polar.write_text(gadget.read_text() + "s 1 2\n")
+    code, out = run_cli(["verify", "--polar", str(polar), "--coloring", "-"],
+                        stdin_text=json.dumps({"colors": [1] * 12}), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and json.loads(out) == {"valid": False}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--coloring", "-"], ["verify", "--polar", "-", "--coloring", "-"]])
+def test_verify_refuses_two_inputs_on_stdin(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / "polar_gadget.dimacs").read_text()))
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --coloring -")
 
 
 @pytest.mark.parametrize("doc", [{"colors": None}, "colors", {"colors": [1, 1, {}]}])
@@ -285,7 +308,9 @@ def test_solve_output_independent_of_hash_seed(tmp_path):
     (tmp_path / "dense.dimacs").write_text(write_dimacs_graph(dense))
     (tmp_path / "clover.dimacs").write_text(write_dimacs_graph(clover))
     (tmp_path / "polar.txt").write_text(write_dimacs_graph(small) + polar)
-    runs = (["dense.dimacs"], ["clover.dimacs", "--q", "5"], ["--polar", "polar.txt"])
+    (tmp_path / "ktree.dimacs").write_text(write_dimacs_graph(random_ktree(rng, 3, 300)))
+    runs = (["dense.dimacs"], ["clover.dimacs", "--q", "5"], ["--polar", "polar.txt"],
+            ["ktree.dimacs", "--class", "chordal"])
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = {}
     for seed in ("0", "1"):

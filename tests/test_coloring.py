@@ -17,7 +17,7 @@ from tfcolor import (
     standard_recolor,
     verify_triangle_free,
 )
-from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph
+from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph, triangle_set
 
 
 def test_coloring_validates_range():
@@ -188,9 +188,7 @@ def test_greedy_extend_matches_exhaustive_search():
 
 def verify_triangle_free_on(g, partial, q):
     """Partial triangle check restricted to the colored vertices."""
-    from tfcolor import list_triangles
-
-    for a, b, c in list_triangles(g):
+    for a, b, c in triangle_set(g):
         if a in partial and b in partial and c in partial:
             if partial[a] == partial[b] == partial[c]:
                 return False

@@ -11,15 +11,13 @@ from tfcolor import (
     Graph,
     contains_k4,
     gen_cycle,
-    is_triangle_free,
-    list_triangles,
     quotient,
     read_dimacs_graph,
     triangle_pairs,
     write_dimacs_graph,
     write_dot,
 )
-from util_graphs import brute_triangles, graphs, graphs_with_polar, rand_graph
+from util_graphs import brute_triangles, graphs, graphs_with_polar, rand_graph, triangle_set
 
 
 def test_build_c5():
@@ -94,8 +92,7 @@ def test_identify_never_leaves_loops_or_duplicates():
 
 def check_triangle_listing(g):
     brute = brute_triangles(g)
-    assert list_triangles(g) == brute
-    assert is_triangle_free(g) == (not brute)
+    assert triangle_set(g) == brute
     tri = triangle_pairs(g)
     for v in range(g.n):
         through = {frozenset(t) - {v} for t in brute if v in t}
@@ -118,9 +115,9 @@ def test_triangle_listing_matches_brute_force_on_drawn_graphs(g):
 
 
 def test_triangle_listing_examples():
-    assert list_triangles(gen_cycle(5)) == frozenset()
+    assert triangle_set(gen_cycle(5)) == frozenset()
     k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert len(list_triangles(k4)) == 4
+    assert len(triangle_set(k4)) == 4
 
 
 def test_contains_k4():

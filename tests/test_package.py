@@ -88,7 +88,7 @@ def test_no_command_loads_dataclasses(argv, inputs):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 58
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 56
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")

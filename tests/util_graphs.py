@@ -3,7 +3,7 @@
 from itertools import combinations
 
 from hypothesis import strategies as st
-from tfcolor import CnfFormula, Graph
+from tfcolor import CnfFormula, Graph, triangle_pairs
 
 
 def rand_graph(rng, n, p):
@@ -84,28 +84,10 @@ def brute_triangles(g):
     return frozenset(out)
 
 
-def quadratic_lex_bfs(g):
-    """Lexicographic BFS visit order by partition refinement; smallest
-    index wins ties."""
-    order = []
-    partitions = [sorted(range(g.n))] if g.n else []
-    while partitions:
-        first = partitions[0]
-        v = first.pop(0)
-        if not first:
-            partitions.pop(0)
-        order.append(v)
-        nv = g.neighbors(v)
-        refined = []
-        for part in partitions:
-            hit = [w for w in part if w in nv]
-            miss = [w for w in part if w not in nv]
-            if hit:
-                refined.append(hit)
-            if miss:
-                refined.append(miss)
-        partitions = refined
-    return order
+def triangle_set(g):
+    """The triangles of g as sorted vertex triples, read off the triangle
+    index: each is listed at its smallest vertex."""
+    return frozenset((v, a, b) for v, pairs in enumerate(triangle_pairs(g)) for a, b in pairs if v < a)
 
 
 def random_ktree(rng, k, n):
