@@ -26,14 +26,16 @@ _EXPORTS = {
     ),
     "reductions": (
         "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
-        "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "parse_dimacs_cnf",
-        "parse_polar_instance", "pull_witness", "reduce_nae4_to_polar", "reduce_nae_to_k4free",
-        "reduce_q_to_q1", "reduce_sat4_to_nae4", "sat_satisfies", "variable_occurrences",
-        "write_dimacs_cnf", "write_polar_instance",
+        "parse_dimacs_cnf", "parse_polar_instance", "reduce_nae4_to_polar", "reduce_nae_to_k4free",
+        "reduce_q_to_q1", "reduce_sat4_to_nae4", "variable_occurrences", "write_dimacs_cnf",
+        "write_polar_instance",
     ),
     "solvers": (
         "StructuralParams", "compute_params", "decide_tf_q", "fpt_tf_q_coloring",
         "min_vertex_cover", "oracle_chi", "oracle_chi3", "oracle_omega", "solve_chi3",
+    ),
+    "witness": (
+        "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "pull_witness", "sat_satisfies",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,7 +10,6 @@ from .coloring import Coloring, standard_recolor, verify_triangle_free
 from .graph import Graph
 
 BOUNDED_TAGS = ("planar", "outerplanar", "regular4")
-CLASS_TAGS = ("chordal",) + BOUNDED_TAGS + ("general",)
 
 
 def max_cardinality_search(g: Graph) -> list:

@@ -132,6 +132,7 @@ def oracle_omega(g: Graph) -> int:
 
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     extend(0, order)
+    del extend  # a recursive closure refers to itself; unbound, it leaves no cycle behind
     return best
 
 
@@ -662,6 +663,7 @@ def min_vertex_cover(g: Graph) -> frozenset:
             del cur[len(cur) - len(undo):]
 
         node([v for v in comp if len(adj[v]) == 1])
+        del node  # as in oracle_omega: no cycle, so no garbage left for the collector
         cover.extend(best)
     return frozenset(cover)
 

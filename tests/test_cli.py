@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
-from tfcolor.graph_classes import CLASS_TAGS
+from tfcolor.cli import CLASS_TAGS
+from tfcolor.graph_classes import BOUNDED_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
 from util_graphs import random_ktree, triangulated_grid
 
@@ -260,6 +261,16 @@ def test_reduce_budget_increment(monkeypatch, capsys):
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert read_dimacs_graph(out).n == 43
+
+
+def test_solve_class_tags(monkeypatch, capsys):
+    # every tag but "general" names a pipeline of graph_classes
+    assert CLASS_TAGS == ("chordal",) + BOUNDED_TAGS + ("general",)
+    code, out = run_cli(["solve", "--help"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "{" + ",".join(CLASS_TAGS) + "}" in out
+    code, out = run_cli(["solve", "--class", "bipartite"], stdin_text="p edge 1 0\n",
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
 
 
 def test_reduce_rejects_bad_combination(monkeypatch, capsys):

@@ -1,11 +1,14 @@
-"""Package surface: what CLI start-up loads, the lazily resolved package
-exports, and the semantics of the read-only value records."""
+"""Package surface: what each CLI command loads, the cyclic garbage it
+leaves, the lazily resolved package exports, and the semantics of the
+read-only value records."""
 
 import copy
+import gc
 import importlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +24,14 @@ from tfcolor import (
     PolarInstance,
     ReductionOutput,
     StructuralParams,
+    cli,
+    gen_clover,
     gen_cycle_clique,
     gen_polar_gadget,
+    reduce_nae_to_k4free,
+    write_dimacs_graph,
 )
+from util_graphs import planted_nae_cnf, rand_graph
 
 SRC = Path(tfcolor.__file__).resolve().parent.parent
 
@@ -34,14 +42,31 @@ code = cli.run(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
+# the collector is off during the command, as under cli.main
+GARBAGE = """\
+import gc, json, sys
+from tfcolor import cli
+gc.collect()
+gc.disable()
+code = cli.run(json.loads(sys.argv[1]))
+print(json.dumps([code, gc.collect()]))
+"""
+
+
+def fresh_run(script, argv, cwd):
+    """The last stdout line, read as JSON, of a fresh interpreter that runs
+    script with argv as JSON in sys.argv[1] and the package's own sources
+    on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 def modules_after(argv, cwd):
     """(exit code, sorted sys.modules) of a fresh interpreter that runs
-    cli.run(argv) with the package's own sources on its path."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", LOADS, json.dumps(argv)], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    cli.run(argv)."""
+    code, modules = fresh_run(LOADS, argv, cwd)
     return code, set(modules)
 
 
@@ -56,35 +81,95 @@ def inputs(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "g.dimacs", "--q", "2"],
-    ["solve", "g.dimacs"],
-    ["solve", "g.dimacs", "--fpt", "--q", "2"],
-    ["params", "g.dimacs"],
-    ["solve", "--polar", "p.polar", "--q", "2"],
-])
-def test_search_commands_load_no_reductions_gadgets_or_dataclasses(argv, inputs):
-    code, modules = modules_after(argv, inputs)
-    assert code == 0
-    assert "tfcolor.solvers" in modules
-    assert not modules & {"tfcolor.reductions", "tfcolor.gadgets", "dataclasses", "heapq"}
+# each command and the tfcolor submodules it loads besides the package,
+# cli and graph
+SEARCH = ("coloring", "solvers")
+LOADED_BY = {
+    ("solve", "g.dimacs", "--q", "2"): SEARCH,
+    ("solve", "g.dimacs"): SEARCH,
+    ("solve", "g.dimacs", "--fpt", "--q", "2"): SEARCH,
+    ("params", "g.dimacs"): SEARCH,
+    ("solve", "--polar", "p.polar", "--q", "2"): SEARCH,
+    ("gen", "clover", "--k", "2"): ("gadgets",),
+    ("reduce", "g.dimacs", "--to", "q+1", "--q", "2"): ("reductions", "gadgets"),
+    ("reduce", "f.cnf", "--from", "nae4", "--to", "polar"): ("reductions",),
+    ("solve", "g.dimacs", "--class", "chordal"): ("coloring", "graph_classes"),
+    ("verify", "g.dimacs", "--coloring", "c.json"): ("coloring",),
+    ("verify", "--polar", "p.polar", "--coloring", "c.json"): ("coloring",),
+    ("reduce", "f.cnf", "--from", "nae", "--to", "k4free"): ("reductions", "gadgets"),
+    ("reduce", "f.cnf", "--from", "sat4", "--to", "nae4"): ("reductions",),
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "clover", "--k", "2"],
-    ["reduce", "g.dimacs", "--to", "q+1", "--q", "2"],
-    ["reduce", "f.cnf", "--from", "nae4", "--to", "polar"],
-    ["solve", "g.dimacs", "--class", "chordal"],
-    ["verify", "g.dimacs", "--coloring", "c.json"],
-    ["verify", "--polar", "p.polar", "--coloring", "c.json"],
-])
-def test_no_command_loads_dataclasses(argv, inputs):
-    code, modules = modules_after(argv, inputs)
+def assert_loads_exactly(argv, cwd):
+    code, modules = modules_after(argv, cwd)
     assert code == 0
+    ours = {m for m in modules if m.partition(".")[0] == "tfcolor"}
+    assert ours == {"tfcolor", "tfcolor.cli", "tfcolor.graph"} | {f"tfcolor.{m}" for m in LOADED_BY[argv]}
     assert not modules & {"dataclasses", "heapq"}
-    # only the search commands need the solvers
-    if argv[0] != "solve":
-        assert "tfcolor.solvers" not in modules
+
+
+@pytest.mark.parametrize("argv", [argv for argv, loaded in LOADED_BY.items() if loaded == SEARCH])
+def test_search_commands_load_no_reductions_gadgets_or_dataclasses(argv, inputs):
+    assert_loads_exactly(argv, inputs)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, loaded in LOADED_BY.items() if loaded != SEARCH])
+def test_no_command_loads_dataclasses(argv, inputs):
+    assert_loads_exactly(argv, inputs)
+
+
+@pytest.fixture(scope="module")
+def sized_inputs(tmp_path_factory):
+    """Two sizes each of a K4-free image of a planted formula, a clover
+    and a G(n, 1/2)."""
+    d = tmp_path_factory.mktemp("sized")
+    for n in (6, 12):
+        image = reduce_nae_to_k4free(planted_nae_cnf(random.Random(n), n)).instance
+        (d / f"nae{n}.dimacs").write_text(write_dimacs_graph(image), encoding="utf-8")
+    for k in (3, 4):
+        (d / f"clover{k}.dimacs").write_text(write_dimacs_graph(gen_clover(k)), encoding="utf-8")
+    for n in (8, 16):
+        (d / f"gnp{n}.dimacs").write_text(write_dimacs_graph(rand_graph(random.Random(n), n, 0.5)),
+                                          encoding="utf-8")
+    return d
+
+
+@pytest.mark.parametrize("argvs", [
+    [["solve", f"nae{n}.dimacs", "--q", "2"] for n in (6, 12)],
+    [["solve", f"clover{k}.dimacs"] for k in (3, 4)],  # failed decisions and twin nogoods
+    [["params", f"gnp{n}.dimacs"] for n in (8, 16)],
+])
+def test_cyclic_garbage_does_not_grow_with_the_input(argvs, sized_inputs):
+    # cli.main runs a command with the collector off; that costs nothing
+    # only while what the collector would reclaim stays small and fixed
+    (code0, small), (code1, large) = (fresh_run(GARBAGE, argv, sized_inputs) for argv in argvs)
+    assert code0 == code1 == 0
+    assert small == large <= 400
+
+
+def test_run_leaves_the_collector_as_it_found_it(inputs, monkeypatch, capsys):
+    monkeypatch.chdir(inputs)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert cli.run(["solve", "g.dimacs"]) == 0
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_main_runs_the_command_with_the_collector_off(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda: seen.append(gc.isenabled()) or 0)
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False] and exc.value.code == 0
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
