@@ -9,9 +9,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "coloring": (
-        "Coloring", "greedy_extend_independent", "standard_recolor", "verify_triangle_free",
-    ),
+    "coloring": ("Coloring", "standard_recolor", "verify_triangle_free"),
     "gadgets": (
         "CycleClique", "PolarGadget", "clique_contraction", "gen_clover", "gen_complete",
         "gen_cycle", "gen_cycle_clique", "gen_gadget_triangle", "gen_mycielski",

@@ -1,10 +1,10 @@
 """Coloring values, their verifier (triangle-free, honoring optional polar
-edges; with every edge polar it checks a proper coloring), the pairwise
-class-merging recoloring, and greedy extension over an independent set."""
+edges; with every edge polar it checks a proper coloring), and the
+pairwise class-merging recoloring."""
 
 from __future__ import annotations
 
-from .graph import Graph, Record, as_edge_subset, triangle_pairs
+from .graph import Graph, Record, as_edge_subset
 
 
 class Coloring(Record):
@@ -77,35 +77,3 @@ def standard_recolor(c: Coloring) -> Coloring:
     proper is the caller's obligation and is not re-verified."""
     return Coloring((c.k + 1) // 2, tuple((x + 1) // 2 for x in c.colors))
 
-
-def greedy_extend_independent(g: Graph, partial, indep, q: int):
-    """Extend a triangle-free q-coloring of W = V minus indep to all of g,
-    coloring the independent set greedily, or return None.
-
-    A vertex v in indep may take color x unless the other two vertices
-    of some triangle through v (read from the triangle index) already
-    share x; since indep is independent, both lie in W, so each choice is
-    order-independent. Each vertex takes its smallest free color. The
-    partial coloring being triangle-free on W is the caller's obligation.
-    """
-    indep = frozenset(indep)
-    for v in indep:
-        if v < 0 or v >= g.n:
-            raise ValueError(f"vertex {v} out of range")
-        if g.neighbors(v) & indep:
-            raise ValueError("given set is not independent")
-    if set(partial) != set(range(g.n)) - indep:
-        raise ValueError("partial coloring must cover exactly the non-independent vertices")
-    colors = [0] * g.n
-    for v, x in partial.items():
-        if not (1 <= x <= q):
-            raise ValueError(f"partial color {x} outside 1..{q}")
-        colors[v] = x
-    tri = triangle_pairs(g)
-    for v in indep:
-        blocked = {colors[a] for a, b in tri[v] if colors[a] == colors[b]}
-        x = next((x for x in range(1, q + 1) if x not in blocked), None)
-        if x is None:
-            return None
-        colors[v] = x
-    return Coloring(q, tuple(colors))

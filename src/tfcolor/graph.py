@@ -84,9 +84,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []

@@ -2,7 +2,9 @@
 triangle-free q-colorings (plain and polar; with every edge polar it
 decides proper q-coloring, so it gives chi as well as chi3),
 plain-enumeration oracles kept independent of it, clique and
-vertex-cover search, and the vertex-cover-parameter algorithm.
+vertex-cover search, and the vertex-cover-parameter algorithm, which
+enumerates the colorings of a minimum cover and extends each one over
+the independent rest itself.
 
 The oracle_* functions are deliberately naive: they share no pruning
 machinery with decide_tf_q and serve as ground truth in tests.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import Coloring, greedy_extend_independent, verify_triangle_free
+from .coloring import Coloring, verify_triangle_free
 from .graph import Graph, Record, as_edge_subset, connected_components, triangle_pairs
 
 
@@ -673,8 +675,10 @@ def fpt_tf_q_coloring(g: Graph, q: int):
     size k: when q > ceil(k/2) the direct construction always works
     (same-colored pairs inside W, one fresh color on the independent
     rest); otherwise every triangle-free q-coloring of W is enumerated
-    and extended greedily over the independent set. Returns a verified
-    Coloring or None."""
+    and each is extended greedily over the independent rest, where every
+    vertex takes the smallest color that no triangle pair of it shares.
+    Those pairs lie in W, so each choice depends on W's coloring alone.
+    Returns a verified Coloring or None."""
     if q < 1:
         raise ValueError("color budget must be at least 1")
     n = g.n
@@ -685,47 +689,50 @@ def fpt_tf_q_coloring(g: Graph, q: int):
     half = (k + 1) // 2
     pos = {w: i for i, w in enumerate(cover)}
     indep = [v for v in range(n) if v not in pos]
+    colors = [0] * n
     if q > half:
-        colors = [0] * n
         for i, w in enumerate(cover):
             colors[w] = i // 2 + 1
         for v in indep:
             colors[v] = half + 1
-        result = Coloring(q, tuple(colors))
-        if not verify_triangle_free(g, result):
-            raise RuntimeError("internal error: direct cover construction failed")
-        return result
-
-    # cover and each pair are sorted, so pos[b] < i puts both before i
-    tri = triangle_pairs(g)
-    tri_pairs = [
-        [(pos[a], pos[b]) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
-        for i, w in enumerate(cover)
-    ]
-    # depth-first over the cover in order with the first-use label cap, as
-    # a loop over positions so a large cover cannot reach the recursion limit
-    wcolors = [0] * k
-    used = [0] * (k + 1)  # used[i]: the largest label among wcolors[:i]
-    i = 0
-    while i >= 0:
-        if i == k:
-            res = greedy_extend_independent(g, dict(zip(cover, wcolors)), indep, q)
-            if res is not None:
-                return res
-            i -= 1
-            continue
-        cap = used[i] + 1 if used[i] < q else q
-        x = wcolors[i] + 1
-        while x <= cap and any(wcolors[a] == x and wcolors[b] == x for a, b in tri_pairs[i]):
-            x += 1
-        if x > cap:
-            wcolors[i] = 0
-            i -= 1
-        else:
-            wcolors[i] = x
-            used[i + 1] = max(used[i], x)
-            i += 1
-    return None
+    else:
+        # cover and each pair are sorted, so pos[b] < i puts both before i
+        tri = triangle_pairs(g)
+        tri_pairs = [[(a, b) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
+                     for i, w in enumerate(cover)]
+        # depth-first over the cover in order with the first-use label cap, as
+        # a loop over positions so a large cover cannot reach the recursion limit
+        used = [0] * (k + 1)  # used[i]: the largest label on cover[:i]
+        i = 0
+        while i >= 0:
+            if i == k:
+                for v in indep:
+                    blocked = {colors[a] for a, b in tri[v] if colors[a] == colors[b]}
+                    colors[v] = next((x for x in range(1, q + 1) if x not in blocked), 0)
+                    if not colors[v]:
+                        break
+                else:
+                    break
+                i -= 1
+                continue
+            w = cover[i]
+            cap = used[i] + 1 if used[i] < q else q
+            x = colors[w] + 1
+            while x <= cap and any(colors[a] == x and colors[b] == x for a, b in tri_pairs[i]):
+                x += 1
+            if x > cap:
+                colors[w] = 0
+                i -= 1
+            else:
+                colors[w] = x
+                used[i + 1] = max(used[i], x)
+                i += 1
+        if i < 0:
+            return None
+    result = Coloring(q, tuple(colors))
+    if not verify_triangle_free(g, result):
+        raise RuntimeError("internal error: cover coloring is not triangle-free")
+    return result
 
 
 def compute_params(g: Graph) -> StructuralParams:

@@ -8,6 +8,7 @@ never loads this module. Assignments are dicts variable -> bool.
 from __future__ import annotations
 
 from .coloring import Coloring, verify_triangle_free
+from .gadgets import Y1, Z1
 from .graph import Graph
 from .reductions import CnfFormula, PolarInstance, ReductionOutput
 
@@ -109,8 +110,7 @@ def _gadget_private_colors(host_u_color: int):
     same = host_u_color
     other = 3 - host_u_color
     by_local = {loc: other for loc in range(2, 12)}
-    by_local[6] = same  # z1
-    by_local[9] = same  # y1
+    by_local[Z1] = by_local[Y1] = same
     return by_local
 
 
@@ -155,20 +155,23 @@ def _lift_nae4_to_polar(out: ReductionOutput, assignment):
     if not nae_satisfies(phi, assignment):
         raise ValueError("witness does not not-all-equal satisfy the source formula")
     inst: PolarInstance = out.instance
-    n, m = phi.num_vars, len(phi.clauses)
+    # every tree and occurrence vertex lies in the polar component of
+    # some variable's true root; polar edges alternate colors from it
+    polar_nbrs = [[] for _ in range(inst.graph.n)]
+    for u, v in inst.polar:
+        polar_nbrs[u].append(v)
+        polar_nbrs[v].append(u)
     colors = [0] * inst.graph.n
-    for (i, j), vtx in out.forward_map["occurrence"].items():
-        colors[vtx] = 1 if literal_value(phi.clauses[i][j], assignment) else 2
-    for x in range(1, n + 1):
-        troot = 2 if assignment[x] else 1
-        tbase = 3 * m + 14 * (x - 1)
-        fbase = tbase + 7
-        # levels alternate: root, its two children, four leaves
-        for base, root in ((tbase, troot), (fbase, 3 - troot)):
-            colors[base] = root
-            colors[base + 1] = colors[base + 2] = 3 - root
-            for leaf in range(3, 7):
-                colors[base + leaf] = root
+    stack = []
+    for x, root in out.forward_map["t_root"].items():
+        colors[root] = 2 if assignment[x] else 1
+        stack.append(root)
+    while stack:
+        u = stack.pop()
+        for v in polar_nbrs[u]:
+            if not colors[v]:
+                colors[v] = 3 - colors[u]
+                stack.append(v)
     witness = Coloring(2, tuple(colors))
     if not verify_triangle_free(inst.graph, witness, inst.polar):
         raise RuntimeError("reduction bug: lifted coloring violates a triangle or polar edge")

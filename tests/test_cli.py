@@ -320,8 +320,10 @@ def test_solve_output_independent_of_hash_seed(tmp_path):
     (tmp_path / "clover.dimacs").write_text(write_dimacs_graph(clover))
     (tmp_path / "polar.txt").write_text(write_dimacs_graph(small) + polar)
     (tmp_path / "ktree.dimacs").write_text(write_dimacs_graph(random_ktree(rng, 3, 300)))
+    sparse = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.1])
+    (tmp_path / "sparse.dimacs").write_text(write_dimacs_graph(sparse))
     runs = (["dense.dimacs"], ["clover.dimacs", "--q", "5"], ["--polar", "polar.txt"],
-            ["ktree.dimacs", "--class", "chordal"])
+            ["ktree.dimacs", "--class", "chordal"], ["sparse.dimacs", "--fpt", "--q", "2"])
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = {}
     for seed in ("0", "1"):

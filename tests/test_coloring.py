@@ -1,8 +1,7 @@
-"""Verifiers, the pairwise recoloring, and greedy extension over an
-independent set, cross-checked against brute-force baselines."""
+"""Verifiers and the pairwise recoloring, cross-checked against
+brute-force baselines."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +12,10 @@ from tfcolor import (
     gen_complete,
     gen_cycle,
     gen_polar_gadget,
-    greedy_extend_independent,
     standard_recolor,
     verify_triangle_free,
 )
-from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph, triangle_set
+from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph
 
 
 def test_coloring_validates_range():
@@ -126,70 +124,3 @@ def test_standard_recolor_property():
         merged = standard_recolor(c)
         assert verify_triangle_free(g, merged)
         assert len(set(merged.colors)) == (k + 1) // 2
-
-
-def test_greedy_extend_star():
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    got = greedy_extend_independent(star, {0: 1}, [1, 2, 3], 1)
-    assert got == Coloring(1, (1, 1, 1, 1))
-
-
-def test_greedy_extend_blocked_pair():
-    # apex adjacent to a monochromatic pair must avoid that color
-    k4 = gen_complete(4)
-    got = greedy_extend_independent(k4, {0: 1, 1: 1, 2: 2}, [3], 2)
-    assert got is not None and got.colors[3] == 2
-
-
-def test_greedy_extend_infeasible():
-    k3 = gen_complete(3)
-    assert greedy_extend_independent(k3, {0: 1, 1: 1}, [2], 1) is None
-
-
-def test_greedy_extend_rejects_dependent_set():
-    g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="independent"):
-        greedy_extend_independent(g, {2: 1}, [0, 1], 1)
-    with pytest.raises(ValueError, match="cover"):
-        greedy_extend_independent(g, {0: 1}, [2], 1)
-
-
-def test_greedy_extend_matches_exhaustive_search():
-    rng = random.Random(66)
-    for _ in range(150):
-        n = rng.randint(2, 8)
-        g = rand_graph(rng, n, rng.choice([0.3, 0.6]))
-        indep = []
-        for v in range(n):
-            if not any(g.has_edge(v, u) for u in indep):
-                if rng.random() < 0.6:
-                    indep.append(v)
-        indep = indep[:6]
-        rest = [v for v in range(n) if v not in indep]
-        q = rng.randint(1, 3)
-        partial = {v: rng.randint(1, q) for v in rest}
-        if not verify_triangle_free_on(g, partial, q):
-            continue
-        got = greedy_extend_independent(g, partial, indep, q)
-        brute = None
-        for assign in product(range(1, q + 1), repeat=len(indep)):
-            colors = [0] * n
-            for v, x in partial.items():
-                colors[v] = x
-            for v, x in zip(indep, assign):
-                colors[v] = x
-            if verify_triangle_free(g, Coloring(q, tuple(colors))):
-                brute = colors
-                break
-        assert (got is None) == (brute is None)
-        if got is not None:
-            assert verify_triangle_free(g, got)
-
-
-def verify_triangle_free_on(g, partial, q):
-    """Partial triangle check restricted to the colored vertices."""
-    for a, b, c in triangle_set(g):
-        if a in partial and b in partial and c in partial:
-            if partial[a] == partial[b] == partial[c]:
-                return False
-    return all(1 <= x <= q for x in partial.values())

@@ -173,7 +173,7 @@ def test_main_runs_the_command_with_the_collector_off(monkeypatch):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 56
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 55
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")

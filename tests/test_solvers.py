@@ -403,6 +403,37 @@ def test_fpt_k4_one_color():
     assert fpt_tf_q_coloring(gen_complete(4), 1) is None
 
 
+def test_fpt_k3_one_color():
+    assert fpt_tf_q_coloring(gen_complete(3), 1) is None
+
+
+def test_fpt_star_one_color():
+    # the cover {0} needs the enumeration at q=1; the leaves lie in no triangle
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert fpt_tf_q_coloring(star, 1) == Coloring(1, (1, 1, 1, 1))
+
+
+def test_fpt_k4_independent_vertex_avoids_its_monochromatic_pair():
+    # the cover {0, 1, 3} takes (1, 1, 2), so vertex 2 must avoid color 1
+    assert fpt_tf_q_coloring(gen_complete(4), 2) == Coloring(2, (1, 1, 2, 2))
+
+
+def test_fpt_backtracks_past_a_cover_coloring_that_does_not_extend():
+    # the first cover coloring, 0 1 2 5 6 -> 1 1 2 2 1, blocks vertex 3:
+    # triangle 136 forbids color 1 and triangle 235 color 2
+    g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
+                  (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)])
+    assert sorted(min_vertex_cover(g)) == [0, 1, 2, 5, 6]
+    assert fpt_tf_q_coloring(g, 2) == Coloring(2, (1, 1, 2, 1, 1, 2, 2))
+
+
+def test_fpt_enumeration_raises_on_a_rejected_witness(monkeypatch):
+    # C5 at q=1: a cover of 3 needs the enumeration, not the direct construction
+    monkeypatch.setattr(solvers, "verify_triangle_free", lambda g, c, polar=None: False)
+    with pytest.raises(RuntimeError):
+        fpt_tf_q_coloring(gen_cycle(5), 1)
+
+
 def test_fpt_matches_oracle():
     rng = random.Random(33)
     for count, top, ps in ((60, 11, [0.25, 0.5, 0.75]), (40, 12, [0.1, 0.15])):
