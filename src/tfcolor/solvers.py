@@ -1,10 +1,11 @@
 """Exact solvers: the pruned backtracking decision procedure for
 triangle-free q-colorings (plain and polar; with every edge polar it
 decides proper q-coloring, so it gives chi as well as chi3),
-plain-enumeration oracles kept independent of it, clique and
-vertex-cover search, and the vertex-cover-parameter algorithm, which
-enumerates the colorings of a minimum cover and extends each one over
-the independent rest itself.
+plain-enumeration oracles kept independent of it, clique search, a
+minimum vertex cover by branch and bound under the simplicial-vertex
+rule, and the vertex-cover-parameter algorithm, which enumerates the
+colorings of a minimum cover and extends each one over the independent
+rest itself.
 
 The oracle_* functions are deliberately naive: they share no pruning
 machinery with decide_tf_q and serve as ground truth in tests.
@@ -33,13 +34,7 @@ class StructuralParams(Record):
             raise ValueError("omega <= chi <= delta+1 violated")
 
     def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "chi": self.chi,
-            "chi3": self.chi3,
-            "vc": self.vc,
-            "delta": self.delta,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
 # ---------------------------------------------------------------------------
@@ -582,45 +577,19 @@ def _restore_vertex(adj, v, nbrs, emptied):
     adj[v] = set(nbrs)
 
 
-def _walk(adj, start, seen):
-    """The vertices met walking from start to the smallest unseen
-    neighbor until none is left; marks them all seen."""
-    walk = [start]
-    seen.add(start)
-    cur = start
-    while True:
-        nxt = [u for u in adj[cur] if u not in seen]
-        if not nxt:
-            return walk
-        cur = min(nxt)
-        walk.append(cur)
-        seen.add(cur)
-
-
-def _cover_paths_cycles(adj):
-    """Exact minimum cover of a graph whose degrees are all <= 2
-    (disjoint paths and cycles)."""
-    cover = []
-    seen = set()
-    order = sorted(adj)
-    for start in order:
-        if start not in seen and len(adj[start]) == 1:
-            cover.extend(_walk(adj, start, seen)[1::2])
-    for start in order:
-        if start not in seen:
-            cover.extend(_walk(adj, start, seen)[0::2])
-    return cover
-
-
 def min_vertex_cover(g: Graph) -> frozenset:
     """A minimum-cardinality vertex cover, by one branch-and-bound pass
-    per connected component. Each node first applies the degree-1 rule
-    (the neighbor of a degree-1 vertex joins the cover), driven by a
-    worklist of the vertices whose degree just fell to 1; it then prunes
-    when the cover so far plus a greedy maximal matching of what is left
-    cannot beat the best cover found, solves a remainder of degree <= 2
-    directly, and otherwise branches on a maximum-degree vertex versus
-    its whole neighborhood."""
+    per connected component. Each node first applies the simplicial
+    rule: a vertex u whose remaining neighbors are pairwise adjacent puts
+    all of them into the cover. This is safe by exchange: any cover holds
+    all but at most one vertex of the clique N[u], and if it misses some
+    neighbor w it holds u instead, so swapping u for w gives a cover of
+    the same size. A worklist drives the rule; it starts with every
+    vertex of the component and takes back every neighbor of a removed
+    vertex. The node then prunes when the cover so far plus a greedy
+    maximal matching of what is left cannot beat the best cover found,
+    records the cover so far when no edge is left, and otherwise
+    branches on a maximum-degree vertex versus its whole neighborhood."""
     cover = []
     for comp in connected_components(g):
         if len(comp) < 2:
@@ -633,13 +602,13 @@ def min_vertex_cover(g: Graph) -> frozenset:
             nonlocal best
             undo = []
             while pend:
-                u = pend.pop()
-                if len(adj.get(u, ())) == 1:
-                    (w,) = adj[u]
-                    nbrs, emptied = _remove_vertex(adj, w)
-                    undo.append((w, nbrs, emptied))
-                    cur.append(w)
-                    pend.extend(x for x in nbrs if len(adj.get(x, ())) == 1)
+                nu = adj.get(pend.pop())
+                if nu and all(len(nu & adj[w]) == len(nu) - 1 for w in nu):
+                    for w in list(nu):
+                        nbrs, emptied = _remove_vertex(adj, w)
+                        undo.append((w, nbrs, emptied))
+                        cur.append(w)
+                        pend.extend(nbrs)
             matched = set()
             for u in adj:
                 if u not in matched:
@@ -647,16 +616,14 @@ def min_vertex_cover(g: Graph) -> frozenset:
                     if w is not None:
                         matched.update((u, w))
             if len(cur) + len(matched) // 2 < len(best):
-                v = max(adj, key=lambda u: (len(adj[u]), -u), default=None)
-                if v is None or len(adj[v]) <= 2:
-                    extra = _cover_paths_cycles(adj)
-                    if len(cur) + len(extra) < len(best):
-                        best = cur + extra
+                if not adj:
+                    best = list(cur)
                 else:
+                    v = max(adj, key=lambda u: (len(adj[u]), -u))
                     for side in ([v], sorted(adj[v])):
                         removed = [(u,) + _remove_vertex(adj, u) for u in side]
                         cur.extend(side)
-                        node([x for _, nb, _ in removed for x in nb if len(adj.get(x, ())) == 1])
+                        node([x for _, nb, _ in removed for x in nb])
                         del cur[-len(side):]
                         for u, nb, em in reversed(removed):
                             _restore_vertex(adj, u, nb, em)
@@ -664,7 +631,7 @@ def min_vertex_cover(g: Graph) -> frozenset:
                 _restore_vertex(adj, w, nb, em)
             del cur[len(cur) - len(undo):]
 
-        node([v for v in comp if len(adj[v]) == 1])
+        node(list(comp))
         del node  # as in oracle_omega: no cycle, so no garbage left for the collector
         cover.extend(best)
     return frozenset(cover)

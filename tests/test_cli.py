@@ -15,7 +15,7 @@ from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers
 from tfcolor.cli import CLASS_TAGS
 from tfcolor.graph_classes import BOUNDED_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
-from util_graphs import random_ktree, triangulated_grid
+from util_graphs import random_ktree, square_of_path, triangulated_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -199,6 +199,14 @@ def test_solve_fpt_path(monkeypatch, capsys):
             code, out = run_cli(["solve", "--fpt", "--q", "2", "--class", tag], stdin_text=k4,
                                 monkeypatch=monkeypatch, capsys=capsys)
             assert code == 2 and out == ""
+
+
+def test_solve_fpt_square_of_long_path(monkeypatch, capsys):
+    g = square_of_path(3000)
+    code, out = run_cli(["solve", "--fpt", "--q", "2"], stdin_text=write_dimacs_graph(g),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert verify_triangle_free(g, Coloring(2, tuple(json.loads(out)["coloring"])))
 
 
 @pytest.mark.parametrize("argv", [

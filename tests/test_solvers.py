@@ -28,7 +28,14 @@ from tfcolor import (
     solve_chi3,
     verify_triangle_free,
 )
-from util_graphs import brute_min_cover, rand_graph, triangulated_grid
+from util_graphs import (
+    brute_min_cover,
+    rand_graph,
+    random_ktree,
+    square_of_path,
+    stacked_planar,
+    triangulated_grid,
+)
 
 
 def test_oracle_chi3_stock_values():
@@ -313,22 +320,25 @@ def test_min_vertex_cover_examples():
 
 def test_min_vertex_cover_matches_brute_force():
     rng = random.Random(31)
-    # the sparse inputs bring pendant chains and several components
-    for count, top, ps in ((120, 9, [0.2, 0.5, 0.8]), (80, 12, [0.1, 0.15])):
-        for _ in range(count):
-            n = rng.randint(1, top)
-            g = rand_graph(rng, n, rng.choice(ps))
-            cover = min_vertex_cover(g)
-            for u, v in g.edges():
-                assert u in cover or v in cover
-            assert len(cover) == brute_min_cover(g)
+    # the sparse inputs bring pendant chains and several components; the
+    # k-trees and stacked triangulations bring long simplicial cascades
+    inputs = [rand_graph(rng, rng.randint(1, top), rng.choice(ps))
+              for count, top, ps in ((120, 9, [0.2, 0.5, 0.8]), (80, 12, [0.1, 0.15]))
+              for _ in range(count)]
+    inputs += [random_ktree(rng, rng.randint(1, 3), rng.randint(1, 12)) for _ in range(30)]
+    inputs += [stacked_planar(rng, rng.randint(3, 12)) for _ in range(20)]
+    for g in inputs:
+        cover = min_vertex_cover(g)
+        for u, v in g.edges():
+            assert u in cover or v in cover
+        assert len(cover) == brute_min_cover(g)
 
 
 @st.composite
 def cover_instances(draw):
     """A random core of up to 6 vertices with pendant paths hanging off
-    it and a disjoint cycle, n <= 12, so both the degree-1 rule and the
-    path-and-cycle leaf come up."""
+    it and a disjoint cycle, n <= 12, so the simplicial rule runs down
+    pendant paths and the branching meets bare cycles."""
     core = draw(st.integers(1, 6))
     edges = [e for e in combinations(range(core), 2) if draw(st.booleans())]
     n = core
@@ -378,6 +388,15 @@ def test_min_vertex_cover_disjoint_k4s():
     assert all(u in cover or v in cover for u, v in edges)
 
 
+def test_min_vertex_cover_square_of_long_path():
+    # every end of the triangle chain is simplicial, so the rule peels it
+    # whole; an independent set of P_n^2 keeps its vertices 3 apart
+    g = square_of_path(3000)
+    cover = min_vertex_cover(g)
+    assert len(cover) == 3000 - 1000
+    assert all(u in cover or v in cover for u, v in g.edges())
+
+
 def test_fpt_large_tree_has_no_deep_recursion():
     rng = random.Random(35)
     n = 3000
@@ -418,12 +437,13 @@ def test_fpt_k4_independent_vertex_avoids_its_monochromatic_pair():
     assert fpt_tf_q_coloring(gen_complete(4), 2) == Coloring(2, (1, 1, 2, 2))
 
 
-def test_fpt_backtracks_past_a_cover_coloring_that_does_not_extend():
-    # the first cover coloring, 0 1 2 5 6 -> 1 1 2 2 1, blocks vertex 3:
-    # triangle 136 forbids color 1 and triangle 235 color 2
+def test_fpt_backtracks_past_a_cover_coloring_that_does_not_extend(monkeypatch):
+    # with the minimum cover 0 1 2 5 6, the first cover coloring, 1 1 2 2 1,
+    # blocks vertex 3: triangle 136 forbids color 1 and triangle 235 color 2
     g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
                   (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)])
-    assert sorted(min_vertex_cover(g)) == [0, 1, 2, 5, 6]
+    assert len(min_vertex_cover(g)) == 5
+    monkeypatch.setattr(solvers, "min_vertex_cover", lambda g: frozenset({0, 1, 2, 5, 6}))
     assert fpt_tf_q_coloring(g, 2) == Coloring(2, (1, 1, 2, 1, 1, 2, 2))
 
 

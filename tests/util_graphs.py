@@ -44,6 +44,12 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def square_of_path(n):
+    """P_n^2: i ~ j when |i - j| <= 2. Outerplanar; a chain of n - 2
+    triangles, each sharing an edge with the next."""
+    return Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+
+
 def circulant(n):
     """C_n(1, 2), the square of the n-cycle: 4-regular for n >= 5."""
     return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2)}))
