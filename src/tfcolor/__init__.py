@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coloring": ("Coloring", "standard_recolor", "verify_triangle_free"),
+    "fpt": ("StructuralParams", "compute_params", "fpt_tf_q_coloring", "min_vertex_cover"),
     "gadgets": (
         "CycleClique", "PolarGadget", "clique_contraction", "gen_clover", "gen_complete",
         "gen_cycle", "gen_cycle_clique", "gen_gadget_triangle", "gen_mycielski",
@@ -22,16 +23,14 @@ _EXPORTS = {
     "graph_classes": (
         "bounded_chi_chi3", "chordal_chi3", "max_cardinality_search", "recognize_chordal",
     ),
+    "oracles": ("oracle_chi", "oracle_chi3", "oracle_omega"),
     "reductions": (
         "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
         "parse_dimacs_cnf", "parse_polar_instance", "reduce_nae4_to_polar", "reduce_nae_to_k4free",
         "reduce_q_to_q1", "reduce_sat4_to_nae4", "variable_occurrences", "write_dimacs_cnf",
         "write_polar_instance",
     ),
-    "solvers": (
-        "StructuralParams", "compute_params", "decide_tf_q", "fpt_tf_q_coloring",
-        "min_vertex_cover", "oracle_chi", "oracle_chi3", "oracle_omega", "solve_chi3",
-    ),
+    "solvers": ("decide_tf_q", "solve_chi3"),
     "witness": (
         "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "pull_witness", "sat_satisfies",
     ),

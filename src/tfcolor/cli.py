@@ -4,9 +4,10 @@ Every input file, the graph, --polar and verify's --coloring, may be
 given as '-' to read stdin; at most one of them per call.
 
 Exit codes: 0 = feasible / value computed, 1 = infeasible decision or
-failed verification, 2 = input error (bad arguments or malformed input),
-3 = internal error (an unexpected exception, reported as one
-'error: <Type>: <message>' line on stderr).
+failed verification, 2 = input or output error (bad arguments, malformed
+input, or output that could not be written), 3 = internal error (an
+unexpected exception, reported as one 'error: <Type>: <message>' line on
+stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .graph import read_dimacs_graph, read_polar_graph, write_dimacs_graph, write_dot
@@ -93,7 +95,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("--fpt does not take polar constraints")
         if args.cls and args.cls != "general":
             raise ValueError("--fpt does not take a class pipeline")
-        from .solvers import fpt_tf_q_coloring
+        from .fpt import fpt_tf_q_coloring
 
         return _emit_decision(fpt_tf_q_coloring(g, args.q))
 
@@ -159,12 +161,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    from . import solvers
+    from .fpt import compute_params
 
     g = read_dimacs_graph(_read_input(args.input))
     if g.n > args.max_n:
         raise ValueError(f"graph has {g.n} vertices, above the --max-n guard of {args.max_n}")
-    params = solvers.compute_params(g)
+    params = compute_params(g)
     doc = {"n": g.n, "m": g.m}
     doc.update(params.to_json_dict())
     _emit(doc)
@@ -232,7 +234,20 @@ def main():
     # inputs the collector ran 67-99 passes, 7.6-9.7 ms a call, to reclaim
     # the same 76 objects. run() leaves the collector as it finds it.
     gc.disable()
-    sys.exit(run())
+    code = run()
+    # os._exit skips interpreter teardown (module cleanup and the final
+    # collections, 3.5-5 ms a call; tfcolor registers no atexit callbacks),
+    # so the buffered output is flushed here, and a failed write is
+    # reported as run() reports any other OSError
+    try:
+        if sys.stdout is not None:  # None when the process starts with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,191 @@
+"""The vertex-cover side: a minimum vertex cover by branch and bound
+under the simplicial-vertex rule; the vertex-cover-parameter algorithm,
+which enumerates the colorings of a minimum cover and extends each one
+over the independent rest itself; and compute_params with its
+StructuralParams record. solve --fpt and params load this module, and
+only compute_params loads the search engine and the oracles.
+"""
+
+from __future__ import annotations
+
+from .coloring import Coloring, verify_triangle_free
+from .graph import Graph, Record, connected_components, triangle_pairs
+
+
+class StructuralParams(Record):
+    """Exact structural parameters of one graph; construction re-checks
+    the sandwich ceil(omega/2) <= chi3 <= ceil(chi/2) and the classic
+    omega <= chi <= delta+1 chain."""
+
+    __slots__ = ("omega", "chi", "chi3", "vc", "delta")
+
+    def __init__(self, omega: int, chi: int, chi3: int, vc: int, delta: int):
+        super().__init__(omega, chi, chi3, vc, delta)
+        if not ((self.omega + 1) // 2 <= self.chi3 <= (self.chi + 1) // 2):
+            raise ValueError("chi3 violates its clique/chromatic sandwich")
+        if not (self.omega <= self.chi <= self.delta + 1):
+            raise ValueError("omega <= chi <= delta+1 violated")
+
+    def to_json_dict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+
+def _remove_vertex(adj, v):
+    nbrs = adj.pop(v)
+    emptied = []
+    for u in nbrs:
+        s = adj[u]
+        s.discard(v)
+        if not s:
+            del adj[u]
+            emptied.append(u)
+    return nbrs, emptied
+
+
+def _restore_vertex(adj, v, nbrs, emptied):
+    for u in emptied:
+        adj[u] = set()
+    for u in nbrs:
+        adj[u].add(v)
+    adj[v] = set(nbrs)
+
+
+def min_vertex_cover(g: Graph) -> frozenset:
+    """A minimum-cardinality vertex cover, by one branch-and-bound pass
+    per connected component. Each node first applies the simplicial
+    rule: a vertex u whose remaining neighbors are pairwise adjacent puts
+    all of them into the cover. This is safe by exchange: any cover holds
+    all but at most one vertex of the clique N[u], and if it misses some
+    neighbor w it holds u instead, so swapping u for w gives a cover of
+    the same size. A worklist drives the rule; it starts with every
+    vertex of the component and takes back every neighbor of a removed
+    vertex. The node then prunes when the cover so far plus a greedy
+    maximal matching of what is left cannot beat the best cover found,
+    records the cover so far when no edge is left, and otherwise
+    branches on a maximum-degree vertex versus its whole neighborhood."""
+    cover = []
+    for comp in connected_components(g):
+        if len(comp) < 2:
+            continue
+        adj = {v: set(g.neighbors(v)) for v in comp}
+        best = comp
+        cur = []
+
+        def node(pend):
+            nonlocal best
+            undo = []
+            while pend:
+                nu = adj.get(pend.pop())
+                if nu and all(len(nu & adj[w]) == len(nu) - 1 for w in nu):
+                    for w in list(nu):
+                        nbrs, emptied = _remove_vertex(adj, w)
+                        undo.append((w, nbrs, emptied))
+                        cur.append(w)
+                        pend.extend(nbrs)
+            matched = set()
+            for u in adj:
+                if u not in matched:
+                    w = next((w for w in adj[u] if w not in matched), None)
+                    if w is not None:
+                        matched.update((u, w))
+            if len(cur) + len(matched) // 2 < len(best):
+                if not adj:
+                    best = list(cur)
+                else:
+                    v = max(adj, key=lambda u: (len(adj[u]), -u))
+                    for side in ([v], sorted(adj[v])):
+                        removed = [(u,) + _remove_vertex(adj, u) for u in side]
+                        cur.extend(side)
+                        node([x for _, nb, _ in removed for x in nb])
+                        del cur[-len(side):]
+                        for u, nb, em in reversed(removed):
+                            _restore_vertex(adj, u, nb, em)
+            for w, nb, em in reversed(undo):
+                _restore_vertex(adj, w, nb, em)
+            del cur[len(cur) - len(undo):]
+
+        node(list(comp))
+        del node  # as in oracles.oracle_omega: no cycle, so no garbage left for the collector
+        cover.extend(best)
+    return frozenset(cover)
+
+
+def fpt_tf_q_coloring(g: Graph, q: int):
+    """Triangle-free q-coloring driven by a minimum vertex cover W of
+    size k: when q > ceil(k/2) the direct construction always works
+    (same-colored pairs inside W, one fresh color on the independent
+    rest); otherwise every triangle-free q-coloring of W is enumerated
+    and each is extended greedily over the independent rest, where every
+    vertex takes the smallest color that no triangle pair of it shares.
+    Those pairs lie in W, so each choice depends on W's coloring alone.
+    Returns a verified Coloring or None."""
+    if q < 1:
+        raise ValueError("color budget must be at least 1")
+    n = g.n
+    if n == 0:
+        return Coloring(q, ())
+    cover = sorted(min_vertex_cover(g))
+    k = len(cover)
+    half = (k + 1) // 2
+    pos = {w: i for i, w in enumerate(cover)}
+    indep = [v for v in range(n) if v not in pos]
+    colors = [0] * n
+    if q > half:
+        for i, w in enumerate(cover):
+            colors[w] = i // 2 + 1
+        for v in indep:
+            colors[v] = half + 1
+    else:
+        # cover and each pair are sorted, so pos[b] < i puts both before i
+        tri = triangle_pairs(g)
+        tri_pairs = [[(a, b) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
+                     for i, w in enumerate(cover)]
+        # depth-first over the cover in order with the first-use label cap, as
+        # a loop over positions so a large cover cannot reach the recursion limit
+        used = [0] * (k + 1)  # used[i]: the largest label on cover[:i]
+        i = 0
+        while i >= 0:
+            if i == k:
+                for v in indep:
+                    blocked = {colors[a] for a, b in tri[v] if colors[a] == colors[b]}
+                    colors[v] = next((x for x in range(1, q + 1) if x not in blocked), 0)
+                    if not colors[v]:
+                        break
+                else:
+                    break
+                i -= 1
+                continue
+            w = cover[i]
+            cap = used[i] + 1 if used[i] < q else q
+            x = colors[w] + 1
+            while x <= cap and any(colors[a] == x and colors[b] == x for a, b in tri_pairs[i]):
+                x += 1
+            if x > cap:
+                colors[w] = 0
+                i -= 1
+            else:
+                colors[w] = x
+                used[i + 1] = max(used[i], x)
+                i += 1
+        if i < 0:
+            return None
+    result = Coloring(q, tuple(colors))
+    if not verify_triangle_free(g, result):
+        raise RuntimeError("internal error: cover coloring is not triangle-free")
+    return result
+
+
+def compute_params(g: Graph) -> StructuralParams:
+    """Exact structural parameters; chi and chi3 come from the
+    triangle-free search, chi with every edge polar, so mid-sized gadget
+    graphs stay tractable."""
+    from .oracles import oracle_omega
+    from .solvers import solve_chi3
+
+    return StructuralParams(
+        omega=oracle_omega(g),
+        chi=solve_chi3(g, polar=g.edges())[0],
+        chi3=solve_chi3(g)[0],
+        vc=len(min_vertex_cover(g)),
+        delta=g.max_degree,
+    )

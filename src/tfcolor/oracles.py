@@ -1,0 +1,104 @@
+"""Plain-enumeration oracles: exact chi3, chi and omega. They are
+deliberately naive and share no pruning machinery with the search
+engine in solvers, so tests use them as ground truth. params loads this
+module for oracle_omega; no other command does.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from .coloring import Coloring
+from .graph import Graph, as_edge_subset
+
+
+def _brute_triangle_pairs(g: Graph):
+    """tri[v] lists pairs (a, b) with a < b < v completing a triangle;
+    computed by a raw scan over all vertex triples."""
+    tri = [[] for _ in range(g.n)]
+    for a, b, c in combinations(range(g.n), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            tri[c].append((a, b))
+    return tri
+
+
+def _tf_enumerate(n, k, tri, pol):
+    """Plain k^n enumeration in vertex order with early cutoff on a
+    completed monochromatic triangle or polar edge."""
+    colors = [0] * n
+
+    def rec(i):
+        if i == n:
+            return True
+        for x in range(1, k + 1):
+            ok = True
+            for a, b in tri[i]:
+                if colors[a] == x and colors[b] == x:
+                    ok = False
+                    break
+            if ok:
+                for a in pol[i]:
+                    if colors[a] == x:
+                        ok = False
+                        break
+            if ok:
+                colors[i] = x
+                if rec(i + 1):
+                    return True
+        colors[i] = 0
+        return False
+
+    if rec(0):
+        return tuple(colors)
+    return None
+
+
+def oracle_chi3(g: Graph, polar=None):
+    """Smallest k admitting a triangle-free (polar-respecting) k-coloring
+    plus one witness, by plain enumeration; k=0 for the empty graph.
+    Intended for small graphs (the caller bounds the size), except that
+    heavily polar-constrained inputs prune well beyond that."""
+    n = g.n
+    if n == 0:
+        return 0, Coloring(0, ())
+    pairs = as_edge_subset(g, polar) if polar else frozenset()
+    tri = _brute_triangle_pairs(g)
+    pol = [[] for _ in range(n)]
+    for u, v in pairs:
+        pol[v].append(u)
+    for k in range(1, n + 1):
+        res = _tf_enumerate(n, k, tri, pol)
+        if res is not None:
+            return k, Coloring(k, res)
+    raise AssertionError("a rainbow coloring always fits")
+
+
+def oracle_chi(g: Graph) -> int:
+    """Exact chromatic number by the plain enumeration of oracle_chi3: a
+    proper k-coloring is one with every edge polar, and then no triangle
+    constraint is needed."""
+    pol = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
+    return next(k for k in range(g.n + 1) if _tf_enumerate(g.n, k, [()] * g.n, pol) is not None)
+
+
+def oracle_omega(g: Graph) -> int:
+    """Exact clique number by branch and bound with a size cutoff."""
+    n = g.n
+    if n == 0:
+        return 0
+    adj = [g.neighbors(v) for v in range(n)]
+    best = 1
+
+    def extend(size, cand):
+        nonlocal best
+        if size > best:
+            best = size
+        for i, v in enumerate(cand):
+            if size + len(cand) - i <= best:
+                return
+            extend(size + 1, [u for u in cand[i + 1:] if u in adj[v]])
+
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+    extend(0, order)
+    del extend  # a recursive closure refers to itself; unbound, it leaves no cycle behind
+    return best

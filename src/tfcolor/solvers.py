@@ -1,140 +1,15 @@
-"""Exact solvers: the pruned backtracking decision procedure for
-triangle-free q-colorings (plain and polar; with every edge polar it
-decides proper q-coloring, so it gives chi as well as chi3),
-plain-enumeration oracles kept independent of it, clique search, a
-minimum vertex cover by branch and bound under the simplicial-vertex
-rule, and the vertex-cover-parameter algorithm, which enumerates the
-colorings of a minimum cover and extends each one over the independent
-rest itself.
-
-The oracle_* functions are deliberately naive: they share no pruning
-machinery with decide_tf_q and serve as ground truth in tests.
+"""The triangle-free search engine: decide_tf_q, the pruned backtracking
+decision procedure for triangle-free q-colorings, plain and polar (with
+every edge polar it decides proper q-coloring, so it gives chi as well
+as chi3), and solve_chi3, which runs it at growing budgets. solve --q,
+chi3, --polar and the bounded class pipelines load this module; params
+loads it through fpt.compute_params.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .coloring import Coloring, verify_triangle_free
-from .graph import Graph, Record, as_edge_subset, connected_components, triangle_pairs
-
-
-class StructuralParams(Record):
-    """Exact structural parameters of one graph; construction re-checks
-    the sandwich ceil(omega/2) <= chi3 <= ceil(chi/2) and the classic
-    omega <= chi <= delta+1 chain."""
-
-    __slots__ = ("omega", "chi", "chi3", "vc", "delta")
-
-    def __init__(self, omega: int, chi: int, chi3: int, vc: int, delta: int):
-        super().__init__(omega, chi, chi3, vc, delta)
-        if not ((self.omega + 1) // 2 <= self.chi3 <= (self.chi + 1) // 2):
-            raise ValueError("chi3 violates its clique/chromatic sandwich")
-        if not (self.omega <= self.chi <= self.delta + 1):
-            raise ValueError("omega <= chi <= delta+1 violated")
-
-    def to_json_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
-
-
-# ---------------------------------------------------------------------------
-# enumeration oracles
-
-
-def _brute_triangle_pairs(g: Graph):
-    """tri[v] lists pairs (a, b) with a < b < v completing a triangle;
-    computed by a raw scan over all vertex triples."""
-    tri = [[] for _ in range(g.n)]
-    for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            tri[c].append((a, b))
-    return tri
-
-
-def _tf_enumerate(n, k, tri, pol):
-    """Plain k^n enumeration in vertex order with early cutoff on a
-    completed monochromatic triangle or polar edge."""
-    colors = [0] * n
-
-    def rec(i):
-        if i == n:
-            return True
-        for x in range(1, k + 1):
-            ok = True
-            for a, b in tri[i]:
-                if colors[a] == x and colors[b] == x:
-                    ok = False
-                    break
-            if ok:
-                for a in pol[i]:
-                    if colors[a] == x:
-                        ok = False
-                        break
-            if ok:
-                colors[i] = x
-                if rec(i + 1):
-                    return True
-        colors[i] = 0
-        return False
-
-    if rec(0):
-        return tuple(colors)
-    return None
-
-
-def oracle_chi3(g: Graph, polar=None):
-    """Smallest k admitting a triangle-free (polar-respecting) k-coloring
-    plus one witness, by plain enumeration; k=0 for the empty graph.
-    Intended for small graphs (the caller bounds the size), except that
-    heavily polar-constrained inputs prune well beyond that."""
-    n = g.n
-    if n == 0:
-        return 0, Coloring(0, ())
-    pairs = as_edge_subset(g, polar) if polar else frozenset()
-    tri = _brute_triangle_pairs(g)
-    pol = [[] for _ in range(n)]
-    for u, v in pairs:
-        pol[v].append(u)
-    for k in range(1, n + 1):
-        res = _tf_enumerate(n, k, tri, pol)
-        if res is not None:
-            return k, Coloring(k, res)
-    raise AssertionError("a rainbow coloring always fits")
-
-
-def oracle_chi(g: Graph) -> int:
-    """Exact chromatic number by the plain enumeration of oracle_chi3: a
-    proper k-coloring is one with every edge polar, and then no triangle
-    constraint is needed."""
-    pol = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
-    return next(k for k in range(g.n + 1) if _tf_enumerate(g.n, k, [()] * g.n, pol) is not None)
-
-
-def oracle_omega(g: Graph) -> int:
-    """Exact clique number by branch and bound with a size cutoff."""
-    n = g.n
-    if n == 0:
-        return 0
-    adj = [g.neighbors(v) for v in range(n)]
-    best = 1
-
-    def extend(size, cand):
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(cand):
-            if size + len(cand) - i <= best:
-                return
-            extend(size + 1, [u for u in cand[i + 1:] if u in adj[v]])
-
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
-    extend(0, order)
-    del extend  # a recursive closure refers to itself; unbound, it leaves no cycle behind
-    return best
-
-
-# ---------------------------------------------------------------------------
-# the optimized decision procedure
+from .graph import Graph, as_edge_subset, triangle_pairs
 
 
 # Pieces of at most this many vertices that a decision cuts off are split
@@ -551,165 +426,3 @@ def solve_chi3(g: Graph, polar=None):
         if c is not None:
             return k, c
     raise AssertionError("a rainbow coloring always fits")
-
-
-# ---------------------------------------------------------------------------
-# vertex cover and the cover-parameterized coloring algorithm
-
-
-def _remove_vertex(adj, v):
-    nbrs = adj.pop(v)
-    emptied = []
-    for u in nbrs:
-        s = adj[u]
-        s.discard(v)
-        if not s:
-            del adj[u]
-            emptied.append(u)
-    return nbrs, emptied
-
-
-def _restore_vertex(adj, v, nbrs, emptied):
-    for u in emptied:
-        adj[u] = set()
-    for u in nbrs:
-        adj[u].add(v)
-    adj[v] = set(nbrs)
-
-
-def min_vertex_cover(g: Graph) -> frozenset:
-    """A minimum-cardinality vertex cover, by one branch-and-bound pass
-    per connected component. Each node first applies the simplicial
-    rule: a vertex u whose remaining neighbors are pairwise adjacent puts
-    all of them into the cover. This is safe by exchange: any cover holds
-    all but at most one vertex of the clique N[u], and if it misses some
-    neighbor w it holds u instead, so swapping u for w gives a cover of
-    the same size. A worklist drives the rule; it starts with every
-    vertex of the component and takes back every neighbor of a removed
-    vertex. The node then prunes when the cover so far plus a greedy
-    maximal matching of what is left cannot beat the best cover found,
-    records the cover so far when no edge is left, and otherwise
-    branches on a maximum-degree vertex versus its whole neighborhood."""
-    cover = []
-    for comp in connected_components(g):
-        if len(comp) < 2:
-            continue
-        adj = {v: set(g.neighbors(v)) for v in comp}
-        best = comp
-        cur = []
-
-        def node(pend):
-            nonlocal best
-            undo = []
-            while pend:
-                nu = adj.get(pend.pop())
-                if nu and all(len(nu & adj[w]) == len(nu) - 1 for w in nu):
-                    for w in list(nu):
-                        nbrs, emptied = _remove_vertex(adj, w)
-                        undo.append((w, nbrs, emptied))
-                        cur.append(w)
-                        pend.extend(nbrs)
-            matched = set()
-            for u in adj:
-                if u not in matched:
-                    w = next((w for w in adj[u] if w not in matched), None)
-                    if w is not None:
-                        matched.update((u, w))
-            if len(cur) + len(matched) // 2 < len(best):
-                if not adj:
-                    best = list(cur)
-                else:
-                    v = max(adj, key=lambda u: (len(adj[u]), -u))
-                    for side in ([v], sorted(adj[v])):
-                        removed = [(u,) + _remove_vertex(adj, u) for u in side]
-                        cur.extend(side)
-                        node([x for _, nb, _ in removed for x in nb])
-                        del cur[-len(side):]
-                        for u, nb, em in reversed(removed):
-                            _restore_vertex(adj, u, nb, em)
-            for w, nb, em in reversed(undo):
-                _restore_vertex(adj, w, nb, em)
-            del cur[len(cur) - len(undo):]
-
-        node(list(comp))
-        del node  # as in oracle_omega: no cycle, so no garbage left for the collector
-        cover.extend(best)
-    return frozenset(cover)
-
-
-def fpt_tf_q_coloring(g: Graph, q: int):
-    """Triangle-free q-coloring driven by a minimum vertex cover W of
-    size k: when q > ceil(k/2) the direct construction always works
-    (same-colored pairs inside W, one fresh color on the independent
-    rest); otherwise every triangle-free q-coloring of W is enumerated
-    and each is extended greedily over the independent rest, where every
-    vertex takes the smallest color that no triangle pair of it shares.
-    Those pairs lie in W, so each choice depends on W's coloring alone.
-    Returns a verified Coloring or None."""
-    if q < 1:
-        raise ValueError("color budget must be at least 1")
-    n = g.n
-    if n == 0:
-        return Coloring(q, ())
-    cover = sorted(min_vertex_cover(g))
-    k = len(cover)
-    half = (k + 1) // 2
-    pos = {w: i for i, w in enumerate(cover)}
-    indep = [v for v in range(n) if v not in pos]
-    colors = [0] * n
-    if q > half:
-        for i, w in enumerate(cover):
-            colors[w] = i // 2 + 1
-        for v in indep:
-            colors[v] = half + 1
-    else:
-        # cover and each pair are sorted, so pos[b] < i puts both before i
-        tri = triangle_pairs(g)
-        tri_pairs = [[(a, b) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
-                     for i, w in enumerate(cover)]
-        # depth-first over the cover in order with the first-use label cap, as
-        # a loop over positions so a large cover cannot reach the recursion limit
-        used = [0] * (k + 1)  # used[i]: the largest label on cover[:i]
-        i = 0
-        while i >= 0:
-            if i == k:
-                for v in indep:
-                    blocked = {colors[a] for a, b in tri[v] if colors[a] == colors[b]}
-                    colors[v] = next((x for x in range(1, q + 1) if x not in blocked), 0)
-                    if not colors[v]:
-                        break
-                else:
-                    break
-                i -= 1
-                continue
-            w = cover[i]
-            cap = used[i] + 1 if used[i] < q else q
-            x = colors[w] + 1
-            while x <= cap and any(colors[a] == x and colors[b] == x for a, b in tri_pairs[i]):
-                x += 1
-            if x > cap:
-                colors[w] = 0
-                i -= 1
-            else:
-                colors[w] = x
-                used[i + 1] = max(used[i], x)
-                i += 1
-        if i < 0:
-            return None
-    result = Coloring(q, tuple(colors))
-    if not verify_triangle_free(g, result):
-        raise RuntimeError("internal error: cover coloring is not triangle-free")
-    return result
-
-
-def compute_params(g: Graph) -> StructuralParams:
-    """Exact structural parameters; chi and chi3 come from the
-    triangle-free search, chi with every edge polar, so mid-sized gadget
-    graphs stay tractable."""
-    return StructuralParams(
-        omega=oracle_omega(g),
-        chi=solve_chi3(g, polar=g.edges())[0],
-        chi3=solve_chi3(g)[0],
-        vc=len(min_vertex_cover(g)),
-        delta=g.max_degree,
-    )

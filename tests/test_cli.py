@@ -14,10 +14,12 @@ import pytest
 from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
 from tfcolor.cli import CLASS_TAGS
 from tfcolor.graph_classes import BOUNDED_TAGS
-from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance
-from util_graphs import random_ktree, square_of_path, triangulated_grid
+from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance, write_dimacs_cnf
+from util_graphs import planted_nae_cnf, random_ktree, square_of_path, triangulated_grid
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+K3 = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -332,13 +334,73 @@ def test_solve_output_independent_of_hash_seed(tmp_path):
     (tmp_path / "sparse.dimacs").write_text(write_dimacs_graph(sparse))
     runs = (["dense.dimacs"], ["clover.dimacs", "--q", "5"], ["--polar", "polar.txt"],
             ["ktree.dimacs", "--class", "chordal"], ["sparse.dimacs", "--fpt", "--q", "2"])
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outs = {}
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
         for args in runs:
             done = subprocess.run([sys.executable, "-m", "tfcolor.cli", "solve", *args], cwd=tmp_path,
                                   env=env, capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr
             outs.setdefault(args[0], set()).add(done.stdout)
     assert all(len(got) == 1 for got in outs.values())
+
+
+def cli_child(argv, cwd, **kwargs):
+    """A `python -m tfcolor.cli` child with its stderr captured. Its
+    environment drops PYTHONUNBUFFERED, which would write each line at
+    once and so hide what goes wrong in the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, "-m", "tfcolor.cli", *argv], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+def test_main_writes_a_large_output_whole_to_a_pipe_and_a_file(tmp_path, monkeypatch, capsys):
+    (tmp_path / "f.cnf").write_text(write_dimacs_cnf(planted_nae_cnf(random.Random(1), 72)))
+    argv = ["reduce", "f.cnf", "--from", "nae", "--to", "k4free"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert len(want) >= 100_000
+    piped = cli_child(argv, tmp_path, stdout=subprocess.PIPE)
+    with open(tmp_path / "out.dimacs", "wb") as out:
+        filed = cli_child(argv, tmp_path, stdout=out)
+    assert piped.returncode == filed.returncode == 0
+    assert piped.stderr == filed.stderr == b""
+    assert piped.stdout == want == (tmp_path / "out.dimacs").read_bytes()
+
+
+def test_main_writes_the_help_text(tmp_path):
+    done = cli_child(["--help"], tmp_path, stdout=subprocess.PIPE)
+    assert done.returncode == 0 and done.stdout.startswith(b"usage: tfcolor")
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_main_reports_a_failed_write_as_exit_two(sink, tmp_path):
+    (tmp_path / "k3.dimacs").write_text(K3)
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full on this system")
+        out = open(sink, "wb")
+    else:
+        r, w = os.pipe()
+        os.close(r)
+        out = os.fdopen(w, "wb")
+    with out:
+        done = cli_child(["solve", "k3.dimacs"], tmp_path, stdout=out)
+    assert done.returncode == 2
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno ")
+
+
+def test_main_passes_exit_codes_through(tmp_path):
+    (tmp_path / "k3.dimacs").write_text(K3)
+    for argv, code, doc in ((["solve", "k3.dimacs"], 0, {"chi3": 2, "coloring": [1, 2, 1]}),
+                            (["solve", str(GOLDEN / "clover2.dimacs"), "--q", "2"], 1, {"feasible": False})):
+        done = cli_child(argv, tmp_path, stdout=subprocess.PIPE)
+        assert done.returncode == code and done.stderr == b""
+        assert json.loads(done.stdout) == doc
+    # started with fd 1 closed, the process has no sys.stdout to write the answer to
+    done = cli_child(["solve", "k3.dimacs"], tmp_path, preexec_fn=lambda: os.close(1))
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 3 and len(lines) == 1 and lines[0].startswith("error: AttributeError: ")

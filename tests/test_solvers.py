@@ -9,7 +9,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tfcolor import solvers
+from tfcolor import fpt, solvers
 from tfcolor import (
     Coloring,
     Graph,
@@ -443,13 +443,13 @@ def test_fpt_backtracks_past_a_cover_coloring_that_does_not_extend(monkeypatch):
     g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
                   (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)])
     assert len(min_vertex_cover(g)) == 5
-    monkeypatch.setattr(solvers, "min_vertex_cover", lambda g: frozenset({0, 1, 2, 5, 6}))
+    monkeypatch.setattr(fpt, "min_vertex_cover", lambda g: frozenset({0, 1, 2, 5, 6}))
     assert fpt_tf_q_coloring(g, 2) == Coloring(2, (1, 1, 2, 1, 1, 2, 2))
 
 
 def test_fpt_enumeration_raises_on_a_rejected_witness(monkeypatch):
     # C5 at q=1: a cover of 3 needs the enumeration, not the direct construction
-    monkeypatch.setattr(solvers, "verify_triangle_free", lambda g, c, polar=None: False)
+    monkeypatch.setattr(fpt, "verify_triangle_free", lambda g, c, polar=None: False)
     with pytest.raises(RuntimeError):
         fpt_tf_q_coloring(gen_cycle(5), 1)
 
