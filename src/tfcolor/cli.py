@@ -219,6 +219,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if sys.stdout is None:  # started with fd 1 closed; every command answers on stdout
+            raise OSError("standard output is closed")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

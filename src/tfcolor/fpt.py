@@ -1,9 +1,9 @@
 """The vertex-cover side: a minimum vertex cover by branch and bound
 under the simplicial-vertex rule; the vertex-cover-parameter algorithm,
-which enumerates the colorings of a minimum cover and extends each one
-over the independent rest itself; and compute_params with its
-StructuralParams record. solve --fpt and params load this module, and
-only compute_params loads the search engine and the oracles.
+which colors each component from its part of a minimum cover; and
+compute_params with its StructuralParams record. solve --fpt and params
+load this module, and only compute_params loads the search engine and
+the oracles.
 """
 
 from __future__ import annotations
@@ -111,33 +111,34 @@ def min_vertex_cover(g: Graph) -> frozenset:
 
 
 def fpt_tf_q_coloring(g: Graph, q: int):
-    """Triangle-free q-coloring driven by a minimum vertex cover W of
-    size k: when q > ceil(k/2) the direct construction always works
-    (same-colored pairs inside W, one fresh color on the independent
-    rest); otherwise every triangle-free q-coloring of W is enumerated
-    and each is extended greedily over the independent rest, where every
-    vertex takes the smallest color that no triangle pair of it shares.
-    Those pairs lie in W, so each choice depends on W's coloring alone.
-    Returns a verified Coloring or None."""
+    """Triangle-free q-coloring driven by a minimum vertex cover, one
+    connected component at a time, with W the component's part of the
+    cover and k its size: when q > ceil(k/2) the direct construction
+    always works (same-colored pairs inside W, one fresh color on the
+    independent rest); otherwise every triangle-free q-coloring of W is
+    enumerated and each is extended greedily over the independent rest,
+    where every vertex takes the smallest color that no triangle pair of
+    it shares. Those pairs lie in W, so each choice depends on W's
+    coloring alone. Returns a verified Coloring, or None as soon as one
+    component has none."""
     if q < 1:
         raise ValueError("color budget must be at least 1")
-    n = g.n
-    if n == 0:
-        return Coloring(q, ())
-    cover = sorted(min_vertex_cover(g))
-    k = len(cover)
-    half = (k + 1) // 2
-    pos = {w: i for i, w in enumerate(cover)}
-    indep = [v for v in range(n) if v not in pos]
-    colors = [0] * n
-    if q > half:
-        for i, w in enumerate(cover):
-            colors[w] = i // 2 + 1
-        for v in indep:
-            colors[v] = half + 1
-    else:
+    in_cover = min_vertex_cover(g)
+    tri = triangle_pairs(g)
+    colors = [0] * g.n
+    for comp in connected_components(g):
+        cover = [v for v in comp if v in in_cover]
+        k = len(cover)
+        half = (k + 1) // 2
+        pos = {w: i for i, w in enumerate(cover)}
+        indep = [v for v in comp if v not in pos]
+        if q > half:
+            for i, w in enumerate(cover):
+                colors[w] = i // 2 + 1
+            for v in indep:
+                colors[v] = half + 1
+            continue
         # cover and each pair are sorted, so pos[b] < i puts both before i
-        tri = triangle_pairs(g)
         tri_pairs = [[(a, b) for a, b in tri[w] if a in pos and b in pos and pos[b] < i]
                      for i, w in enumerate(cover)]
         # depth-first over the cover in order with the first-use label cap, as

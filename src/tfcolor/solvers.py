@@ -29,13 +29,15 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     it; forced vertices are assigned to a fixpoint, and each decision
     picks a most-constrained uncolored vertex (fewest free colors, then
     most colored neighbors, then highest degree, where a neighbor is a
-    vertex sharing a constraint). Color symmetry is broken by letting
-    any assignment introduce at most the one label after the largest
-    label in use, so the first assigned vertex takes color 1 and no more
-    than min(q, n) labels are ever searched. Forced moves are exempt from
-    the cap but never need labels beyond it: an unused label is blocked
-    only by a twin nogood, and that nogood rules out every unused label
-    alike.
+    vertex sharing a constraint). A vertex under no constraint takes
+    color 1 and is never searched. The components of the constraints
+    share none, so each is searched on its own with its own label cap:
+    an assignment may introduce at most the one label after the largest
+    label in use in its component, so the first vertex of each component
+    takes color 1 and no more than min(q, n) labels are ever searched.
+    Forced moves are exempt from the cap but never need labels beyond it:
+    an unused label is blocked only by a twin nogood, and that nogood
+    rules out every unused label alike.
 
     The state is held in vertex sets as Python ints, one bit per vertex
     (bit-parallel after San Segundo et al.): each vertex's constraint
@@ -48,12 +50,12 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     a blocked set pushes the old set onto a stack, and undo restores the
     saved sets in reverse.
 
-    Twins (equal closed or open neighborhoods, equal polar neighborhoods)
-    are interchangeable, so once v = x has failed at a node, x is blocked
-    on each uncolored twin u of v until the node's assignment is undone:
-    the swap (u v) fixes that assignment (Gent and Smith's symmetry
-    breaking during search). Where the search backjumps, the nogood is
-    blamed on the decisions behind the failure of v = x.
+    Twins (equal closed or open constraint neighborhoods, equal polar
+    neighborhoods) are interchangeable, so once v = x has failed at a
+    node, x is blocked on each uncolored twin u of v until the node's
+    assignment is undone: the swap (u v) fixes that assignment (Gent and
+    Smith's symmetry breaking during search). Where the search backjumps,
+    the nogood is blamed on the decisions behind the failure of v = x.
 
     After each decision, the pieces of at most PIECE uncolored vertices
     that it cut off from the rest are solved first, smallest first; a
@@ -82,8 +84,6 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         raise ValueError("color budget must be at least 1")
     n = g.n
     pairs = as_edge_subset(g, polar) if polar else frozenset()
-    if n == 0:
-        return Coloring(q, ())
 
     # A polar edge uw joins tri[u] as (u, w) and tri[w] as (w, u): u always
     # holds the color being propagated, so the triangle rule blocks it on w.
@@ -102,15 +102,16 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
 
     def twin_classes():
         """twins[v]: v's twin class in index order, or () when it has
-        none; no vertex has twins of both kinds, so it is in at most one
-        real class."""
+        none. The key is v's open or closed constraint neighbors and its
+        polar neighbors: vertices sharing a constraint are adjacent, so a
+        triangle through v lies in its closed constraint neighbors, and
+        swapping two twins maps the constraints onto themselves. No vertex
+        has twins of both kinds, so it is in at most one real class."""
         classes = {}
         for v in range(n):
-            if tri[v]:
-                adj = g.neighbors(v)
-                pol = frozenset(b for a, b in tri[v] if a == v) if pairs else ()
-                for key in (adj, adj | {v}):
-                    classes.setdefault((key, pol), []).append(v)
+            if nmask[v]:
+                for key in (nmask[v], nmask[v] | 1 << v):
+                    classes.setdefault((key, pol[v]), []).append(v)
         twins = [()] * n
         for cls in classes.values():
             if len(cls) > 1:
@@ -124,7 +125,8 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     if rng is not None:
         rng.shuffle(tie)
 
-    color = [0] * n
+    # a vertex under no constraint takes color 1 and is never searched
+    color = [0 if s else 1 for s in nbrs]
     # why[v]: bitmask of the decision levels that colored v follows from;
     # a forced vertex follows from the pairs that blocked its other colors
     why = [0] * n
@@ -135,7 +137,7 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     # twin nogood one that was a candidate at an ancestor node. So an
     # uncolored v has cap - nblk[v] free colors.
     nblk = [0] * n
-    uncolored = (1 << n) - 1
+    uncolored = (1 << n) - 1 - sum(1 << v for v, s in enumerate(nbrs) if not s)
     # held[v]: the decision levels behind the twin nogoods that block
     # colors at v. bstack holds (x, old blocked[x]) for each growth of a
     # blocked set and (~v, old held[v]) for each twin nogood at v.
@@ -280,7 +282,6 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             for s in nbrs[f]:
                 if color[s] or seen >> s & 1 or s in far:
                     continue
-                piece = [s]
                 mark = {s}
                 stack = [s]
                 closed = True
@@ -289,14 +290,13 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
                     for u in nbrs[x]:
                         if color[u] or u in mark:
                             continue
-                        if u in far or len(piece) >= PIECE:
+                        if u in far or len(mark) >= PIECE:
                             closed = False
                             break
                         mark.add(u)
-                        piece.append(u)
                         stack.append(u)
                 if closed:
-                    pieces.append(sum(1 << u for u in piece))
+                    pieces.append(sum(1 << u for u in mark))
                     seen |= pieces[-1]
                 else:
                     far.update(mark)
@@ -372,30 +372,19 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             conflict = (tried | blame(v)) & ~bit
         return None
 
-    maxused = 0
-    for v in range(n):
-        if not nbrs[v]:
-            # v is under no constraint, a component of its own that takes
-            # its first candidate color; no vertex set needs to record it
-            cand = list(range(1, min(maxused + 1, labels) + 1))
-            if rng is not None:
-                rng.shuffle(cand)
-            color[v] = cand[0]
-            maxused = max(maxused, cand[0])
-            uncolored ^= 1 << v
     for sub in components(uncolored):
-        stack = [search(sub, maxused, 0 if sub.bit_count() > PIECE else None)]
-        maxused = None
+        stack = [search(sub, 0, 0 if sub.bit_count() > PIECE else None)]
+        res = None
         while stack:
             try:
-                part = stack[-1].send(maxused)
+                part = stack[-1].send(res)
             except StopIteration as done:
                 stack.pop()
-                maxused = done.value
+                res = done.value
             else:
                 stack.append(search(*part))
-                maxused = None  # a new generator is started with None
-        if maxused is None:
+                res = None  # a new generator is started with None
+        if res is None:
             return None
     result = Coloring(q, tuple(color))
     if not verify_triangle_free(g, result, pairs or None):

@@ -7,7 +7,7 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from tfcolor import fpt, solvers
 from tfcolor import (
@@ -30,6 +30,8 @@ from tfcolor import (
 )
 from util_graphs import (
     brute_min_cover,
+    disjoint_union,
+    graphs_with_polar,
     rand_graph,
     random_ktree,
     square_of_path,
@@ -134,7 +136,10 @@ def blow_up(sizes, cliques, base_edges, perm):
 def twin_instances(draw):
     """A blow-up of a random base graph (n <= 10) with a polar subset
     drawn either per base edge, keeping twin classes intact, or per
-    edge, splitting them."""
+    edge, splitting them; sometimes with a pendant vertex hung off one
+    member of a class by a non-polar edge. That edge lies in no
+    triangle, so the member keeps its twins' constraint neighbors but
+    not their adjacency."""
     sizes = []
     while len(sizes) < 5 and sum(sizes) < 10:
         sizes.append(draw(st.integers(1, min(3, 10 - sum(sizes)))))
@@ -145,6 +150,9 @@ def twin_instances(draw):
         polar = [(x, y) for a, b in base if draw(st.booleans()) for x in groups[a] for y in groups[b]]
     else:
         polar = [e for e in g.edges() if draw(st.booleans())]
+    classes = [grp for grp in groups if len(grp) > 1]
+    if classes and draw(st.booleans()):
+        g = Graph(g.n + 1, g.edges() + [(draw(st.sampled_from(classes))[0], g.n)])
     return g, polar
 
 
@@ -190,6 +198,28 @@ def test_decide_twin_blow_ups_match_fpt(g):
             assert (got is not None) == fits
             if got is not None:
                 assert verify_triangle_free(g, got)
+
+
+@settings(max_examples=200)
+@given(graphs_with_polar(max_n=8), graphs_with_polar(max_n=8))
+@example((Graph(2, [(0, 1)]), [(0, 1)]),
+         (Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]),
+          [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]))
+def test_decide_solves_each_component_on_its_own(first, second):
+    # components share no constraint and each has its own label cap, so on
+    # G + H the search fails iff one part fails, and otherwise colors each
+    # part as it colors that part alone. In the example, a cap shared with
+    # the K2 colors the second part (1, 2, 3, 2, 3) at q=3, not (1, 2, 3, 3, 2).
+    (g, gpolar), (h, hpolar) = first, second
+    union = disjoint_union(g, h)
+    polar = gpolar + [(u + g.n, v + g.n) for u, v in hpolar]
+    for q in range(1, 5):
+        got = decide_tf_q(union, q, polar=polar)
+        parts = decide_tf_q(g, q, polar=gpolar), decide_tf_q(h, q, polar=hpolar)
+        if None in parts:
+            assert got is None
+        else:
+            assert got is not None and got.colors == parts[0].colors + parts[1].colors
 
 
 def test_decide_backjumping_blames_blocked_colors():
@@ -452,6 +482,16 @@ def test_fpt_enumeration_raises_on_a_rejected_witness(monkeypatch):
     monkeypatch.setattr(fpt, "verify_triangle_free", lambda g, c, polar=None: False)
     with pytest.raises(RuntimeError):
         fpt_tf_q_coloring(gen_cycle(5), 1)
+
+
+def test_fpt_colors_each_component_on_its_own():
+    # K5 has no 2-coloring, found without going back through the colorings
+    # of the K4s before it (one enumeration over the whole cover takes
+    # about 50 s here)
+    g = disjoint_union(*[gen_complete(4)] * 8, gen_complete(5))
+    assert fpt_tf_q_coloring(g, 2) is None
+    got = fpt_tf_q_coloring(g, 3)
+    assert got is not None and verify_triangle_free(g, got)
 
 
 def test_fpt_matches_oracle():

@@ -40,6 +40,16 @@ def cnf_formulas(draw, max_vars=4, max_clauses=4):
     return CnfFormula(n, tuple(draw(st.lists(st.tuples(lit, lit, lit), max_size=max_clauses))))
 
 
+def disjoint_union(*parts):
+    """The disjoint union of the graphs in parts, each part's vertices
+    numbered after those of the parts before it."""
+    n, edges = 0, []
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return Graph(n, edges)
+
+
 def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
