@@ -1,15 +1,17 @@
 """The vertex-cover side: a minimum vertex cover by branch and bound
-under the simplicial-vertex rule; the vertex-cover-parameter algorithm,
-which colors each component from its part of a minimum cover; and
-compute_params with its StructuralParams record. solve --fpt and params
-load this module, and only compute_params loads the search engine and
-the oracles.
+under the simplicial-vertex rule, searched on an explicit stack of nodes
+that each hold three immutable int vertex sets (the vertices left, the
+cover so far, the worklist), so no graph size reaches the recursion
+limit; the vertex-cover-parameter algorithm, which colors each
+component from its part of a minimum cover; and compute_params with its
+StructuralParams record. solve --fpt and params load this module, and
+only compute_params loads the search engine and the oracles.
 """
 
 from __future__ import annotations
 
 from .coloring import Coloring, verify_triangle_free
-from .graph import Graph, Record, connected_components, triangle_pairs
+from .graph import Graph, Record, _members, connected_components, triangle_pairs
 
 
 class StructuralParams(Record):
@@ -30,83 +32,69 @@ class StructuralParams(Record):
         return dict(zip(self.__slots__, self._values()))
 
 
-def _remove_vertex(adj, v):
-    nbrs = adj.pop(v)
-    emptied = []
-    for u in nbrs:
-        s = adj[u]
-        s.discard(v)
-        if not s:
-            del adj[u]
-            emptied.append(u)
-    return nbrs, emptied
-
-
-def _restore_vertex(adj, v, nbrs, emptied):
-    for u in emptied:
-        adj[u] = set()
-    for u in nbrs:
-        adj[u].add(v)
-    adj[v] = set(nbrs)
-
-
 def min_vertex_cover(g: Graph) -> frozenset:
-    """A minimum-cardinality vertex cover, by one branch-and-bound pass
-    per connected component. Each node first applies the simplicial
+    """A minimum-cardinality vertex cover, by one branch-and-bound search
+    per connected component on an explicit stack. A node is three
+    immutable vertex sets, ints over the component's own numbering 0..k-1:
+    the vertices left, the cover so far and the worklist; a branch builds
+    new sets, so nothing is undone. Each node first applies the simplicial
     rule: a vertex u whose remaining neighbors are pairwise adjacent puts
     all of them into the cover. This is safe by exchange: any cover holds
     all but at most one vertex of the clique N[u], and if it misses some
     neighbor w it holds u instead, so swapping u for w gives a cover of
-    the same size. A worklist drives the rule; it starts with every
-    vertex of the component and takes back every neighbor of a removed
-    vertex. The node then prunes when the cover so far plus a greedy
-    maximal matching of what is left cannot beat the best cover found,
-    records the cover so far when no edge is left, and otherwise
-    branches on a maximum-degree vertex versus its whole neighborhood."""
+    the same size. The worklist drives the rule, highest index first; it
+    starts with the whole component and takes back every remaining
+    neighbor of a removed vertex. One pass over the vertices left then
+    drops the isolated ones, matches each free vertex to its lowest free
+    neighbor and finds a maximum-degree vertex (lowest index among ties).
+    The node prunes when the cover so far plus that greedy matching cannot
+    beat the best cover found, records the cover so far when no edge is
+    left, and otherwise branches on the vertex against its whole
+    neighborhood, the single-vertex side popped first."""
     cover = []
     for comp in connected_components(g):
-        if len(comp) < 2:
-            continue
-        adj = {v: set(g.neighbors(v)) for v in comp}
-        best = comp
-        cur = []
-
-        def node(pend):
-            nonlocal best
-            undo = []
-            while pend:
-                nu = adj.get(pend.pop())
-                if nu and all(len(nu & adj[w]) == len(nu) - 1 for w in nu):
-                    for w in list(nu):
-                        nbrs, emptied = _remove_vertex(adj, w)
-                        undo.append((w, nbrs, emptied))
-                        cur.append(w)
-                        pend.extend(nbrs)
-            matched = set()
-            for u in adj:
-                if u not in matched:
-                    w = next((w for w in adj[u] if w not in matched), None)
-                    if w is not None:
-                        matched.update((u, w))
-            if len(cur) + len(matched) // 2 < len(best):
-                if not adj:
-                    best = list(cur)
+        index = {v: i for i, v in enumerate(comp)}
+        nbr = [sum(1 << index[u] for u in g.neighbors(v)) for v in comp]
+        whole = (1 << len(comp)) - 1
+        best = whole
+        stack = [(whole, 0, whole)]
+        while stack:
+            left, cov, work = stack.pop()
+            while work:
+                u = work.bit_length() - 1
+                work ^= 1 << u
+                nu = nbr[u] & left
+                if nu and all(nu & ~nbr[w] == 1 << w for w in _members(nu)):
+                    left ^= nu
+                    cov |= nu
+                    for w in _members(nu):
+                        work |= nbr[w]
+                    work &= left
+            free, matched, v, top = left, 0, -1, 0
+            for u in _members(left):
+                nu = nbr[u] & left
+                if not nu:
+                    left ^= 1 << u
+                    continue
+                d = nu.bit_count()
+                if d > top:
+                    v, top = u, d
+                if free >> u & 1:
+                    mate = nu & free
+                    if mate:
+                        free ^= 1 << u | mate & -mate
+                        matched += 1
+            if cov.bit_count() + matched < best.bit_count():
+                if v < 0:
+                    best = cov
                 else:
-                    v = max(adj, key=lambda u: (len(adj[u]), -u))
-                    for side in ([v], sorted(adj[v])):
-                        removed = [(u,) + _remove_vertex(adj, u) for u in side]
-                        cur.extend(side)
-                        node([x for _, nb, _ in removed for x in nb])
-                        del cur[-len(side):]
-                        for u, nb, em in reversed(removed):
-                            _restore_vertex(adj, u, nb, em)
-            for w, nb, em in reversed(undo):
-                _restore_vertex(adj, w, nb, em)
-            del cur[len(cur) - len(undo):]
-
-        node(list(comp))
-        del node  # as in oracles.oracle_omega: no cycle, so no garbage left for the collector
-        cover.extend(best)
+                    nv = nbr[v] & left
+                    around = 0
+                    for w in _members(nv):
+                        around |= nbr[w]
+                    stack.append((left ^ nv, cov | nv, around & (left ^ nv)))
+                    stack.append((left ^ 1 << v, cov | 1 << v, nv))
+        cover.extend(comp[i] for i in _members(best))
     return frozenset(cover)
 
 

@@ -1,7 +1,8 @@
 """Immutable simple-graph core: construction, vertex identification,
 the one triangle listing, a per-vertex index built by intersecting the
 adjacency sets of each edge, a K4 certifier that reads only the
-adjacency sets, DIMACS/DOT output, the one DIMACS-style reader behind
+adjacency sets, the member iterator of vertex sets held as int bitsets,
+DIMACS/DOT output, the one DIMACS-style reader behind
 the graph, polar-instance and CNF readers, and the read-only record
 base of the value classes."""
 
@@ -201,6 +202,14 @@ def connected_components(g: Graph) -> list:
                     stack.append(u)
         comps.append(sorted(comp))
     return comps
+
+
+def _members(m):
+    """The vertices of the vertex set m, in index order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def as_edge_subset(g: Graph, pairs) -> frozenset:

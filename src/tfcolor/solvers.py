@@ -9,7 +9,7 @@ loads it through fpt.compute_params.
 from __future__ import annotations
 
 from .coloring import Coloring, verify_triangle_free
-from .graph import Graph, as_edge_subset, triangle_pairs
+from .graph import Graph, _members, as_edge_subset, triangle_pairs
 
 
 # Pieces of at most this many vertices that a decision cuts off are split
@@ -390,14 +390,6 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     if not verify_triangle_free(g, result, pairs or None):
         raise RuntimeError("internal error: solver produced an invalid coloring")
     return result
-
-
-def _members(m):
-    """The vertices of the vertex set m, in index order."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def solve_chi3(g: Graph, polar=None):

@@ -1,7 +1,9 @@
 """Package surface: what each CLI command loads, the cyclic garbage it
-leaves, the lazily resolved package exports, and the semantics of the
-read-only value records."""
+leaves, the lazily resolved package exports, that no function outside
+the oracles recurses, and the semantics of the read-only value
+records."""
 
+import ast
 import copy
 import gc
 import importlib
@@ -203,6 +205,33 @@ def test_lazy_exports_see_a_patched_submodule(monkeypatch):
 
     monkeypatch.setattr(solvers, "decide_tf_q", fake)
     assert tfcolor.decide_tf_q is fake
+
+
+def self_calls(tree, prefix=""):
+    """Qualified names of the functions under tree that call themselves
+    by name."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += self_calls(child, prefix)
+            continue
+        if isinstance(child, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == child.name
+                for call in ast.walk(child)):
+            found.append(prefix + child.name)
+        found += self_calls(child, prefix + child.name + ".")
+    return found
+
+
+def test_no_function_outside_the_oracles_recurses():
+    # the oracles stay naive on purpose; every other search keeps its own
+    # stack, so no input size can reach the recursion limit
+    assert self_calls(ast.parse("def f(n):\n    def g(m):\n        return g(m - 1)\n    return g(n)")) == ["f.g"]
+    recursive = {}
+    for path in sorted((SRC / "tfcolor").glob("*.py")):
+        if path.name != "oracles.py":
+            recursive[path.name] = self_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not any(recursive.values()), recursive
 
 
 FIELDS = {

@@ -3,6 +3,7 @@ clique/chromatic/vertex-cover search, and the cover-parameterized
 algorithm. Oracles and the optimized path must agree everywhere."""
 
 import random
+import sys
 import tracemalloc
 from itertools import combinations, product
 
@@ -30,8 +31,10 @@ from tfcolor import (
 )
 from util_graphs import (
     brute_min_cover,
+    c4_ring,
     disjoint_union,
     graphs_with_polar,
+    grid_graph,
     rand_graph,
     random_ktree,
     square_of_path,
@@ -427,6 +430,31 @@ def test_min_vertex_cover_square_of_long_path():
     assert all(u in cover or v in cover for u, v in g.edges())
 
 
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_min_vertex_cover_long_chains_stay_within_recursion_limit():
+    # no vertex of either chain is simplicial, so the search branches
+    # along it hundreds of times; a search recursing per branch overruns
+    # a limit a few dozen frames above the caller
+    cases = ((c4_ring(200), 400), (grid_graph(3, 200), 300))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        for g, size in cases:
+            cover = min_vertex_cover(g)
+            assert len(cover) == size
+            assert all(u in cover or v in cover for u, v in g.edges())
+            got = fpt_tf_q_coloring(g, 2)
+            assert got is not None and verify_triangle_free(g, got)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_fpt_large_tree_has_no_deep_recursion():
     rng = random.Random(35)
     n = 3000
@@ -463,7 +491,7 @@ def test_fpt_star_one_color():
 
 
 def test_fpt_k4_independent_vertex_avoids_its_monochromatic_pair():
-    # the cover {0, 1, 3} takes (1, 1, 2), so vertex 2 must avoid color 1
+    # the cover {0, 1, 2} takes (1, 1, 2), so vertex 3 must avoid color 1
     assert fpt_tf_q_coloring(gen_complete(4), 2) == Coloring(2, (1, 1, 2, 2))
 
 

@@ -60,6 +60,26 @@ def square_of_path(n):
     return Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
 
 
+def c4_ring(blocks):
+    """A ring of 4-cycles, each joined to the next by one edge from its
+    third vertex to the next block's first. Every 4-cycle needs two cover
+    vertices and the first and third of each block cover every edge, so
+    a minimum cover has 2 * blocks vertices."""
+    edges = []
+    for i in range(blocks):
+        b = 4 * i
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b, b + 3), (b + 2, 4 * ((i + 1) % blocks))]
+    return Graph(4 * blocks, edges)
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex r * cols + c; bipartite with a
+    perfect matching when rows * cols is even."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
 def circulant(n):
     """C_n(1, 2), the square of the n-cycle: 4-regular for n >= 5."""
     return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2)}))
