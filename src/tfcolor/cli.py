@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 
@@ -33,6 +32,7 @@ def _read_input(path):
 
 
 def _emit(doc: dict):
+    import json  # only the commands that answer in JSON load it
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
@@ -121,6 +121,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     from .coloring import Coloring, verify_triangle_free
 
     if args.coloring == "-" and (args.polar or args.input) in (None, "-"):
@@ -222,7 +224,7 @@ def run(argv=None) -> int:
         if sys.stdout is None:  # started with fd 1 closed; every command answers on stdout
             raise OSError("standard output is closed")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -46,11 +46,13 @@ def min_vertex_cover(g: Graph) -> frozenset:
     starts with the whole component and takes back every remaining
     neighbor of a removed vertex. One pass over the vertices left then
     drops the isolated ones, matches each free vertex to its lowest free
-    neighbor and finds a maximum-degree vertex (lowest index among ties).
-    The node prunes when the cover so far plus that greedy matching cannot
-    beat the best cover found, records the cover so far when no edge is
-    left, and otherwise branches on the vertex against its whole
-    neighborhood, the single-vertex side popped first."""
+    neighbor and the pair to its lowest free common neighbor, if any, and
+    finds a maximum-degree vertex (lowest index among ties). The node
+    prunes when the cover so far plus one vertex per matched edge and two
+    per matched triangle cannot beat the best cover found, records the
+    cover so far when no edge is left, and otherwise branches on the
+    vertex against its whole neighborhood, the single-vertex side popped
+    first."""
     cover = []
     for comp in connected_components(g):
         index = {v: i for i, v in enumerate(comp)}
@@ -70,7 +72,7 @@ def min_vertex_cover(g: Graph) -> frozenset:
                     for w in _members(nu):
                         work |= nbr[w]
                     work &= left
-            free, matched, v, top = left, 0, -1, 0
+            free, packed, v, top = left, 0, -1, 0
             for u in _members(left):
                 nu = nbr[u] & left
                 if not nu:
@@ -82,9 +84,11 @@ def min_vertex_cover(g: Graph) -> frozenset:
                 if free >> u & 1:
                     mate = nu & free
                     if mate:
-                        free ^= 1 << u | mate & -mate
-                        matched += 1
-            if cov.bit_count() + matched < best.bit_count():
+                        mate &= -mate
+                        third = nu & nbr[mate.bit_length() - 1] & free
+                        free ^= 1 << u | mate | third & -third
+                        packed += 2 if third else 1
+            if cov.bit_count() + packed < best.bit_count():
                 if v < 0:
                     best = cov
                 else:

@@ -2,11 +2,12 @@
 the one triangle listing, a per-vertex index built by intersecting the
 adjacency sets of each edge, a K4 certifier that reads only the
 adjacency sets, the member iterator of vertex sets held as int bitsets,
-DIMACS/DOT output, the one DIMACS-style reader behind
-the graph, polar-instance and CNF readers, and the read-only record
-base of the value classes."""
+DIMACS/DOT output, the reader of valid graph and polar-instance text,
+and the read-only record base of the value classes."""
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 class Record:
@@ -58,19 +59,37 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [set() for _ in range(n)]
+        edges = list(edges)
+        nbrs = [[] for _ in range(n)]
+        try:
+            for u, v in edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            # a negative endpoint indexes nbrs from the end, so only the minimum catches it
+            if min(chain.from_iterable(nbrs), default=0) >= 0 and self._freeze(nbrs, len(edges)):
+                return
+        except IndexError:
+            pass
+        # the bulk checks refused the edges: name the first bad one
+        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self.m = sum(map(len, adj)) // 2
-        self._adj = tuple(map(frozenset, adj))
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise ValueError(f"duplicate edge {pair}")
+            seen.add(pair)
+
+    def _freeze(self, nbrs: list, m: int) -> bool:
+        """Freeze each nbrs[v], a list of vertices, once as v's adjacency if the lists hold 2m
+        entries and so do their frozensets, which collapse loops and repeats; say if they did."""
+        adj = tuple(map(frozenset, nbrs))
+        if sum(map(len, nbrs)) != 2 * m or sum(map(len, adj)) != 2 * m:
+            return False
+        self.n, self.m, self._adj = len(nbrs), m, adj
+        return True
 
     def neighbors(self, v: int) -> frozenset:
         return self._adj[v]
@@ -87,13 +106,7 @@ class Graph:
 
     def edges(self) -> list:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return out
+        return sorted([(u, v) for u, nu in enumerate(self._adj) for v in nu if u < v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -168,17 +181,16 @@ def triangle_pairs(g: Graph) -> list:
 
 
 def contains_k4(g: Graph) -> bool:
-    """True iff some four vertices are pairwise adjacent: for some edge
-    uv, u < v, a w in common = N(u) & N(v) has a neighbor in common. Reads
-    only the adjacency sets, never the triangle index."""
-    adj = g._adj
-    for u, au in enumerate(adj):
-        for v in au:
-            if v > u:
-                common = au & adj[v]
-                for w in common:
-                    if not adj[w].isdisjoint(common):
-                        return True
+    """True iff some four vertices are pairwise adjacent: with up[v] the
+    neighbours of v above v, a K4 a < b < c < d has c, d in up[a] & up[b]
+    and d in up[c]. Reads only the adjacency sets, not the triangle index."""
+    up = [{x for x in nv if x > v} for v, nv in enumerate(g._adj)]
+    for ua in up:
+        for b in ua:
+            common = ua & up[b]
+            for c in common:
+                if not up[c].isdisjoint(common):
+                    return True
     return False
 
 
@@ -188,19 +200,15 @@ def connected_components(g: Graph) -> list:
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
+        if not seen[s]:
+            seen[s] = True
+            comp = [s]
+            for v in comp:  # comp grows as the search reaches new vertices
+                for u in g._adj[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        comp.append(u)
+            comps.append(sorted(comp))
     return comps
 
 
@@ -226,90 +234,52 @@ def as_edge_subset(g: Graph, pairs) -> frozenset:
     return frozenset(out)
 
 
-def write_dimacs_graph(g: Graph) -> str:
+def write_dimacs_graph(g: Graph, polar=()) -> str:
     """DIMACS text: 'p edge N M' header plus sorted 'e u v' lines with
-    1-based endpoints, u < v. Bit-exact for round-tripping."""
+    1-based endpoints, u < v, then a sorted 's u v' line per polar pair
+    (u, v). Bit-exact for round-tripping."""
+    label = list(map(str, range(1, g.n + 1)))
     lines = [f"p edge {g.n} {g.m}"]
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    lines += [f"e {label[u]} {label[v]}" for u, v in g.edges()]
+    lines += [f"s {label[u]} {label[v]}" for u, v in sorted(polar)]
     return "\n".join(lines) + "\n"
 
 
-def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
-    """Stream DIMACS-style text in one pass. Yields (N, M), both
-    non-negative, from its one 'p <fmt> N M' header, then per data line
-    (kind, a, b) for a 'kind a b' line with kind in kinds or, with no
-    kinds, the line's integers. Blank and 'c' lines are skipped and a '%'
-    line ends the input. Every error names its line, also one a caller
-    throws in at the row it refuses."""
-    header = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
-        if not parts:
-            continue
-        head = parts[0]
-        try:
-            if head in kinds and len(parts) == 3 and header is not None:
-                row = head, int(parts[1]), int(parts[2])
-            elif head[0] == "c":
-                continue
-            elif head[0] == "%":
-                break
-            elif head == "p":
-                if header is not None:
-                    raise ValueError("duplicate header")
-                if len(parts) != 4 or parts[1] != fmt:
-                    raise ValueError(f"expected 'p {fmt} N M'")
-                row = header = int(parts[2]), int(parts[3])
-                if min(header) < 0:
-                    raise ValueError("counts must be non-negative")
-            elif header is None:
-                raise ValueError(f"data before the 'p {fmt}' header")
-            elif not kinds:
-                row = [int(t) for t in parts]
-            else:
-                raise ValueError(f"expected {' or '.join(repr(k + ' u v') for k in kinds)}")
-        except ValueError as e:
-            raise ValueError(f"line {ln}: bad line {raw.strip()!r}: {e}") from None
-        try:
-            yield row
-        except ValueError as e:
-            raise ValueError(f"line {ln}: {e}") from None
-    if header is None:
-        raise ValueError(f"missing 'p {fmt}' header")
-
-
 def _read_graph(text: str, kinds: tuple):
-    rows = dimacs_rows(text, "edge", kinds)
-    n, m = next(rows)
-    edges, polar = [], []
-    for kind, u, v in rows:
-        (edges if kind == "e" else polar).append((u - 1, v - 1))
-    if m != len(edges):
-        raise ValueError(f"header claims {m} edges, found {len(edges)}")
-    g = None
+    """(graph, polar edges) of graph text, read row by row into neighbour lists through a
+    table of the labels '1'..'N'; dimacs.read_graph_rows reads other text and names its fault."""
     try:
-        g = Graph(n, edges)
-        return g, as_edge_subset(g, polar)
-    except ValueError:
-        # name the refused pair's line and 1-based labels only now, at no cost to valid input
-        rows = dimacs_rows(text, "edge", kinds)
-        next(rows)
-        seen = set()
-        for kind, u, v in rows:
-            a, b = sorted((u, v))
-            if kind == "s":
-                if g is not None and not (1 <= a and b <= n and g.has_edge(a - 1, b - 1)):
-                    rows.throw(ValueError(f"polar edge ({u}, {v}) not present in graph"))
-            elif a < 1 or b > n:
-                rows.throw(ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}"))
-            elif a == b:
-                rows.throw(ValueError(f"self-loop on vertex {a}"))
-            elif (a, b) in seen:
-                rows.throw(ValueError(f"duplicate edge ({a}, {b})"))
-            else:
-                seen.add((a, b))
-        raise
+        rows = iter(text.splitlines())
+        p, fmt, n, m = next((head for head in map(str.split, rows) if head and head[0][0] != "c"), ())
+        n, m = int(n), int(m)
+        if p != "p" or fmt != "edge" or n < 0:
+            raise ValueError
+        vertex = dict(zip(map(str, range(1, n + 1)), range(n)))
+        nbrs = [[] for _ in range(n)]
+        polar = []
+        for line in rows:
+            try:
+                kind, a, b = line.split()
+            except ValueError:  # not three tokens
+                kind = None
+            if kind == "e":
+                u, v = vertex[a], vertex[b]
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            elif kind == "s" and kind in kinds:
+                polar.append((vertex[a], vertex[b]))
+            elif line.lstrip()[:1] == "%":
+                break
+            elif line.lstrip()[:1] not in ("", "c"):
+                raise ValueError
+        g = object.__new__(Graph)
+        if g._freeze(nbrs, m):
+            return g, as_edge_subset(g, polar)
+    except (ValueError, KeyError):
+        pass
+    from .dimacs import read_graph_rows
+
+    return read_graph_rows(text, kinds)
 
 
 def read_dimacs_graph(text: str) -> Graph:
@@ -325,17 +295,14 @@ def read_polar_graph(text: str):
 def write_dot(g: Graph, coloring=None) -> str:
     """DOT export of an undirected graph; when a coloring is given the
     vertices carry filled colors from a 12-color scheme."""
+    label = list(map(str, range(g.n)))
     lines = ["graph g {"]
     if coloring is not None:
         if len(coloring.colors) != g.n:
             raise ValueError("coloring size does not match graph")
         lines.append('  node [style=filled colorscheme="set312"];')
-        for v in range(g.n):
-            lines.append(f"  {v} [fillcolor={(coloring.colors[v] - 1) % 12 + 1}];")
+        lines += [f"  {label[v]} [fillcolor={(c - 1) % 12 + 1}];" for v, c in enumerate(coloring.colors)]
     else:
-        for v in range(g.n):
-            lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines += [f"  {v};" for v in label]
+    lines += [f"  {label[u]} -- {label[v]};" for u, v in g.edges()]
+    return "\n".join(lines) + "\n}\n"

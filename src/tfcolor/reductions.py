@@ -8,16 +8,7 @@ style.
 
 from __future__ import annotations
 
-from .graph import (
-    Graph,
-    Record,
-    as_edge_subset,
-    contains_k4,
-    dimacs_rows,
-    quotient,
-    read_polar_graph,
-    write_dimacs_graph,
-)
+from .graph import Graph, Record, as_edge_subset, contains_k4, quotient, read_polar_graph, write_dimacs_graph
 
 
 class CnfFormula(Record):
@@ -88,8 +79,10 @@ def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """Width-3 clauses terminated by 0 under a 'p cnf N M' header, read
-    by graph.dimacs_rows, so a '%' line ends the input as in the SATLIB
+    by dimacs.dimacs_rows, so a '%' line ends the input as in the SATLIB
     files that trail it with a lone 0."""
+    from .dimacs import dimacs_rows  # graph readers and --to q+1 never load the grammar
+
     rows = dimacs_rows(text, "cnf")
     num_vars, num_clauses = next(rows)
     clauses = [[]]  # each 0 closes the last clause and opens the next
@@ -120,7 +113,7 @@ def parse_polar_instance(text: str) -> PolarInstance:
 
 
 def write_polar_instance(inst: PolarInstance) -> str:
-    return write_dimacs_graph(inst.graph) + "".join(f"s {u + 1} {v + 1}\n" for u, v in sorted(inst.polar))
+    return write_dimacs_graph(inst.graph, inst.polar)
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,12 @@ LOADED_BY = {
     ("solve", "--polar", "p.polar", "--q", "2"): SEARCH,
     ("gen", "clover", "--k", "2"): ("gadgets",),
     ("reduce", "g.dimacs", "--to", "q+1", "--q", "2"): ("reductions", "gadgets"),
-    ("reduce", "f.cnf", "--from", "nae4", "--to", "polar"): ("reductions",),
+    ("reduce", "f.cnf", "--from", "nae4", "--to", "polar"): ("dimacs", "reductions"),
     ("solve", "g.dimacs", "--class", "chordal"): ("coloring", "graph_classes"),
     ("verify", "g.dimacs", "--coloring", "c.json"): ("coloring",),
     ("verify", "--polar", "p.polar", "--coloring", "c.json"): ("coloring",),
-    ("reduce", "f.cnf", "--from", "nae", "--to", "k4free"): ("reductions", "gadgets"),
-    ("reduce", "f.cnf", "--from", "sat4", "--to", "nae4"): ("reductions",),
+    ("reduce", "f.cnf", "--from", "nae", "--to", "k4free"): ("dimacs", "reductions", "gadgets"),
+    ("reduce", "f.cnf", "--from", "sat4", "--to", "nae4"): ("dimacs", "reductions"),
 }
 
 
@@ -124,6 +124,26 @@ def test_search_commands_load_no_reductions_gadgets_or_dataclasses(argv, inputs)
 @pytest.mark.parametrize("argv", [argv for argv in LOADED_BY if not is_search(argv)])
 def test_no_command_loads_dataclasses(argv, inputs):
     assert_loads_exactly(argv, inputs)
+
+
+# LOADS imports json itself, so this probe takes its argv as plain words
+# and answers on its last stdout line after the command's own output
+JSON_PROBE = """\
+import sys
+from tfcolor import cli
+code = cli.run(sys.argv[1:])
+print()
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv in LOADED_BY if argv[0] in ("reduce", "gen")])
+def test_reduce_and_gen_do_not_load_json(argv, inputs):
+    # they answer in DIMACS, so only the JSON commands pay for the import
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", JSON_PROBE, *argv], cwd=inputs, env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.fixture(scope="module")

@@ -367,6 +367,21 @@ def test_min_vertex_cover_matches_brute_force():
         assert len(cover) == brute_min_cover(g)
 
 
+def test_min_vertex_cover_matches_brute_force_on_triangle_rich_graphs():
+    # the bound packs a triangle for two cover vertices, so it must stay a
+    # lower bound where triangles overlap and share edges
+    rng = random.Random(77)
+    inputs = [triangulated_grid(s) for s in (2, 3)] + [square_of_path(n) for n in range(3, 12)]
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        edges = {e for e in combinations(range(n), 2) if rng.random() < rng.choice([0.3, 0.6])}
+        for _ in range(rng.randint(1, 4)):
+            edges |= set(combinations(sorted(rng.sample(range(n), 3)), 2))
+        inputs.append(Graph(n, edges))
+    for g in inputs:
+        assert len(min_vertex_cover(g)) == brute_min_cover(g)
+
+
 @st.composite
 def cover_instances(draw):
     """A random core of up to 6 vertices with pendant paths hanging off
