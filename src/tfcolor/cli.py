@@ -8,14 +8,21 @@ failed verification, 2 = input or output error (bad arguments, malformed
 input, or output that could not be written), 3 = internal error (an
 unexpected exception, reported as one 'error: <Type>: <message>' line on
 stderr).
+
+A plain argv is read from the command table COMMANDS alone: the command,
+each option as its exact long flag, at most once, with its value as the
+next word, and at most one positional; no value or positional starts
+with '-' but '-' itself. Any other argv (help, an abbreviation,
+--opt=value, '--', a repeated flag, every error) goes to argparse, built
+from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .graph import read_dimacs_graph, read_polar_graph, write_dimacs_graph, write_dot
 
@@ -26,14 +33,20 @@ CLASS_TAGS = ("chordal", "planar", "outerplanar", "regular4", "general")
 
 def _read_input(path):
     if path in (None, "-"):
+        if sys.stdin is None:  # started with fd 0 closed
+            raise OSError("standard input is closed")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
 def _emit(doc: dict):
-    import json  # only the commands that answer in JSON load it
-    sys.stdout.write(json.dumps(doc) + "\n")
+    """Write doc as the line json.dumps(doc) makes; its values are bools, ints and lists of ints."""
+    for value in doc.values():
+        if type(value) not in (bool, int) and not (type(value) is list and all(type(v) is int for v in value)):
+            raise TypeError(f"no JSON text for a {type(value).__name__}")
+    # the str of an int or an int list is its JSON text, and lower() spells True and False as JSON does
+    sys.stdout.write("{" + ", ".join(f'"{key}": {str(value).lower()}' for key, value in doc.items()) + "}\n")
 
 
 def _emit_decision(witness) -> int:
@@ -47,24 +60,13 @@ def _emit_decision(witness) -> int:
 def _gen_graph(family, k):
     from . import gadgets
 
-    needs_k = {"cycle-clique", "clover", "mycielski", "complete", "cycle"}
-    if family in needs_k and k is None:
-        raise ValueError(f"family {family!r} requires --k")
-    if family not in needs_k and k is not None:
-        raise ValueError(f"family {family!r} does not take --k")
-    if family == "cycle-clique":
-        return gadgets.gen_cycle_clique(k).graph
-    if family == "clover":
-        return gadgets.gen_clover(k)
-    if family == "polar-gadget":
-        return gadgets.gen_polar_gadget().graph
-    if family == "theorem9":
-        return gadgets.gen_gadget_triangle()
-    if family == "mycielski":
-        return gadgets.gen_mycielski(k)
-    if family == "complete":
-        return gadgets.gen_complete(k)
-    return gadgets.gen_cycle(k)
+    sized = {"cycle-clique": lambda k: gadgets.gen_cycle_clique(k).graph, "clover": gadgets.gen_clover,
+             "mycielski": gadgets.gen_mycielski, "complete": gadgets.gen_complete, "cycle": gadgets.gen_cycle}
+    if (family in sized) != (k is not None):
+        raise ValueError(f"family {family!r} {'requires' if k is None else 'does not take'} --k")
+    if family in sized:
+        return sized[family](k)
+    return gadgets.gen_polar_gadget().graph if family == "polar-gadget" else gadgets.gen_gadget_triangle()
 
 
 def _cmd_gen(args) -> int:
@@ -137,7 +139,9 @@ def _cmd_verify(args) -> int:
 def _cmd_reduce(args) -> int:
     from . import reductions
 
-    pairs = {("sat4", "nae4"), ("nae", "k4free"), ("nae4", "polar")}
+    pipelines = {("sat4", "nae4"): (reductions.reduce_sat4_to_nae4, reductions.write_dimacs_cnf),
+                 ("nae", "k4free"): (reductions.reduce_nae_to_k4free, write_dimacs_graph),
+                 ("nae4", "polar"): (reductions.reduce_nae4_to_polar, reductions.write_polar_instance)}
     if args.to == "q+1":
         if args.q is None:
             raise ValueError("--to q+1 requires --q")
@@ -147,18 +151,10 @@ def _cmd_reduce(args) -> int:
         out = reductions.reduce_q_to_q1(g, args.q)
         sys.stdout.write(write_dimacs_graph(out.instance))
         return 0
-    if args.src is None or (args.src, args.to) not in pairs:
+    if (args.src, args.to) not in pipelines:
         raise ValueError(f"unsupported reduction {args.src!r} -> {args.to!r}")
-    phi = reductions.parse_dimacs_cnf(_read_input(args.input))
-    if (args.src, args.to) == ("sat4", "nae4"):
-        out = reductions.reduce_sat4_to_nae4(phi)
-        sys.stdout.write(reductions.write_dimacs_cnf(out.instance))
-    elif (args.src, args.to) == ("nae", "k4free"):
-        out = reductions.reduce_nae_to_k4free(phi)
-        sys.stdout.write(write_dimacs_graph(out.instance))
-    else:
-        out = reductions.reduce_nae4_to_polar(phi)
-        sys.stdout.write(reductions.write_polar_instance(out.instance))
+    reduce, write = pipelines[args.src, args.to]
+    sys.stdout.write(write(reduce(reductions.parse_dimacs_cnf(_read_input(args.input))).instance))
     return 0
 
 
@@ -168,58 +164,92 @@ def _cmd_params(args) -> int:
     g = read_dimacs_graph(_read_input(args.input))
     if g.n > args.max_n:
         raise ValueError(f"graph has {g.n} vertices, above the --max-n guard of {args.max_n}")
-    params = compute_params(g)
-    doc = {"n": g.n, "m": g.m}
-    doc.update(params.to_json_dict())
-    _emit(doc)
+    _emit({"n": g.n, "m": g.m, **compute_params(g).to_json_dict()})
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tfcolor", description=__doc__)
+INPUT = ("input", None, "-", "DIMACS graph file (default stdin)")
+POLAR = ("--polar", "polar", None, None, None, False, "polar-instance file (graph + s lines)")
+# command: (handler, help, positional, options). A positional is (name,
+# choices, default, help) and may be left out when it has a default; an
+# option is (flag, dest, type, default, choices, required, help), where
+# type None takes the word as it is and bool makes a switch.
+COMMANDS = {
+    "gen": (_cmd_gen, "emit a generated graph as DIMACS (or DOT)", ("family", GEN_FAMILIES, None, None), (
+        ("--k", "k", int, None, None, False, "family size parameter"),
+        ("--dot", "dot", bool, False, None, False, "emit DOT instead of DIMACS"))),
+    "solve": (_cmd_solve, "compute chi3 or decide a fixed budget", INPUT, (
+        ("--q", "q", int, None, None, False, "decide feasibility at this budget"),
+        POLAR,
+        ("--class", "cls", None, None, CLASS_TAGS, False, None),
+        ("--fpt", "fpt", bool, False, None, False, "use the vertex-cover algorithm (needs --q)"))),
+    "verify": (_cmd_verify, "check a coloring file against a graph", INPUT, (
+        ("--coloring", "coloring", None, None, None, True, "JSON coloring file ('-' for stdin)"),
+        POLAR)),
+    "reduce": (_cmd_reduce, "run an instance transformation", ("input", None, "-", "input file (default stdin)"), (
+        ("--from", "src", None, None, ("sat4", "nae", "nae4"), False, None),
+        ("--to", "to", None, None, ("nae4", "k4free", "polar", "q+1"), True, None),
+        ("--q", "q", int, None, None, False, "source budget for --to q+1"))),
+    "params": (_cmd_params, "print exact structural parameters as JSON", INPUT, (
+        ("--max-n", "max_n", int, 64, None, False, "refuse graphs above this size"),)),
+}
+
+
+def _lean_args(argv):
+    """argparse's namespace for a plain argv (see the module docstring), or None for any other."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, (name, choices, default, _), options = COMMANDS[argv[0]]
+    args = {"command": argv[0], name: default, "func": func, **{option[1]: option[3] for option in options}}
+    flags = {option[0]: option for option in options}
+    spare = name, None, choices  # the positional's dest, type and choices, until it is given
+    words = iter(argv[1:])
+    for word in words:
+        if word in flags:  # popped, so a second use is refused
+            _, dest, type, _, choices, _, _ = flags.pop(word)
+            # a switch reads no word (bool("-") is True); a missing value reads as a flag
+            word = "-" if type is bool else next(words, "--")
+        elif spare:
+            (dest, type, choices), spare = spare, None
+        else:
+            return None
+        try:
+            value = type(word) if type else word
+        except ValueError:
+            return None
+        if word[:1] == "-" != word or choices and value not in choices:
+            return None
+        args[dest] = value
+    if spare and default is None or any(option[5] for option in flags.values()):
+        return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    import argparse  # only for help and the argv _lean_args refuses
+
+    # the last docstring paragraph is about this module, not the commands
+    parser = argparse.ArgumentParser(prog="tfcolor", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a generated graph as DIMACS (or DOT)")
-    p.add_argument("family", choices=GEN_FAMILIES)
-    p.add_argument("--k", type=int, default=None, help="family size parameter")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of DIMACS")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("solve", help="compute chi3 or decide a fixed budget")
-    p.add_argument("input", nargs="?", default="-", help="DIMACS graph file (default stdin)")
-    p.add_argument("--q", type=int, default=None, help="decide feasibility at this budget")
-    p.add_argument("--polar", default=None, help="polar-instance file (graph + s lines)")
-    p.add_argument("--class", dest="cls", default=None, choices=CLASS_TAGS)
-    p.add_argument("--fpt", action="store_true", help="use the vertex-cover algorithm (needs --q)")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("verify", help="check a coloring file against a graph")
-    p.add_argument("input", nargs="?", default="-", help="DIMACS graph file (default stdin)")
-    p.add_argument("--coloring", required=True, help="JSON coloring file ('-' for stdin)")
-    p.add_argument("--polar", default=None, help="polar-instance file (graph + s lines)")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("reduce", help="run an instance transformation")
-    p.add_argument("input", nargs="?", default="-", help="input file (default stdin)")
-    p.add_argument("--from", dest="src", default=None, choices=("sat4", "nae", "nae4"))
-    p.add_argument("--to", required=True, choices=("nae4", "k4free", "polar", "q+1"))
-    p.add_argument("--q", type=int, default=None, help="source budget for --to q+1")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("params", help="print exact structural parameters as JSON")
-    p.add_argument("input", nargs="?", default="-", help="DIMACS graph file (default stdin)")
-    p.add_argument("--max-n", type=int, default=64, help="refuse graphs above this size")
-    p.set_defaults(func=_cmd_params)
-
+    for command, (func, text, (name, choices, default, help), options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument(name, choices=choices, help=help, **({"nargs": "?", "default": default} if default else {}))
+        for flag, dest, type, default, choices, required, help in options:
+            kind = {"action": "store_true"} if type is bool else {
+                "type": type, "default": default, "choices": choices, "required": required}
+            p.add_argument(flag, dest=dest, help=help, **kind)
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _lean_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         if sys.stdout is None:  # started with fd 1 closed; every command answers on stdout
             raise OSError("standard output is closed")

@@ -6,6 +6,15 @@ from __future__ import annotations
 from .graph import Graph, as_edge_subset
 
 
+def _decimals(words):
+    """The ints of words of ASCII digits with at most one leading '-'; int() also reads '+1', '٢' and '0_1'."""
+    text = "".join(words)
+    if text.isascii() and text.replace("-", "").isdigit():
+        return [int(w) for w in words]  # int() refuses a '-' anywhere but first
+    bad = next(w for w in words if not (w.isascii() and w.replace("-", "").isdigit()))
+    raise ValueError(f"not a decimal integer: {bad!r}")
+
+
 def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
     """Stream DIMACS-style text in one pass. Yields (N, M), both
     non-negative, from its one 'p <fmt> N M' header, then per data line
@@ -21,7 +30,7 @@ def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
         head = parts[0]
         try:
             if head in kinds and len(parts) == 3 and header is not None:
-                row = head, int(parts[1]), int(parts[2])
+                row = head, *_decimals(parts[1:])
             elif head[0] == "c":
                 continue
             elif head[0] == "%":
@@ -31,13 +40,13 @@ def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
                     raise ValueError("duplicate header")
                 if len(parts) != 4 or parts[1] != fmt:
                     raise ValueError(f"expected 'p {fmt} N M'")
-                row = header = int(parts[2]), int(parts[3])
+                row = header = tuple(_decimals(parts[2:]))
                 if min(header) < 0:
                     raise ValueError("counts must be non-negative")
             elif header is None:
                 raise ValueError(f"data before the 'p {fmt}' header")
             elif not kinds:
-                row = [int(t) for t in parts]
+                row = _decimals(parts)
             else:
                 raise ValueError(f"expected {' or '.join(repr(k + ' u v') for k in kinds)}")
         except ValueError as e:

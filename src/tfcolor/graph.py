@@ -250,9 +250,9 @@ def _read_graph(text: str, kinds: tuple):
     table of the labels '1'..'N'; dimacs.read_graph_rows reads other text and names its fault."""
     try:
         rows = iter(text.splitlines())
-        p, fmt, n, m = next((head for head in map(str.split, rows) if head and head[0][0] != "c"), ())
+        _, _, n, m = header = next((head for head in map(str.split, rows) if head and head[0][0] != "c"), ())
         n, m = int(n), int(m)
-        if p != "p" or fmt != "edge" or n < 0:
+        if header != ["p", "edge", str(n), str(m)] or n < 0:
             raise ValueError
         vertex = dict(zip(map(str, range(1, n + 1)), range(n)))
         nbrs = [[] for _ in range(n)]

@@ -1,6 +1,7 @@
 """Command-line behavior: pipes between gen/solve/verify/reduce/params,
 exit codes, and the pinned golden outputs."""
 
+import contextlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
 from tfcolor.cli import CLASS_TAGS
 from tfcolor.graph_classes import BOUNDED_TAGS
@@ -406,3 +409,110 @@ def test_main_passes_exit_codes_through(tmp_path):
         done = cli_child(argv, tmp_path, preexec_fn=lambda: os.close(1))
         lines = done.stderr.decode().splitlines()
         assert done.returncode == 2 and lines == ["error: standard output is closed"]
+
+
+def test_a_closed_stdin_is_an_input_error(tmp_path):
+    (tmp_path / "k3.dimacs").write_text(K3)
+    for argv in (["solve"], ["verify", "k3.dimacs", "--coloring", "-"]):
+        done = cli_child(argv, tmp_path, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(0))
+        lines = done.stderr.decode().splitlines()
+        assert (done.returncode, lines, done.stdout) == (2, ["error: standard input is closed"], b"")
+
+
+def test_help_and_malformed_argv_match_the_recorded_outputs(tmp_path):
+    # cli_argv.json holds the stdout, stderr and exit code of each argv as
+    # argparse alone read them: help, errors, abbreviations, --opt=value
+    (tmp_path / "k3.dimacs").write_text(K3)
+    (tmp_path / "c.json").write_text('{"colors": [1, 1, 2]}')
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, COLUMNS="80")  # argparse wraps help to the terminal width
+    for row in json.loads((GOLDEN / "cli_argv.json").read_text(encoding="utf-8")):
+        done = subprocess.run([sys.executable, "-m", "tfcolor.cli", *row["argv"]], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=60)
+        assert (done.stdout, done.stderr, done.returncode) == (row["stdout"], row["stderr"], row["code"]), row["argv"]
+
+
+PARSER = cli._build_parser()
+VALUES = ["-", "-1", "+3", "\u0663", "3_0", " 3", "3", "0", "", "x", "k3.dimacs", "chordal", "general", "clover",
+          "cycle", "sat4", "nae", "nae4", "k4free", "polar", "q+1"]
+WORDS = [*cli.COMMANDS, *sorted({option[0] for _, _, _, options in cli.COMMANDS.values() for option in options}),
+         "--cl", "--po", "--co", "--f", "--max", "--q=3", "--dot=1", "--", "-h", "--help", *VALUES]
+
+
+def near_plain(command):
+    """argv of command: some of its flags once each in any order, with a
+    value that is often a valid one, maybe a positional, and maybe one
+    stray word anywhere."""
+    def with_value(option):
+        flag, _, type, _, choices, _, _ = option
+        if type is bool:
+            return st.just([flag])
+        good = choices or (["3", "+3", "\u0663", "3_0", " 3", "0"] if type is int else ["k3.dimacs", "-", "", "x"])
+        return st.sampled_from([*good, "-", "-1", "x"]).map(lambda value: [flag, value])
+
+    def insert(argv, stray):
+        for at, word in stray:
+            argv.insert(1 + at % len(argv), word)
+        return argv
+
+    _, _, (_, choices, _, _), options = cli.COMMANDS[command]
+    flags = st.lists(st.sampled_from(options), unique=True).flatmap(lambda chosen: st.tuples(*map(with_value, chosen)))
+    positional = st.lists(st.sampled_from(choices or ["k3.dimacs", "-", ""]).map(lambda word: [word]), max_size=1)
+    plain = st.tuples(flags, positional).flatmap(lambda t: st.permutations([*t[0], *t[1]]))
+    stray = st.lists(st.tuples(st.integers(0, 9), st.sampled_from(WORDS)), max_size=1)
+    return st.tuples(plain, stray).map(lambda t: insert([command, *sum(t[0], [])], t[1]))
+
+
+NEAR_PLAIN = st.sampled_from(list(cli.COMMANDS)).flatmap(near_plain)
+
+
+@settings(max_examples=3000)
+@given(st.one_of(st.lists(st.sampled_from(WORDS), max_size=9), NEAR_PLAIN, NEAR_PLAIN, NEAR_PLAIN))  # 3 in 4 near plain
+def test_lean_argv_reader_agrees_with_argparse(argv):
+    lean = cli._lean_args(argv)
+    if lean is not None:
+        assert vars(lean) == vars(PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "g.dimacs", "--q", "3"], ["solve", "--polar", "p.polar", "--q", "2"], ["solve", "--q", "3", "-"],
+    ["solve", "g.dimacs", "--fpt", "--q", "2"], ["solve", "g.dimacs", "--class", "chordal"], ["gen", "clover", "--k", "4"],
+    ["gen", "theorem9", "--dot"], ["verify", "g.dimacs", "--coloring", "w.json"], ["params", "g.dimacs", "--max-n", "100"],
+    ["reduce", "f.cnf", "--from", "nae", "--to", "k4free"], ["reduce", "g.dimacs", "--to", "q+1", "--q", "3"],
+    ["solve", "--q", "+3", "g.dimacs"], ["gen", "cycle", "--k", " 5"],
+])
+def test_lean_argv_reader_takes_the_plain_argv(argv):
+    assert vars(cli._lean_args(argv)) == vars(PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["solve", "-h"], ["solve", "--q=3"], ["solve", "--cl", "chordal"], ["solve", "--", "g.dimacs"],
+    ["solve", "--q", "-1"], ["solve", "--q", "3", "--q", "2"], ["solve", "--fpt", "--fpt"], ["solve", "--q"],
+    ["solve", "--q", "x"], ["solve", "a", "b"], ["verify", "g.dimacs"], ["reduce", "--to", "bad"], ["gen"],
+    ["gen", "nope"], ["gen", "--k", "2"], ["params", "--max-n", "1.5"], ["solve", "--k", "2"],
+])
+def test_lean_argv_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._lean_args(argv) is None
+
+
+def emitted(doc):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(doc)
+    return out.getvalue()
+
+
+INTS = st.integers(-2**64, 2**64)
+
+
+@given(st.lists(INTS), INTS, st.booleans(), st.lists(INTS, min_size=7, max_size=7))
+def test_json_writer_matches_json_dumps(colors, k, valid, params):
+    docs = ({"feasible": False}, {"feasible": True, "coloring": colors}, {"chi3": k, "coloring": colors},
+            {"valid": valid}, dict(zip(("n", "m", "omega", "chi", "chi3", "vc", "delta"), params)))
+    for doc in docs:
+        assert emitted(doc) == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, None, {}, {"a": 1}, [1, "2"], [1.0], [None]])
+def test_json_writer_refuses_other_value_types(value):
+    with pytest.raises(TypeError):
+        emitted({"chi3": 2, "coloring": value})

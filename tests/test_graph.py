@@ -310,6 +310,27 @@ def test_dimacs_rejects_malformed(text, msg):
         read_dimacs_graph(text)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("p edge 2 1\ne +1 \u0662\n", 2), ("p edge 2 1\ne 0_1 2\n", 2), ("p edge +2 1\ne 1 2\n", 1),
+    ("p edge 2 +1\ne 1 2\n", 1), ("p edge 2 1\ne 1 \uff12\n", 2), ("c\np edge 2 1\ne 1 --2\n", 3),
+    ("p edge 3 1\ne 1 2\n\ne 2 +3\n", 4),
+])
+def test_dimacs_refuses_integers_that_are_not_plain_decimals(text, line):
+    # int() alone reads '+1', '\u0662' (Arabic-Indic two) and '0_1' as numbers
+    for read in (read_dimacs_graph, read_polar_graph):
+        with pytest.raises(ValueError, match=f"^line {line}: bad line "):
+            read(text)
+
+
+def test_dimacs_reads_leading_zeros_as_the_lean_reader_reads_plain_labels():
+    g, polar = read_polar_graph("p edge 03 2\ne 01 2\ne 2 003\ns 02 3\n")
+    assert (g.n, sorted(g.edges()), polar) == (3, [(0, 1), (1, 2)], frozenset({(1, 2)}))
+    with pytest.raises(ValueError, match="^line 3: bad line 's 1 \\+2'"):
+        read_polar_graph("p edge 2 1\ne 1 2\ns 1 +2\n")
+    assert read_dimacs_graph("p edge 03 2\ne 01 2\ne 2 003\n").edges() == read_dimacs_graph(
+        "p edge 3 2\ne 1 2\ne 2 3\n").edges()
+
+
 def test_dot_export():
     g = Graph(3, [(0, 1), (1, 2)])
     plain = write_dot(g)

@@ -128,22 +128,36 @@ def test_no_command_loads_dataclasses(argv, inputs):
 
 # LOADS imports json itself, so this probe takes its argv as plain words
 # and answers on its last stdout line after the command's own output
-JSON_PROBE = """\
+ARGV_PROBE = """\
 import sys
 from tfcolor import cli
 code = cli.run(sys.argv[1:])
 print()
-print(code, "json" in sys.modules)
+print(code, *sorted({"argparse", "gettext", "locale", "json"} & set(sys.modules)))
 """
+
+
+@pytest.mark.parametrize("argv", [*LOADED_BY, ("--help",), ("solve", "g.dimacs", "--q")])
+def test_plain_argv_loads_no_argparse_and_only_verify_loads_json(argv, inputs):
+    # a well-formed argv is read from the command table and every answer
+    # is written without json; verify reads its coloring file with it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", ARGV_PROBE, *argv], cwd=inputs, env=env, capture_output=True,
+                          text=True)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    if argv in LOADED_BY:
+        assert (code, loaded) == ("0", ["json"] if argv[0] == "verify" else [])
+    else:  # help, and the errors, come from argparse
+        assert code == ("0" if argv == ("--help",) else "2") and "argparse" in loaded
 
 
 @pytest.mark.parametrize("argv", [argv for argv in LOADED_BY if argv[0] in ("reduce", "gen")])
 def test_reduce_and_gen_do_not_load_json(argv, inputs):
-    # they answer in DIMACS, so only the JSON commands pay for the import
+    # they answer in DIMACS and read a plain argv, so they load none of the probed modules
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", JSON_PROBE, *argv], cwd=inputs, env=env,
+    proc = subprocess.run([sys.executable, "-c", ARGV_PROBE, *argv], cwd=inputs, env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 @pytest.fixture(scope="module")

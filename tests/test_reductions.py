@@ -99,6 +99,19 @@ def test_cnf_rejects_malformed(text, msg):
         parse_dimacs_cnf(text)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("p cnf 3 1\n1 \u0662 3 0\n", 2), ("p cnf 3 1\n1 +2 3 0\n", 2), ("p cnf 3 1\n1 0_2 3 0\n", 2),
+    ("p cnf 3 1\n1 --2 3 0\n", 2), ("p cnf 3 1\n1 2- 3 0\n", 2), ("p cnf +3 1\n1 2 3 0\n", 1),
+    ("c\np cnf 3 1\n1 2 \uff13 0\n", 3),
+])
+def test_cnf_refuses_integers_that_are_not_plain_decimals(text, line):
+    # int() alone reads '+2', '\u0662' (Arabic-Indic two) and '0_2' as 2
+    with pytest.raises(ValueError, match=f"^line {line}: bad line "):
+        parse_dimacs_cnf(text)
+    # leading zeros and a leading '-' are decimal
+    assert parse_dimacs_cnf("p cnf 03 1\n01 -02 3 0\n") == CnfFormula(3, ((1, -2, 3),))
+
+
 def test_occurrence_validator():
     phi = CnfFormula(1, ((1, 1, 1), (1, -1, -1)))
     assert variable_occurrences(phi) == {1: 6}
