@@ -169,9 +169,9 @@ def fpt_tf_q_coloring(g: Graph, q: int):
 
 
 def compute_params(g: Graph) -> StructuralParams:
-    """Exact structural parameters; chi and chi3 come from the
-    triangle-free search, chi with every edge polar, so mid-sized gadget
-    graphs stay tractable."""
+    """Exact structural parameters; chi and chi3 each come from one climb
+    of the triangle-free search's budget ladder, chi with every edge
+    polar, so mid-sized gadget graphs stay tractable."""
     from .oracles import oracle_omega
     from .solvers import solve_chi3
 

@@ -1,8 +1,8 @@
 """Pipelines for graph classes where the problem is easy: chordal
 recognition by maximum cardinality search (linear time with one counter
 per vertex and one stack per count) and exact coloring, and the
-bounded-chromatic classes, where the triangle-free search needs at most
-budget 2 (or 3)."""
+bounded-chromatic classes, where the triangle-free search's budget
+ladder stops by budget 2 (or 3)."""
 
 from __future__ import annotations
 
@@ -95,11 +95,10 @@ def bounded_chi_chi3(g: Graph, tag: str):
     """Triangle-free chromatic number on the tagged classes, where chi3 <=
     ceil(chi/2) is at most 2 on planar and outerplanar graphs and at most 3
     on regular graphs of degree at most 4 (by Brooks' theorem only a K5
-    component needs 3). The regular4 tag's regularity and degree are
-    checked first. Then the all-ones coloring is returned if verified,
-    else the triangle-free search decides budget 2, then for regular4
-    only budget 3. The planar/outerplanar tags are trusted, so a failure
-    within the class bound signals a violated hint."""
+    component needs 3), so solve_chi3 stops by that budget. The regular4
+    tag's regularity and degree are checked first; the planar/outerplanar
+    tags are trusted, so chi3 above the class bound signals a violated
+    hint."""
     if tag not in BOUNDED_TAGS:
         raise ValueError(f"class tag {tag!r} is not handled by the bounded pipeline")
     if g.n == 0:
@@ -110,13 +109,9 @@ def bounded_chi_chi3(g: Graph, tag: str):
             raise ValueError("regular4 hint violated: graph is not regular")
         if degs.pop() > 4:
             raise ValueError("regular4 hint violated: degree exceeds 4")
-    ones = Coloring(1, (1,) * g.n)
-    if verify_triangle_free(g, ones):
-        return 1, ones
-    from .solvers import decide_tf_q
+    from .solvers import solve_chi3
 
-    for q in (2, 3) if tag == "regular4" else (2,):
-        witness = decide_tf_q(g, q)
-        if witness is not None:
-            return q, witness
-    raise ValueError(f"class hint {tag!r} violated: chi3 exceeds {q}")
+    k, witness = solve_chi3(g)
+    if k > (3 if tag == "regular4" else 2):
+        raise ValueError(f"class hint {tag!r} violated: chi3 is {k}")
+    return k, witness

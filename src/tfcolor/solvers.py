@@ -1,9 +1,9 @@
 """The triangle-free search engine: decide_tf_q, the pruned backtracking
 decision procedure for triangle-free q-colorings, plain and polar (with
 every edge polar it decides proper q-coloring, so it gives chi as well
-as chi3), and solve_chi3, which runs it at growing budgets. solve --q,
-chi3, --polar and the bounded class pipelines load this module; params
-loads it through fpt.compute_params.
+as chi3), and solve_chi3, which climbs the budgets 1, 2, ... on one
+setup of the graph. solve --q, chi3, --polar and the bounded class
+pipelines load this module; params loads it through fpt.compute_params.
 """
 
 from __future__ import annotations
@@ -82,6 +82,15 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     """
     if q < 1:
         raise ValueError("color budget must be at least 1")
+    return _ladder(g, (q,), polar, rng)
+
+
+def _ladder(g: Graph, budgets, polar=None, rng=None):
+    """The search of decide_tf_q at each budget in turn: the first
+    verified Coloring, or None. The polar pairs, the index, the constraint
+    sets, the tie order, the top-level components and the twin classes are
+    built once; each budget searches from fresh state, and budget 1 is
+    tried only when nothing is constrained."""
     n = g.n
     pairs = as_edge_subset(g, polar) if polar else frozenset()
 
@@ -94,11 +103,9 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
         tri[w].append((w, u))
         pol[u] |= 1 << w
         pol[w] |= 1 << u
-    # nbrs[v]: the vertices sharing a constraint with v; nmask[v]: the same
-    # as a vertex set
+    # nbrs[v]: the vertices sharing a constraint with v; nmask[v]: as a vertex set
     nbrs = [{x for ab in tri[v] for x in ab} - {v} for v in range(n)]
     nmask = [sum(1 << u for u in s) for s in nbrs]
-    labels = min(q, n)
 
     def twin_classes():
         """twins[v]: v's twin class in index order, or () when it has
@@ -124,27 +131,6 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     tie = list(range(n))
     if rng is not None:
         rng.shuffle(tie)
-
-    # a vertex under no constraint takes color 1 and is never searched
-    color = [0 if s else 1 for s in nbrs]
-    # why[v]: bitmask of the decision levels that colored v follows from;
-    # a forced vertex follows from the pairs that blocked its other colors
-    why = [0] * n
-    cls = [0] * (labels + 1)  # cls[x]: the vertices colored x
-    blocked = [0] * (labels + 1)  # blocked[x]: the vertices at which x is blocked
-    # nblk[v]: how many blocked sets hold v. Every label blocked at v is at
-    # most the cap: a triangle or polar block uses a label in use, and a
-    # twin nogood one that was a candidate at an ancestor node. So an
-    # uncolored v has cap - nblk[v] free colors.
-    nblk = [0] * n
-    uncolored = (1 << n) - 1 - sum(1 << v for v, s in enumerate(nbrs) if not s)
-    # held[v]: the decision levels behind the twin nogoods that block
-    # colors at v. bstack holds (x, old blocked[x]) for each growth of a
-    # blocked set and (~v, old held[v]) for each twin nogood at v.
-    held = [0] * n
-    assigned = []
-    bstack = []
-    conflict = 0  # the decision levels behind the latest failure
 
     def undo(a_mark, b_mark):
         nonlocal uncolored
@@ -372,38 +358,57 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
             conflict = (tried | blame(v)) & ~bit
         return None
 
-    for sub in components(uncolored):
-        stack = [search(sub, 0, 0 if sub.bit_count() > PIECE else None)]
-        res = None
-        while stack:
-            try:
-                part = stack[-1].send(res)
-            except StopIteration as done:
-                stack.pop()
-                res = done.value
-            else:
-                stack.append(search(*part))
-                res = None  # a new generator is started with None
-        if res is None:
-            return None
-    result = Coloring(q, tuple(color))
-    if not verify_triangle_free(g, result, pairs or None):
-        raise RuntimeError("internal error: solver produced an invalid coloring")
-    return result
+    # a vertex under no constraint takes color 1 and is never searched;
+    # the top-level components of the rest do not depend on the budget
+    uncolored = constrained = (1 << n) - 1 - sum(1 << v for v, s in enumerate(nbrs) if not s)
+    tops = components(constrained)
+    for q in budgets:
+        if q == 1 and constrained:
+            continue  # a triangle or a polar edge needs two colors
+        labels = min(q, n)
+        color = [0 if s else 1 for s in nbrs]
+        # why[v]: bitmask of the decision levels that colored v follows from;
+        # a forced vertex follows from the pairs that blocked its other colors
+        why = [0] * n
+        cls = [0] * (labels + 1)  # cls[x]: the vertices colored x
+        blocked = [0] * (labels + 1)  # blocked[x]: the vertices at which x is blocked
+        # nblk[v]: how many blocked sets hold v. Every label blocked at v
+        # is at most the cap: a triangle or polar block uses a label in
+        # use, and a twin nogood one that was a candidate at an ancestor
+        # node. So an uncolored v has cap - nblk[v] free colors.
+        nblk = [0] * n
+        uncolored = constrained
+        # held[v]: the decision levels behind the twin nogoods that block
+        # colors at v. bstack holds (x, old blocked[x]) for each growth of
+        # a blocked set and (~v, old held[v]) for each twin nogood at v.
+        held = [0] * n
+        assigned, bstack = [], []
+        conflict = 0  # the decision levels behind the latest failure
+        for sub in tops:
+            stack = [search(sub, 0, 0 if sub.bit_count() > PIECE else None)]
+            res = None
+            while stack:
+                try:
+                    part = stack[-1].send(res)
+                except StopIteration as done:
+                    stack.pop()
+                    res = done.value
+                else:
+                    stack.append(search(*part))
+                    res = None  # a new generator is started with None
+            if res is None:
+                break
+        else:
+            result = Coloring(q, tuple(color))
+            if not verify_triangle_free(g, result, pairs or None):
+                raise RuntimeError("internal error: solver produced an invalid coloring")
+            return result
+    return None
 
 
 def solve_chi3(g: Graph, polar=None):
     """Exact chi3 (optionally polar-constrained) with a verified witness:
-    the all-ones coloring when no edge is polar and the verifier accepts
-    it, else the decision procedure with a growing budget from 2."""
-    if g.n == 0:
-        return 0, Coloring(0, ())
-    polar = as_edge_subset(g, polar) if polar else None
-    ones = Coloring(1, (1,) * g.n)
-    if not polar and verify_triangle_free(g, ones):
-        return 1, ones
-    for k in range(2, g.n + 1):
-        c = decide_tf_q(g, k, polar=polar)
-        if c is not None:
-            return k, c
-    raise AssertionError("a rainbow coloring always fits")
+    the least budget the search fits, climbing 1, 2, ... on one setup of
+    the graph; n colors always fit."""
+    witness = _ladder(g, range(1, g.n + 1), polar) if g.n else Coloring(0, ())
+    return witness.k, witness

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tfcolor import (
+    Coloring,
     Graph,
     bounded_chi_chi3,
     chordal_chi3,
@@ -19,6 +20,7 @@ from tfcolor import (
     triangle_pairs,
     verify_triangle_free,
 )
+from tfcolor.graph_classes import BOUNDED_TAGS
 from util_graphs import circulant, graphs, icosahedron, petersen, planar_subgraph, random_ktree
 
 
@@ -192,8 +194,15 @@ def test_bounded_regular_circulants():
     assert k == 3 and verify_triangle_free(g, w)
 
 
+@pytest.mark.parametrize("tag", BOUNDED_TAGS)
+def test_bounded_empty_graph(tag):
+    # the empty graph is answered before the regular4 check, which would
+    # call it irregular
+    assert bounded_chi_chi3(Graph(0), tag) == (0, Coloring(0, ()))
+
+
 def test_bounded_rejects_violated_hints():
-    with pytest.raises(ValueError, match="violated"):
+    with pytest.raises(ValueError, match="'planar' violated: chi3 is 3"):
         bounded_chi_chi3(gen_complete(5), "planar")
     with pytest.raises(ValueError, match="regular"):
         bounded_chi_chi3(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), "regular4")

@@ -180,6 +180,13 @@ def test_solve_class_planar_large_grid(monkeypatch, capsys):
     assert verify_triangle_free(read_dimacs_graph(text), coloring)
 
 
+@pytest.mark.parametrize("tag", BOUNDED_TAGS)
+def test_solve_class_bounded_empty_graph(tag, monkeypatch, capsys):
+    code, out = run_cli(["solve", "--class", tag], stdin_text="p edge 0 0\n",
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (0, '{"chi3": 0, "coloring": []}\n')
+
+
 def test_gen_clover_five_solve_budget_five_infeasible(monkeypatch, capsys):
     code, clover = run_cli(["gen", "clover", "--k", "5"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0

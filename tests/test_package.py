@@ -101,6 +101,7 @@ LOADED_BY = {
     ("verify", "--polar", "p.polar", "--coloring", "c.json"): ("coloring",),
     ("reduce", "f.cnf", "--from", "nae", "--to", "k4free"): ("dimacs", "reductions", "gadgets"),
     ("reduce", "f.cnf", "--from", "sat4", "--to", "nae4"): ("dimacs", "reductions"),
+    ("solve", "g.dimacs", "--class", "planar"): ("coloring", "graph_classes", "solvers"),
 }
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from tfcolor import fpt, solvers
 from tfcolor import (
@@ -284,6 +284,47 @@ def test_solve_chi3_one_color_needs_no_search():
     assert solve_chi3(c5) == (1, Coloring(1, (1,) * 5))
     k, got = solve_chi3(c5, polar=[(1, 2)])
     assert k == 2 and got.colors[1] != got.colors[2] and verify_triangle_free(c5, got, [(1, 2)])
+
+
+@settings(max_examples=200)
+@given(st.one_of(twin_instances(), graphs_with_polar(max_n=9)), st.sampled_from([0, 64]))
+def test_solve_chi3_starts_each_budget_from_fresh_state(inst, piece):
+    # the ladder keeps its index across budgets but no search state, so the
+    # budget it stops at answers as a search at that budget alone does;
+    # PIECE = 0 searches every part with conflict analysis and twin nogoods
+    # held on the decisions behind them
+    g, polar = inst
+    assume(g.n)
+    k = oracle_chi3(g, polar)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "PIECE", piece)
+        assert solve_chi3(g, polar) == (k, decide_tf_q(g, k, polar))
+
+
+@settings(max_examples=200)
+@given(graphs_with_polar(max_n=9))
+def test_budget_one_fits_exactly_without_constraints(inst):
+    # a triangle or a polar edge needs two colors, so budget 1 is never
+    # searched: it is the all-ones coloring or nothing
+    g, polar = inst
+    got = decide_tf_q(g, 1, polar)
+    if oracle_chi3(g, polar)[0] <= 1:
+        assert got == Coloring(1, (1,) * g.n)
+    else:
+        assert got is None
+
+
+def test_the_ladder_indexes_the_graph_once(monkeypatch):
+    # one index per climb of the budgets, not one per budget
+    index = solvers.triangle_pairs
+    calls = []
+    monkeypatch.setattr(solvers, "triangle_pairs", lambda g: calls.append(g.n) or index(g))
+    clover = gen_clover(3)
+    assert solve_chi3(clover)[0] == 4
+    assert calls == [40]
+    calls.clear()
+    compute_params(clover)
+    assert calls == [40, 40]
 
 
 def test_decide_sparse_graph_has_no_deep_chain():
