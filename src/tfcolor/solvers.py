@@ -1,9 +1,10 @@
 """The triangle-free search engine: decide_tf_q, the pruned backtracking
 decision procedure for triangle-free q-colorings, plain and polar (with
-every edge polar it decides proper q-coloring, so it gives chi as well
-as chi3), and solve_chi3, which climbs the budgets 1, 2, ... on one
-setup of the graph. solve --q, chi3, --polar and the bounded class
-pipelines load this module; params loads it through fpt.compute_params.
+every edge polar it gives chi as well as chi3), which searches only the
+q-core of the constraints, and solve_chi3, which climbs the budgets 1,
+2, ... on one setup of the graph. solve --q, chi3, --polar and the
+bounded class pipelines load this module; params loads it through
+fpt.compute_params.
 """
 
 from __future__ import annotations
@@ -23,39 +24,45 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     With every edge polar (polar=g.edges()) this decides proper
     q-coloring, so chi and chi3 share this one search.
 
-    Backtracking with propagation over the constraints alone, triangles
-    and polar edges: a color is blocked at a vertex when the other two
-    vertices of a triangle already share it, or a polar neighbor holds
-    it; forced vertices are assigned to a fixpoint, and each decision
-    picks a most-constrained uncolored vertex (fewest free colors, then
-    most colored neighbors, then highest degree, where a neighbor is a
-    vertex sharing a constraint). A vertex under no constraint takes
-    color 1 and is never searched. The components of the constraints
-    share none, so each is searched on its own with its own label cap:
-    an assignment may introduce at most the one label after the largest
-    label in use in its component, so the first vertex of each component
-    takes color 1 and no more than min(q, n) labels are ever searched.
-    Forced moves are exempt from the cap but never need labels beyond it:
-    an unused label is blocked only by a twin nogood, and that nogood
-    rules out every unused label alike.
+    The constraints are the triangles and the polar edges; a neighbor of v
+    shares one with v. Kempe's rule peels them to their q-core (Matula and
+    Beck's smallest-last order, Chaitin's simplify step): a vertex under
+    fewer than q live constraints, whose other vertices are still in,
+    leaves. Only the core is searched; the peeled vertices are colored in
+    reverse peel order, each with its free color least used among its
+    neighbors, ties to the lower label. Each is then under fewer than q
+    live constraints, each blocking at most one color, so one is free; the
+    q-core does not depend on the removal order, so closed or open twins
+    are both in it or both out, and twins of the core are automorphisms of
+    the core instance; the label cap holds in the core only.
+
+    The core is searched by backtracking with propagation: a color is
+    blocked at a vertex when the other two vertices of a triangle share
+    it, or a polar neighbor holds it; forced vertices are assigned to a
+    fixpoint, and each decision picks a most-constrained uncolored vertex
+    (fewest free colors, then most colored neighbors, then highest
+    degree). Each component of the constraints is searched on its own
+    with its own label cap: an assignment may introduce at most the one
+    label after the largest in use in its component, so no more than
+    min(q, n) labels are ever searched. Forced moves are exempt from the
+    cap but never need labels beyond it: an unused label is blocked only
+    by a twin nogood, which rules out every unused label.
 
     The state is held in vertex sets as Python ints, one bit per vertex
-    (bit-parallel after San Segundo et al.): each vertex's constraint
-    neighbors and polar neighbors, the vertices of each color, the
-    vertices at which each color is blocked, and the uncolored vertices.
-    Two vertices of a triangle have the third among their common
-    constraint neighbors, so assigning u = x blocks x on the uncolored
-    common constraint neighbors of u and each x-colored neighbor of u,
-    and on u's polar neighbors, in a few set operations. Every change to
-    a blocked set pushes the old set onto a stack, and undo restores the
-    saved sets in reverse.
+    (bit-parallel after San Segundo et al.): the neighbors and polar
+    neighbors of each vertex, the vertices of each color and those at
+    which it is blocked, and the uncolored vertices. Two vertices of a
+    triangle have the third among their common neighbors, so u = x blocks
+    x on the uncolored common neighbors of u and each x-colored neighbor
+    of u, and on u's polar neighbors, in a few set operations; undo
+    restores each blocked set from a stack of old ones.
 
-    Twins (equal closed or open constraint neighborhoods, equal polar
-    neighborhoods) are interchangeable, so once v = x has failed at a
-    node, x is blocked on each uncolored twin u of v until the node's
-    assignment is undone: the swap (u v) fixes that assignment (Gent and
-    Smith's symmetry breaking during search). Where the search backjumps,
-    the nogood is blamed on the decisions behind the failure of v = x.
+    Twins (equal closed or open neighborhoods, equal polar neighborhoods)
+    are interchangeable, so once v = x has failed at a node, x is blocked
+    on each uncolored twin u of v until the node's assignment is undone:
+    the swap (u v) fixes that assignment (Gent and Smith's symmetry
+    breaking during search). Where the search backjumps, the nogood is
+    blamed on the decisions behind the failure of v = x.
 
     After each decision, the pieces of at most PIECE uncolored vertices
     that it cut off from the rest are solved first, smallest first; a
@@ -64,21 +71,18 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     conflict-directed backjumping): every failure carries the set of
     decisions it follows from, and a decision that is not in that set is
     undone without trying its other colors. A failed piece is blamed on
-    everything colored around it.
+    everything colored around it. The search keeps its frames on an
+    explicit stack, so no input is too deep for the recursion limit.
 
     A decision tries its vertex's free colors least used first, by how
-    many of its constraint neighbors hold each (ties in label order;
-    promise-first value ordering, after Geelen), so a new label comes
-    before any label a neighbor holds. With every edge polar no neighbor
-    holds a free color, so the order is label order.
+    many of its neighbors hold each (ties in label order; promise-first
+    value ordering, after Geelen), so a new label comes before any label
+    a neighbor holds. With every edge polar no neighbor holds a free
+    color, so the order is label order.
 
-    The search keeps its frames on an explicit stack, not the Python call
-    stack, so no input is too deep for the recursion limit.
-
-    rng, when given, shuffles decision ties and colors of equal count to
-    randomize which witness is found; feasibility is unaffected.
-
-    Returns a verified Coloring or None.
+    Returns a verified Coloring or None. rng, when given, shuffles
+    decision ties and colors of equal count to randomize which witness is
+    found; feasibility is unaffected.
     """
     if q < 1:
         raise ValueError("color budget must be at least 1")
@@ -86,47 +90,41 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
 
 
 def _ladder(g: Graph, budgets, polar=None, rng=None):
-    """The search of decide_tf_q at each budget in turn: the first
-    verified Coloring, or None. The polar pairs, the index, the constraint
-    sets, the tie order, the top-level components and the twin classes are
-    built once; each budget searches from fresh state, and budget 1 is
-    tried only when nothing is constrained."""
+    """The search of decide_tf_q at each budget in turn: the first verified
+    Coloring, or None. The polar pairs, the index and the tie order are
+    built once, the core's sets, components and twin classes only when the
+    core changes; budget 1 is skipped when anything is constrained."""
     n = g.n
     pairs = as_edge_subset(g, polar) if polar else frozenset()
 
-    # A polar edge uw joins tri[u] as (u, w) and tri[w] as (w, u): u always
-    # holds the color being propagated, so the triangle rule blocks it on w.
-    tri = triangle_pairs(g)
-    pol = [0] * n  # pol[v]: v's polar neighbors
+    # A polar edge uw joins index[u] as (u, w) and index[w] as (w, u): u
+    # always holds the color being propagated, so the triangle rule blocks it on w.
+    index = triangle_pairs(g)
     for u, w in pairs:
-        tri[u].append((u, w))
-        tri[w].append((w, u))
-        pol[u] |= 1 << w
-        pol[w] |= 1 << u
-    # nbrs[v]: the vertices sharing a constraint with v; nmask[v]: as a vertex set
-    nbrs = [{x for ab in tri[v] for x in ab} - {v} for v in range(n)]
-    nmask = [sum(1 << u for u in s) for s in nbrs]
+        index[u].append((u, w))
+        index[w].append((w, u))
 
     def twin_classes():
         """twins[v]: v's twin class in index order, or () when it has
-        none. The key is v's open or closed constraint neighbors and its
-        polar neighbors: vertices sharing a constraint are adjacent, so a
-        triangle through v lies in its closed constraint neighbors, and
+        none. The key is v's polar and its open or closed constraint
+        neighbors, sorted: vertices sharing a constraint are adjacent, so
+        a triangle through v lies in its closed constraint neighbors, and
         swapping two twins maps the constraints onto themselves. No vertex
         has twins of both kinds, so it is in at most one real class."""
+        from bisect import insort
         classes = {}
-        for v in range(n):
-            if nmask[v]:
-                for key in (nmask[v], nmask[v] | 1 << v):
-                    classes.setdefault((key, pol[v]), []).append(v)
+        for v, s in enumerate(nbrs):
+            if s:
+                key = [pol[v] and tuple(sorted(b for a, b in tri[v] if a == v)), *sorted(s)]
+                classes.setdefault(tuple(key), []).append(v)
+                insort(key, v, 1)
+                classes.setdefault(tuple(key), []).append(v)
         twins = [()] * n
         for cls in classes.values():
             if len(cls) > 1:
                 for v in cls:
                     twins[v] = cls
         return twins
-
-    twins = None  # built at the first failed decision; a search that fails none skips it
 
     tie = list(range(n))
     if rng is not None:
@@ -358,15 +356,36 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
             conflict = (tried | blame(v)) & ~bit
         return None
 
-    # a vertex under no constraint takes color 1 and is never searched;
-    # the top-level components of the rest do not depend on the budget
-    uncolored = constrained = (1 << n) - 1 - sum(1 << v for v, s in enumerate(nbrs) if not s)
-    tops = components(constrained)
+    built = None  # the peel that tri and the rest were last built for
     for q in budgets:
-        if q == 1 and constrained:
+        if q == 1 and any(index):
             continue  # a triangle or a polar edge needs two colors
+        # the peel is a FIFO from the top index down, so in reverse the first out go in index order
+        live = list(map(len, index))  # live[v]: the constraints at v whose other vertices are in
+        order = [v for v in range(n - 1, -1, -1) if 0 < live[v] < q]
+        gone = bytearray(not t for t in index)  # gone[v]: v is out of the q-core; one under no constraint starts out
+        for v in order:
+            for a, b in index[v]:
+                if not (gone[a] or gone[b]):
+                    for x in a, b:  # a is v on a polar edge: v is out, so its count no longer matters
+                        live[x] -= 1
+                        if live[x] == q - 1:
+                            order.append(x)
+            gone[v] = 1
+        if gone != built:
+            built = gone
+            # tri[v]: v's live core constraints, nbrs[v] their other vertices, nmask[v] as a set, pol[v] polar ones
+            tri = [() if gone[v] else t if live[v] == len(t) else [ab for ab in t if not (gone[ab[0]] or gone[ab[1]])]
+                   for v, t in enumerate(index)]
+            nbrs = [t and {x for ab in t for x in ab} - {v} for v, t in enumerate(tri)]
+            nmask = [sum(1 << u for u in s) if s else 0 for s in nbrs]
+            pol = [sum(1 << b for a, b in t if a == v) for v, t in enumerate(tri)] if pairs else [0] * n
+            # the core as a vertex set: one binary digit per vertex, the last for vertex 0
+            uncolored = constrained = int(b"0" + gone[::-1].translate(bytes.maketrans(b"\0\1", b"10")), 2)
+            tops = components(constrained)
+            twins = None  # built at the first failed decision; a search that fails none skips it
         labels = min(q, n)
-        color = [0 if s else 1 for s in nbrs]
+        color = [0 if t else 1 for t in index]
         # why[v]: bitmask of the decision levels that colored v follows from;
         # a forced vertex follows from the pairs that blocked its other colors
         why = [0] * n
@@ -399,6 +418,12 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
             if res is None:
                 break
         else:
+            for v in reversed(order):  # under fewer than q live constraints, so a color is free
+                used = {}  # color -> how many neighbors hold it, so some label up to len(used) + 1 is unused
+                for x in {x for ab in index[v] for x in ab} - {v}:
+                    used[color[x]] = used.get(color[x], 0) + 1
+                bad = {color[b] if a == v else (color[a] if color[a] == color[b] else 0) for a, b in index[v]}
+                color[v] = min((used.get(y, 0), y) for y in range(1, min(q, len(used) + 1) + 1) if y not in bad)[1]
             result = Coloring(q, tuple(color))
             if not verify_triangle_free(g, result, pairs or None):
                 raise RuntimeError("internal error: solver produced an invalid coloring")

@@ -32,6 +32,7 @@ from tfcolor import (
 from util_graphs import (
     brute_min_cover,
     c4_ring,
+    circulant,
     disjoint_union,
     graphs_with_polar,
     grid_graph,
@@ -369,6 +370,116 @@ def test_decide_complete_graph_pairing():
     assert got is not None
     counts = sorted(got.colors.count(x) for x in set(got.colors))
     assert counts == [2, 2, 2]
+
+
+def test_decide_deep_chains_in_the_core_stay_within_recursion_limit():
+    # the square of C_3000 puts every vertex in 3 triangles, so at q=2 the
+    # peel removes nothing and the search walks the whole chain; 4 | n,
+    # so 1122... colors it
+    g = circulant(3000)
+    got = decide_tf_q(g, 2)
+    assert got is not None and verify_triangle_free(g, got)
+
+
+@pytest.mark.parametrize("piece", [solvers.PIECE, 1])
+def test_decide_tries_least_used_color_first_in_a_whole_core(piece, monkeypatch):
+    # W5 with a polar rim: each rim vertex is under 2 triangles and 2 polar
+    # edges, the hub under 5 triangles, so at q = 3 and 4 nothing is peeled.
+    # The hub is decided first and takes 1; rim vertex 1 then tries the
+    # least-used 2 before 1 (label order would give it 1), and at q=4 rim
+    # vertex 5, with 2 and 3 blocked, takes the new label 4 before the
+    # hub's 1
+    monkeypatch.setattr(solvers, "PIECE", piece)
+    wheel = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    rim = [(i, i % 5 + 1) for i in range(1, 6)]
+    for q, want in ((3, (1, 2, 3, 2, 3, 1)), (4, (1, 2, 3, 2, 3, 4))):
+        got = decide_tf_q(wheel, q, polar=rim)
+        assert got.colors == want and verify_triangle_free(wheel, got, rim)
+
+
+@st.composite
+def peelable_instances(draw):
+    """A dense core (a K4 plus random edges, at most 6 vertices) with
+    parts the peel removes hung on it: pendant triangles on a vertex,
+    strips of triangles grown from an edge, paths of polar edges; with or
+    without a random polar subset of the core's edges. At q = 2 and 3 the
+    peel keeps the K4 and removes every part hung on it, so it cuts the
+    graph only partly. The vertices are relabeled at random."""
+    core = draw(st.integers(4, 6))
+    edges = [(u, v) for u, v in combinations(range(core), 2) if v < 4 or draw(st.booleans())]
+    polar = [e for e in edges if draw(st.booleans())] if draw(st.booleans()) else []
+    n = core
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["pendant", "strip", "polar path"]))
+        if kind == "pendant":
+            u = draw(st.integers(0, n - 1))
+            edges += [(u, n), (u, n + 1), (n, n + 1)]
+            n += 2
+            continue
+        a, b = draw(st.sampled_from(edges))
+        for _ in range(draw(st.integers(1, 3))):
+            if kind == "strip":
+                edges += [(a, n), (b, n)]
+                a, b = b, n
+            else:
+                edges.append((b, n))
+                polar.append((b, n))
+                b = n
+            n += 1
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), [(perm[u], perm[v]) for u, v in polar]
+
+
+@settings(max_examples=150)
+@given(peelable_instances(), st.sampled_from([0, 64]), st.integers(0, 2**16))
+def test_peeled_search_matches_oracle(inst, piece, seed):
+    # only the q-core is searched and the peeled vertices are colored last,
+    # so the answers must still be the oracle's, with PIECE = 0 (conflict
+    # analysis everywhere) as with the default, and with shuffled ties
+    g, polar = inst
+    best = oracle_chi3(g, polar)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "PIECE", piece)
+        k, witness = solve_chi3(g, polar)
+        assert k == best and verify_triangle_free(g, witness, polar)
+        for q in range(1, best + 2):
+            for rng in (None, random.Random(seed)):
+                got = decide_tf_q(g, q, polar, rng)
+                assert (got is not None) == (q >= best)
+                if got is not None:
+                    assert got.k == q and verify_triangle_free(g, got, polar)
+
+
+def fan(n):
+    """The maximal outerplanar fan: vertex 0 joined to the path 1..n-1."""
+    return Graph(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+def test_decide_empty_two_cores_answer_without_search():
+    # at q=2 the peel removes every vertex of these: each end of the chain
+    # of triangles (or of polar edges) is under one constraint. The search
+    # then meets nothing, and the peeled vertices are colored last
+    n = 20000
+    cycle = gen_cycle(n)
+    for g, polar in ((square_of_path(n), None), (fan(n), None),
+                     (cycle, [e for e in cycle.edges() if e != (0, 1)])):
+        got = decide_tf_q(g, 2, polar)
+        assert got is not None and verify_triangle_free(g, got, polar)
+
+
+def test_decide_memory_of_an_empty_core_stays_small():
+    # the square of P_5000 at q=2 leaves no core, so no n-bit vertex set is
+    # built per vertex: peeled, it peaks at 3.5 MB, where a search of the
+    # whole chain peaks at 11.0 MB
+    g = square_of_path(5000)
+    tracemalloc.start()
+    try:
+        got = decide_tf_q(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is not None and verify_triangle_free(g, got)
+    assert peak < 6 * 10**6
 
 
 def test_decide_rejects_bad_budget():
