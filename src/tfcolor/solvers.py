@@ -55,7 +55,8 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     triangle have the third among their common neighbors, so u = x blocks
     x on the uncolored common neighbors of u and each x-colored neighbor
     of u, and on u's polar neighbors, in a few set operations; undo
-    restores each blocked set from a stack of old ones.
+    restores each blocked set from a stack of old ones and lowers the
+    per-vertex counts of blocked colors from a flat log of the raises.
 
     Twins (equal closed or open neighborhoods, equal polar neighborhoods)
     are interchangeable, so once v = x has failed at a node, x is blocked
@@ -129,20 +130,24 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
     tie = list(range(n))
     if rng is not None:
         rng.shuffle(tie)
+    # The decision key nblk[v] * k1 + colored neighbors * k2 + static[v] is
+    # in radix n: the colored neighbors, the degree in static[v] and the
+    # tie rank under it are each at most n - 1, so one int comparison
+    # compares the fields in that order.
+    k2 = n * n
+    k1 = n * k2
 
-    def undo(a_mark, b_mark):
+    def undo(a_mark, b_mark, n_mark):
         nonlocal uncolored
         while len(bstack) > b_mark:
             x, old = bstack.pop()
             if x < 0:
                 held[~x] = old
-                continue
-            m = blocked[x] ^ old
-            while m:
-                low = m & -m
-                nblk[low.bit_length() - 1] -= 1
-                m ^= low
-            blocked[x] = old
+            else:
+                blocked[x] = old
+        for w in nlog[n_mark:]:
+            nblk[w] -= 1
+        del nlog[n_mark:]
         while len(assigned) > a_mark:
             v = assigned.pop()
             cls[color[v]] ^= 1 << v
@@ -166,17 +171,20 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
         The worklist holds plain vertices and forcedness is re-derived
         when one is popped: the symmetry cap may have grown since the
         vertex was touched, in which case it is no longer forced and is
-        left to a later decision.
+        left to a later decision. Only a vertex left with at most one free
+        color is queued: the cap never shrinks, so any other one can be
+        forced only after it is blocked again, which queues it then.
         """
-        nonlocal conflict
+        nonlocal conflict, uncolored
         pending = []
-
-        def assign(u, xu):
-            nonlocal maxused, uncolored
+        why[v0] = bit
+        u, xu = v0, x0
+        while u is not None:  # assign u = xu, then pop the next forced vertex into u
             color[u] = xu
             assigned.append(u)
             if xu > maxused:
                 maxused = xu
+            cap = labels if maxused >= labels else maxused + 1
             uncolored ^= 1 << u
             cls[xu] |= 1 << u
             nu = nmask[u]
@@ -189,37 +197,38 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
                     low = fresh & -fresh
                     w = low.bit_length() - 1
                     nblk[w] += 1
-                    pending.append(w)
+                    nlog.append(w)
+                    if nblk[w] >= cap - 1:
+                        pending.append(w)
                     fresh ^= low
-
-        why[v0] = bit
-        assign(v0, x0)
-        while pending:
-            w = pending.pop()
-            if color[w]:
-                continue
-            cap = labels if maxused >= labels else maxused + 1
-            free = cap - nblk[w]
-            if not free:
-                if bit:
-                    conflict = blame(w)
-                return None
-            if free == 1:
-                why[w] = blame(w) if bit else 0
-                assign(w, next(y for y in range(1, cap + 1) if not blocked[y] >> w & 1))
+            u = None
+            while pending and u is None:
+                w = pending.pop()
+                if color[w]:
+                    continue
+                free = cap - nblk[w]
+                if not free:
+                    if bit:
+                        conflict = blame(w)
+                    return None
+                if free == 1:
+                    why[w] = blame(w) if bit else 0
+                    u, xu = w, 1
+                    while blocked[xu] >> w & 1:
+                        xu += 1
         return maxused
 
     def pick_decision(part):
         best = None
-        best_key = None
-        colored = ~uncolored
+        best_key = -1
+        colored = constrained ^ uncolored
         m = part & uncolored
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            key = (-nblk[v], -(nmask[v] & colored).bit_count(), -len(nbrs[v]), tie[v])
-            if best_key is None or key < best_key:
+            key = nblk[v] * k1 + (nmask[v] & colored).bit_count() * k2 + static[v]
+            if key > best_key:
                 best, best_key = v, key
         return best
 
@@ -238,12 +247,13 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
         todo = comp & uncolored
         subs = []
         while todo:
-            sub = frontier = todo & -todo
-            while frontier:
-                frontier = around(frontier) & todo & ~sub
-                sub |= frontier
-            todo ^= sub
-            subs.append(sub)
+            frontier = todo & -todo
+            rest = todo ^ frontier
+            while frontier and rest:
+                frontier = around(frontier) & rest
+                rest ^= frontier
+            subs.append(todo ^ rest)
+            todo = rest
         subs.sort(key=int.bit_count)
         return subs
 
@@ -313,7 +323,7 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
         cand.sort(key=lambda x: (nmask[v] & cls[x]).bit_count())
         tried = 0
         for x in cand:
-            a_mark, b_mark = len(assigned), len(bstack)
+            a_mark, b_mark, n_mark = len(assigned), len(bstack), len(nlog)
             res = apply_with_propagation(v, x, maxused, bit)
             if res is not None:
                 if bit:
@@ -334,7 +344,7 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
                     res = yield comp, res, depth + 1, near_rest
                 if res is not None:
                     return res
-            undo(a_mark, b_mark)
+            undo(a_mark, b_mark, n_mark)
             if bit:
                 if not conflict & bit:
                     return None  # v is not to blame: its other colors fail too
@@ -352,6 +362,7 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
                         bstack.append((x, old))
                         blocked[x] = old | 1 << u
                         nblk[u] += 1
+                        nlog.append(u)
         if bit:
             conflict = (tried | blame(v)) & ~bit
         return None
@@ -380,6 +391,7 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
             nbrs = [t and {x for ab in t for x in ab} - {v} for v, t in enumerate(tri)]
             nmask = [sum(1 << u for u in s) if s else 0 for s in nbrs]
             pol = [sum(1 << b for a, b in t if a == v) for v, t in enumerate(tri)] if pairs else [0] * n
+            static = [len(s) * n + n - 1 - t for s, t in zip(nbrs, tie)]  # degree, then lower tie first
             # the core as a vertex set: one binary digit per vertex, the last for vertex 0
             uncolored = constrained = int(b"0" + gone[::-1].translate(bytes.maketrans(b"\0\1", b"10")), 2)
             tops = components(constrained)
@@ -399,9 +411,11 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
         uncolored = constrained
         # held[v]: the decision levels behind the twin nogoods that block
         # colors at v. bstack holds (x, old blocked[x]) for each growth of
-        # a blocked set and (~v, old held[v]) for each twin nogood at v.
+        # a blocked set and (~v, old held[v]) for each twin nogood at v;
+        # nlog holds v once for each raise of nblk[v]. A node undoes both
+        # and assigned back to their lengths before it.
         held = [0] * n
-        assigned, bstack = [], []
+        assigned, bstack, nlog = [], [], []
         conflict = 0  # the decision levels behind the latest failure
         for sub in tops:
             stack = [search(sub, 0, 0 if sub.bit_count() > PIECE else None)]

@@ -2,6 +2,7 @@
 clique/chromatic/vertex-cover search, and the cover-parameterized
 algorithm. Oracles and the optimized path must agree everywhere."""
 
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -448,6 +449,82 @@ def test_peeled_search_matches_oracle(inst, piece, seed):
                 assert (got is not None) == (q >= best)
                 if got is not None:
                     assert got.k == q and verify_triangle_free(g, got, polar)
+
+
+def test_search_witnesses_match_pinned_digest():
+    """The search's witnesses, not only its answers, pinned by one SHA-256
+    over about 300 seeded calls: G(n, p) with n 4-40 and p 0.2-0.9, and
+    blow-ups whose classes are cliques (closed twins) or independent sets
+    (open twins), so the twin nogoods and their undo run; none, 10% or 30%
+    of the edges polar; q 2-5; rng on every other call; PIECE 64, and 1
+    on every fifth call; solve_chi3 on every eighth graph. A change that
+    keeps the search order keeps the digest. One that alters which
+    vertex, color or piece the search tries updates the digest and says
+    why in CHANGES.md."""
+    rng = random.Random(1710)
+    digest = hashlib.sha256()
+    for i in range(300):
+        if i % 6 == 5:
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(3, 7))]
+            cliques = [rng.random() < 0.5 for _ in sizes]
+            base = [e for e in combinations(range(len(sizes)), 2) if rng.random() < 0.6]
+            g, _ = blow_up(sizes, cliques, base, rng.sample(range(sum(sizes)), sum(sizes)))
+        else:
+            g = rand_graph(rng, rng.randint(4, 40), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8, 0.9)))
+        share = (0, 0.1, 0.3)[i % 3]
+        polar = [e for e in g.edges() if rng.random() < share]
+        q = rng.randint(2, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "PIECE", 1 if i % 5 == 2 else 64)
+            got = decide_tf_q(g, q, polar, random.Random(i) if i % 2 else None)
+            digest.update(repr((i, got and got.colors)).encode())
+            if i % 8 == 0:
+                digest.update(repr(solve_chi3(g, polar)).encode())
+    assert digest.hexdigest() == "3ebe8d2c47117602c434ac2346a1820e4d8e70e8670b9180241339debef0e53c"
+
+
+def test_decision_key_fields_settle_picks_at_their_maxima():
+    """Each decision takes the uncolored vertex with the largest key
+    nblk * n**3 + colored * n**2 + degree * n + (n - 1 - tie rank): most
+    blocked colors, then most colored constraint neighbors, then highest
+    constraint degree, then the lower tie rank. Each case below is
+    settled by one field against the fields under it near their largest
+    values, on n = 40 vertices.
+
+    - tie rank against degree: hub 39 (degree 39, rank 0) against vertex 0
+      (degree 38, rank 39). A tie-rank radix of n - 1 makes them equal, and
+      vertex 0, scanned first, is decided first.
+    - degree against colored neighbors, at q=2: the apex 39 of a fan over
+      the path 1..38 is decided first; then vertex 0, a second apex over
+      1..37 with no colored neighbor, loses to path vertices of degree 4
+      with one. A degree radix k2 <= 1283 (of n**2 = 1600) decides vertex 0.
+    - colored neighbors against blocked colors, at q=3: deciding vertex 0
+      forces 17 pairs (y, z) polar to it and to each other, which leaves
+      vertex 38, in a triangle with each pair, with 34 colored neighbors
+      and no blocked color. Vertex 35, polar to vertex 0, has one
+      blocked color and one colored neighbor, and must come first.
+      k1 <= 54117 (of n**3 = 64000) decides vertex 38.
+
+    A core vertex has constraint degree at least 2, and the first decision
+    of a component takes its highest degree, so no pick meets the
+    degree or colored field at its bound: the last two cases come within
+    20% of it."""
+    n = 40
+    hub = Graph(n, [(i, n - 1) for i in range(n - 1)] + [(0, i) for i in range(1, n - 2)] + [(1, n - 2)])
+    assert decide_tf_q(hub, 3, hub.edges()).colors == (2,) + (3,) * 37 + (2, 1)
+
+    fans = Graph(n, [(i, i + 1) for i in range(1, n - 2)] + [(i, n - 1) for i in range(1, n - 1)]
+                 + [(0, i) for i in range(1, n - 2)])
+    assert decide_tf_q(fans, 2).colors == (1, 2, 2, 1) + (2,) * 34 + (1, 1)
+
+    ys, zs = range(1, 18), range(18, 35)
+    a, w1, w2, b, t = 35, 36, 37, 38, 39
+    polar = [(0, t), (0, a), (a, w1), (a, w2)]
+    for y, z in zip(ys, zs):
+        polar += [(0, y), (t, y), (0, z), (y, z)]
+    plain = [(b, y) for y in ys] + [(b, z) for z in zs] + [(b, w1), (b, w2), (w1, w2)]
+    forced = Graph(n, polar + plain)
+    assert decide_tf_q(forced, 3, polar).colors == (1,) + (3,) * 17 + (2,) * 18 + (1, 3, 1, 2)
 
 
 def fan(n):
