@@ -3,7 +3,7 @@ graph reader for text its lean loop refuses. Only commands that read such text l
 
 from __future__ import annotations
 
-from .graph import Graph, as_edge_subset
+from .graph import Graph
 
 
 def _decimals(words):
@@ -16,12 +16,11 @@ def _decimals(words):
 
 
 def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
-    """Stream DIMACS-style text in one pass. Yields (N, M), both
-    non-negative, from its one 'p <fmt> N M' header, then per data line
-    (kind, a, b) for a 'kind a b' line with kind in kinds or, with no
-    kinds, the line's integers. Blank and 'c' lines are skipped and a '%'
-    line ends the input. Every error names its line, also one a caller
-    throws in at the row it refuses."""
+    """Stream DIMACS-style text in one pass. Yields (line number, row): first
+    the row (N, M), both non-negative, of its one 'p <fmt> N M' header, then
+    per data line (kind, a, b) for a 'kind a b' line with kind in kinds or,
+    with no kinds, the line's integers. Blank and 'c' lines are skipped and a
+    '%' line ends the input. Every error names its line."""
     header = None
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
@@ -51,43 +50,36 @@ def dimacs_rows(text: str, fmt: str, kinds: tuple = ()):
                 raise ValueError(f"expected {' or '.join(repr(k + ' u v') for k in kinds)}")
         except ValueError as e:
             raise ValueError(f"line {ln}: bad line {raw.strip()!r}: {e}") from None
-        try:
-            yield row
-        except ValueError as e:
-            raise ValueError(f"line {ln}: {e}") from None
+        yield ln, row
     if header is None:
         raise ValueError(f"missing 'p {fmt}' header")
 
 
 def read_graph_rows(text: str, kinds: tuple):
-    """(graph, polar edges) of graph text read through dimacs_rows, whose errors name their line."""
+    """(graph, polar edges) of graph text read through dimacs_rows, in one pass. It names the
+    first fault, by its line where it has one: a malformed row, then the edge count, then an
+    edge out of range, a self-loop or a repeat, then a polar edge not in the graph."""
     rows = dimacs_rows(text, "edge", kinds)
-    n, m = next(rows)
-    edges, polar = [], []
-    for kind, u, v in rows:
-        (edges if kind == "e" else polar).append((u - 1, v - 1))
-    if m != len(edges):
-        raise ValueError(f"header claims {m} edges, found {len(edges)}")
-    g = None
-    try:
-        g = Graph(n, edges)
-        return g, as_edge_subset(g, polar)
-    except ValueError:
-        # name the refused pair's line and its 1-based labels
-        rows = dimacs_rows(text, "edge", kinds)
-        next(rows)
-        seen = set()
-        for kind, u, v in rows:
-            a, b = sorted((u, v))
-            if kind == "s":
-                if g is not None and not (1 <= a and b <= n and g.has_edge(a - 1, b - 1)):
-                    rows.throw(ValueError(f"polar edge ({u}, {v}) not present in graph"))
-            elif a < 1 or b > n:
-                rows.throw(ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}"))
-            elif a == b:
-                rows.throw(ValueError(f"self-loop on vertex {a}"))
-            elif (a, b) in seen:
-                rows.throw(ValueError(f"duplicate edge ({a}, {b})"))
-            else:
-                seen.add((a, b))
-        raise
+    n, m = next(rows)[1]
+    edges, polar, faults, count = set(), [], [], 0
+    for ln, (kind, u, v) in rows:
+        a, b = (u, v) if u < v else (v, u)
+        if kind == "s":
+            polar.append((ln, u, v, a, b))
+            continue
+        count += 1
+        if a < 1 or b > n:
+            faults.append(f"line {ln}: edge endpoint out of range: ({u}, {v}) with n={n}")
+        elif a == b:
+            faults.append(f"line {ln}: self-loop on vertex {a}")
+        elif (a, b) in edges:
+            faults.append(f"line {ln}: duplicate edge ({a}, {b})")
+        edges.add((a, b))
+    if m != count:
+        raise ValueError(f"header claims {m} edges, found {count}")
+    for ln, u, v, a, b in polar:
+        if (a, b) not in edges:
+            faults.append(f"line {ln}: polar edge ({u}, {v}) not present in graph")
+    if faults:
+        raise ValueError(faults[0])
+    return Graph(n, [(a - 1, b - 1) for a, b in edges]), frozenset((a - 1, b - 1) for _, _, _, a, b in polar)

@@ -82,23 +82,19 @@ def oracle_chi(g: Graph) -> int:
 
 
 def oracle_omega(g: Graph) -> int:
-    """Exact clique number by branch and bound with a size cutoff."""
-    n = g.n
-    if n == 0:
-        return 0
-    adj = [g.neighbors(v) for v in range(n)]
-    best = 1
-
-    def extend(size, cand):
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(cand):
-            if size + len(cand) - i <= best:
-                return
-            extend(size + 1, [u for u in cand[i + 1:] if u in adj[v]])
-
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
-    extend(0, order)
-    del extend  # a recursive closure refers to itself; unbound, it leaves no cycle behind
+    """Exact clique number by branch and bound with a size cutoff, on an
+    explicit stack of (clique size, candidates) so no clique size reaches
+    the recursion limit. Candidates go by degree, highest first, and each
+    list holds them reversed, so the next one is popped off its end."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    best = 0
+    stack = [(0, sorted(range(g.n), key=lambda v: -len(adj[v]))[::-1])]
+    while stack:
+        size, cand = stack[-1]
+        if size + len(cand) <= best:
+            stack.pop()
+            continue
+        v = cand.pop()
+        stack.append((size + 1, [u for u in cand if u in adj[v]]))
+        best = max(best, size + 1)
     return best

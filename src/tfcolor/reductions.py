@@ -84,9 +84,9 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     from .dimacs import dimacs_rows  # graph readers and --to q+1 never load the grammar
 
     rows = dimacs_rows(text, "cnf")
-    num_vars, num_clauses = next(rows)
+    num_vars, num_clauses = next(rows)[1]
     clauses = [[]]  # each 0 closes the last clause and opens the next
-    for row in rows:
+    for _, row in rows:
         for t in row:
             if t == 0:
                 clauses.append([])

@@ -3,6 +3,19 @@ truth and the brute-force CNF oracles: lift_witness and pull_witness
 carry a witness across a reduction and re-verify it. Only these need the
 coloring verifier, and the `reduce` command translates no witness, so it
 never loads this module. Assignments are dicts variable -> bool.
+
+Each reduction kind states its witness contract once, in _CONTRACTS:
+
+    kind            source side                      target side
+    sat4_to_nae4    sat_satisfies(phi)               nae_satisfies(psi)
+    nae_to_k4free   nae_satisfies(phi)               <= 2 colors, triangle-free on G
+    nae4_to_polar   nae_satisfies(phi)               <= 2 colors, triangle-free on G, polar
+    q_to_q1         <= q colors, triangle-free on G  <= q+1 colors, triangle-free on H
+
+A witness that fails the side it enters on raises ValueError; one that
+the translation carries out failing the other side is a reduction bug
+and raises RuntimeError. The translations only translate and check their
+own invariants, such as a gadget's forced edge coming out bichromatic.
 """
 
 from __future__ import annotations
@@ -73,54 +86,39 @@ def oracle_nae(phi: CnfFormula):
     return None
 
 
+# ---------------------------------------------------------------------------
+# the translations
+
+
 def _lift_sat4_to_nae4(out: ReductionOutput, assignment):
     phi: CnfFormula = out.metadata["source"]
-    if not sat_satisfies(phi, assignment):
-        raise ValueError("witness does not satisfy the source formula")
-    target: CnfFormula = out.instance
     lifted = {x: bool(assignment[x]) for x in range(1, phi.num_vars + 1)}
     for i, (x, y, _z) in enumerate(phi.clauses):
-        lifted[out.forward_map["selector"][i]] = (
-            not literal_value(x, assignment) and not literal_value(y, assignment)
-        )
+        lifted[out.forward_map["selector"][i]] = not (literal_value(x, assignment) or literal_value(y, assignment))
         lifted[out.forward_map["flag"][i]] = False
-    if not nae_satisfies(target, lifted):
-        raise RuntimeError("reduction bug: lifted assignment is not not-all-equal satisfying")
     return lifted
 
 
 def _pull_sat4_to_nae4(out: ReductionOutput, assignment):
-    phi: CnfFormula = out.metadata["source"]
-    target: CnfFormula = out.instance
-    if not nae_satisfies(target, assignment):
-        raise ValueError("witness does not not-all-equal satisfy the produced formula")
     a = dict(assignment)
     flags = out.forward_map["flag"]
     if flags and a[flags[0]]:
         a = {v: not val for v, val in a.items()}
-    pulled = {x: a[x] for x in range(1, phi.num_vars + 1)}
-    if not sat_satisfies(phi, pulled):
-        raise RuntimeError("reduction bug: pulled assignment does not satisfy the source formula")
-    return pulled
+    return {x: a[x] for x in range(1, out.metadata["source"].num_vars + 1)}
 
 
 def _gadget_private_colors(host_u_color: int):
     """Colors for gadget-local vertices 2..11 given the color of the
     u-side host endpoint: z1 and y1 follow u, everything else opposes."""
-    same = host_u_color
-    other = 3 - host_u_color
-    by_local = {loc: other for loc in range(2, 12)}
-    by_local[Z1] = by_local[Y1] = same
+    by_local = dict.fromkeys(range(2, 12), 3 - host_u_color)
+    by_local[Z1] = by_local[Y1] = host_u_color
     return by_local
 
 
 def _lift_nae_to_k4free(out: ReductionOutput, assignment):
     phi: CnfFormula = out.metadata["source"]
-    if not nae_satisfies(phi, assignment):
-        raise ValueError("witness does not not-all-equal satisfy the source formula")
-    graph: Graph = out.instance
     fm = out.forward_map
-    colors = [0] * graph.n
+    colors = [0] * out.instance.n
     for (i, j), vtx in fm["occurrence"].items():
         colors[vtx] = 1 if literal_value(phi.clauses[i][j], assignment) else 2
     for x in range(1, phi.num_vars + 1):
@@ -131,29 +129,15 @@ def _lift_nae_to_k4free(out: ReductionOutput, assignment):
             raise RuntimeError("reduction bug: forced edge came out monochromatic")
         for loc, c in _gadget_private_colors(colors[host_u]).items():
             colors[base + loc - 2] = c
-    witness = Coloring(2, tuple(colors))
-    if not verify_triangle_free(graph, witness):
-        raise RuntimeError("reduction bug: lifted coloring is not triangle-free")
-    return witness
+    return Coloring(2, tuple(colors))
 
 
 def _pull_nae_to_k4free(out: ReductionOutput, coloring: Coloring):
-    graph: Graph = out.instance
-    phi: CnfFormula = out.metadata["source"]
-    if max(coloring.colors, default=1) > 2:
-        raise ValueError("witness must be a 2-coloring")
-    if not verify_triangle_free(graph, coloring):
-        raise ValueError("witness is not a triangle-free coloring of the produced graph")
-    pulled = {x: coloring.colors[out.forward_map["true_end"][x]] == 1 for x in range(1, phi.num_vars + 1)}
-    if not nae_satisfies(phi, pulled):
-        raise RuntimeError("reduction bug: pulled assignment is not not-all-equal satisfying")
-    return pulled
+    true_end = out.forward_map["true_end"]
+    return {x: coloring.colors[true_end[x]] == 1 for x in range(1, out.metadata["source"].num_vars + 1)}
 
 
 def _lift_nae4_to_polar(out: ReductionOutput, assignment):
-    phi: CnfFormula = out.metadata["source"]
-    if not nae_satisfies(phi, assignment):
-        raise ValueError("witness does not not-all-equal satisfy the source formula")
     inst: PolarInstance = out.instance
     # every tree and occurrence vertex lies in the polar component of
     # some variable's true root; polar edges alternate colors from it
@@ -172,36 +156,19 @@ def _lift_nae4_to_polar(out: ReductionOutput, assignment):
             if not colors[v]:
                 colors[v] = 3 - colors[u]
                 stack.append(v)
-    witness = Coloring(2, tuple(colors))
-    if not verify_triangle_free(inst.graph, witness, inst.polar):
-        raise RuntimeError("reduction bug: lifted coloring violates a triangle or polar edge")
-    return witness
+    return Coloring(2, tuple(colors))
 
 
 def _pull_nae4_to_polar(out: ReductionOutput, coloring: Coloring):
-    inst: PolarInstance = out.instance
-    phi: CnfFormula = out.metadata["source"]
-    if max(coloring.colors, default=1) > 2:
-        raise ValueError("witness must be a 2-coloring")
-    if not verify_triangle_free(inst.graph, coloring, inst.polar):
-        raise ValueError("witness does not respect the produced polar instance")
-    pulled = {x: coloring.colors[out.forward_map["t_root"][x]] == 2 for x in range(1, phi.num_vars + 1)}
-    if not nae_satisfies(phi, pulled):
-        raise RuntimeError("reduction bug: pulled assignment is not not-all-equal satisfying")
-    return pulled
+    t_root = out.forward_map["t_root"]
+    return {x: coloring.colors[t_root[x]] == 2 for x in range(1, out.metadata["source"].num_vars + 1)}
 
 
 def _lift_q_to_q1(out: ReductionOutput, coloring: Coloring):
     g: Graph = out.metadata["source"]
-    q: int = out.metadata["q"]
-    if max(coloring.colors, default=1) > q:
-        raise ValueError(f"witness must use at most {q} colors")
-    if not verify_triangle_free(g, coloring):
-        raise ValueError("witness is not a triangle-free coloring of the source graph")
-    target: Graph = out.instance
-    k = q + 1
+    k = out.metadata["q"] + 1
     fm = out.forward_map
-    colors = [0] * target.n
+    colors = [0] * out.instance.n
     colors[fm["hub"]] = k
     for v in range(g.n):
         colors[fm["g_vertex"][v]] = coloring.colors[v]
@@ -213,57 +180,71 @@ def _lift_q_to_q1(out: ReductionOutput, coloring: Coloring):
         for j in range(1, 5):
             for l in range(k):
                 colors[fm["clique"][(i, j, l)]] = l + 1
-    witness = Coloring(k, tuple(colors))
-    if not verify_triangle_free(target, witness):
-        raise RuntimeError("reduction bug: constructed witness is not triangle-free")
-    return witness
+    return Coloring(k, tuple(colors))
 
 
 def _pull_q_to_q1(out: ReductionOutput, coloring: Coloring):
-    g: Graph = out.metadata["source"]
-    q: int = out.metadata["q"]
-    target: Graph = out.instance
-    if max(coloring.colors, default=1) > q + 1:
-        raise ValueError(f"witness must use at most {q + 1} colors")
-    if not verify_triangle_free(target, coloring):
-        raise ValueError("witness is not a triangle-free coloring of the produced graph")
     hub_color = coloring.colors[out.forward_map["hub"]]
     pulled = []
-    for v in range(g.n):
+    for v in range(out.metadata["source"].n):
         c = coloring.colors[out.forward_map["g_vertex"][v]]
         if c == hub_color:
             raise RuntimeError("reduction bug: hub color reappears on a source vertex")
         pulled.append(c if c < hub_color else c - 1)
-    witness = Coloring(q, tuple(pulled))
-    if not verify_triangle_free(g, witness):
-        raise RuntimeError("reduction bug: pulled coloring is not triangle-free")
-    return witness
+    return Coloring(out.metadata["q"], tuple(pulled))
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the contracts and the one dispatch
 
 
-_LIFTS = {
-    "sat4_to_nae4": _lift_sat4_to_nae4,
-    "nae_to_k4free": _lift_nae_to_k4free,
-    "nae4_to_polar": _lift_nae4_to_polar,
-    "q_to_q1": _lift_q_to_q1,
+def _fits(k: int, g: Graph, coloring: Coloring, polar=None) -> bool:
+    """At most k colors, and no monochromatic triangle or polar edge."""
+    return max(coloring.colors, default=1) <= k and verify_triangle_free(g, coloring, polar)
+
+
+# kind -> (lift, pull, source test, target test); each test takes (out, witness)
+_CONTRACTS = {
+    "sat4_to_nae4": (
+        _lift_sat4_to_nae4, _pull_sat4_to_nae4,
+        lambda out, a: sat_satisfies(out.metadata["source"], a),
+        lambda out, a: nae_satisfies(out.instance, a),
+    ),
+    "nae_to_k4free": (
+        _lift_nae_to_k4free, _pull_nae_to_k4free,
+        lambda out, a: nae_satisfies(out.metadata["source"], a),
+        lambda out, c: _fits(2, out.instance, c),
+    ),
+    "nae4_to_polar": (
+        _lift_nae4_to_polar, _pull_nae4_to_polar,
+        lambda out, a: nae_satisfies(out.metadata["source"], a),
+        lambda out, c: _fits(2, out.instance.graph, c, out.instance.polar),
+    ),
+    "q_to_q1": (
+        _lift_q_to_q1, _pull_q_to_q1,
+        lambda out, c: _fits(out.metadata["q"], out.metadata["source"], c),
+        lambda out, c: _fits(out.metadata["q"] + 1, out.instance, c),
+    ),
 }
 
-_PULLS = {
-    "sat4_to_nae4": _pull_sat4_to_nae4,
-    "nae_to_k4free": _pull_nae_to_k4free,
-    "nae4_to_polar": _pull_nae4_to_polar,
-    "q_to_q1": _pull_q_to_q1,
-}
+
+def _carry(out: ReductionOutput, witness, translate, enters, leaves, side: str, other: str):
+    """Test witness on the side it enters, translate it, test the result on the other side."""
+    if not enters(out, witness):
+        raise ValueError(f"{out.kind}: witness is not a solution of the {side} instance")
+    carried = translate(out, witness)
+    if not leaves(out, carried):
+        raise RuntimeError(f"reduction bug: {out.kind} carried a {side} witness to a non-solution of the {other}")
+    return carried
 
 
 def lift_witness(out: ReductionOutput, witness):
     """Translate a source-side witness into a verified target-side one."""
-    return _LIFTS[out.kind](out, witness)
+    lift, _, source_ok, target_ok = _CONTRACTS[out.kind]
+    return _carry(out, witness, lift, source_ok, target_ok, "source", "target")
 
 
 def pull_witness(out: ReductionOutput, witness):
     """Translate a target-side witness into a verified source-side one."""
-    return _PULLS[out.kind](out, witness)
+    _, pull, source_ok, target_ok = _CONTRACTS[out.kind]
+    return _carry(out, witness, pull, target_ok, source_ok, "target", "source")

@@ -1,5 +1,6 @@
 """CNF semantics, file formats, the four instance transformations with
-witness round trips, and degree-2 polar instances."""
+witness round trips, each kind's witness contract, the composed
+reduction chains, and degree-2 polar instances."""
 
 import random
 
@@ -10,6 +11,7 @@ from tfcolor import (
     Coloring,
     Graph,
     PolarInstance,
+    ReductionOutput,
     contains_k4,
     decide_tf_q,
     fits_occurrence_limit,
@@ -33,6 +35,7 @@ from tfcolor import (
     write_dimacs_cnf,
     write_polar_instance,
 )
+from tfcolor import witness
 from util_graphs import (
     cnf_formulas,
     draw_nm_occ4,
@@ -411,6 +414,100 @@ def test_q_to_q1_lift_pull_round_trip(g):
     w = Coloring(q, w.colors)
     out = reduce_q_to_q1(g, q)
     assert pull_witness(out, lift_witness(out, w)) == w
+
+
+# --- the witness contract of each kind, and the composed chains
+
+
+def contract_case(kind):
+    """(out, a source witness, source non-witnesses, target non-witnesses)
+    of a small reduction of the given kind. A coloring target fails once
+    with one vertex moved to a fresh color, which makes no monochromatic
+    triangle or polar edge, and once all in one color."""
+    def refused(c):
+        return [Coloring(c.k + 1, (c.k + 1,) + c.colors[1:]), Coloring(c.k, (1,) * len(c))]
+
+    phi = CnfFormula(3, ((1, 2, 3), (-1, 2, -3)))
+    if kind == "q_to_q1":
+        g = gen_complete(3)
+        out, source = reduce_q_to_q1(g, 2), decide_tf_q(g, 2)
+        return out, source, refused(source), refused(lift_witness(out, source))
+    if kind == "sat4_to_nae4":
+        out = reduce_sat4_to_nae4(phi)
+        every = dict.fromkeys(range(1, out.instance.num_vars + 1), True)
+        return out, oracle_sat(phi), [dict.fromkeys((1, 2, 3), False)], [every]
+    out = (reduce_nae_to_k4free if kind == "nae_to_k4free" else reduce_nae4_to_polar)(phi)
+    source = oracle_nae(phi)
+    return out, source, [dict.fromkeys((1, 2, 3), True)], refused(lift_witness(out, source))
+
+
+KINDS = ["sat4_to_nae4", "nae_to_k4free", "nae4_to_polar", "q_to_q1"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lift_and_pull_refuse_a_non_witness(kind):
+    out, source, bad_sources, bad_targets = contract_case(kind)
+    assert out.kind == kind and pull_witness(out, lift_witness(out, source))
+    for w in bad_sources:
+        with pytest.raises(ValueError, match=f"^{kind}: .* source instance$"):
+            lift_witness(out, w)
+    for w in bad_targets:
+        with pytest.raises(ValueError, match=f"^{kind}: .* target instance$"):
+            pull_witness(out, w)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_translation_to_a_non_witness_is_a_reduction_bug(kind, monkeypatch):
+    out, source, bad_sources, bad_targets = contract_case(kind)
+    lift, pull, source_ok, target_ok = witness._CONTRACTS[kind]
+    target = lift_witness(out, source)
+    monkeypatch.setitem(witness._CONTRACTS, kind, (lambda o, w: bad_targets[-1], pull, source_ok, target_ok))
+    with pytest.raises(RuntimeError, match=f"^reduction bug: {kind} carried a source witness"):
+        lift_witness(out, source)
+    monkeypatch.setitem(witness._CONTRACTS, kind, (lift, lambda o, w: bad_sources[-1], source_ok, target_ok))
+    with pytest.raises(RuntimeError, match=f"^reduction bug: {kind} carried a target witness"):
+        pull_witness(out, target)
+
+
+def test_an_unknown_kind_has_no_contract():
+    out = ReductionOutput(kind="x", instance=None, forward_map={}, metadata={})
+    for carry in (lift_witness, pull_witness):
+        with pytest.raises(KeyError):
+            carry(out, {})
+
+
+CHAIN_FORMULAS = [
+    CnfFormula(3, ((1, 2, 3), (1, 2, -3), (1, -2, 3), (1, -2, -3))),  # satisfiable, never not-all-equal
+    CnfFormula(3, ((1, 1, 1), (-1, 2, 2), (-2, -2, 3), (-3, -3, -3))),  # unsatisfiable
+    CnfFormula(4, ((1, -2, 3), (-1, 2, 4), (-3, -4, 2))),
+    CnfFormula(4, ((1, 2, 3), (-1, -2, 4), (2, -3, -4), (1, 3, 4))),
+]
+
+
+@pytest.mark.parametrize("phi", CHAIN_FORMULAS)
+def test_composed_chains_pull_back_to_a_source_witness(phi):
+    # sat4 -> nae4 -> polar: lift twice, decide the polar instance, pull twice
+    to_nae = reduce_sat4_to_nae4(phi)
+    to_polar = reduce_nae4_to_polar(to_nae.instance)
+    sat = oracle_sat(phi)
+    if sat is not None:
+        assert lift_witness(to_polar, lift_witness(to_nae, sat))
+    got = decide_tf_q(to_polar.instance.graph, 2, polar=to_polar.instance.polar)
+    assert (got is None) == (sat is None)
+    if got is not None:
+        assert sat_satisfies(phi, pull_witness(to_nae, pull_witness(to_polar, got)))
+    # nae -> k4free -> q+1 at q=2: lift, decide at 3, pull twice
+    if any(len(set(cl)) == 1 for cl in phi.clauses):
+        return
+    to_graph = reduce_nae_to_k4free(phi)
+    raised = reduce_q_to_q1(to_graph.instance, 2)
+    nae = oracle_nae(phi)
+    if nae is not None:
+        assert lift_witness(raised, lift_witness(to_graph, nae))
+    got = decide_tf_q(raised.instance, 3)
+    assert (got is None) == (nae is None)
+    if got is not None:
+        assert nae_satisfies(phi, pull_witness(to_graph, pull_witness(raised, got)))
 
 
 def test_nae_reductions_on_large_planted_formula():

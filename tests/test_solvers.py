@@ -573,6 +573,11 @@ def test_oracle_chi_and_omega():
     assert oracle_omega(gen_clover(2)) == 4
 
 
+def test_oracle_omega_of_a_clique_above_the_recursion_limit():
+    # one stack frame per clique vertex used to raise RecursionError past K999
+    assert oracle_omega(gen_complete(1100)) == 1100
+
+
 def test_min_vertex_cover_examples():
     assert len(min_vertex_cover(gen_complete(3))) == 2
     star = Graph(6, [(0, i) for i in range(1, 6)])
