@@ -19,7 +19,7 @@ from .graph import Graph, _members, as_edge_subset, triangle_pairs
 PIECE = 64
 
 
-def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
+def decide_tf_q(g: Graph, q: int, polar=None):
     """Search for a triangle-free q-coloring honoring the polar edges.
     With every edge polar (polar=g.edges()) this decides proper
     q-coloring, so chi and chi3 share this one search.
@@ -41,12 +41,13 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     it, or a polar neighbor holds it; forced vertices are assigned to a
     fixpoint, and each decision picks a most-constrained uncolored vertex
     (fewest free colors, then most colored neighbors, then highest
-    degree). Each component of the constraints is searched on its own
-    with its own label cap: an assignment may introduce at most the one
-    label after the largest in use in its component, so no more than
-    min(q, n) labels are ever searched. Forced moves are exempt from the
-    cap but never need labels beyond it: an unused label is blocked only
-    by a twin nogood, which rules out every unused label.
+    degree, then the lower index). Each component of the constraints is
+    searched on its own with its own label cap: an assignment may
+    introduce at most the one label after the largest in use in its
+    component, so no more than min(q, n) labels are ever searched. Forced
+    moves are exempt from the cap but never need labels beyond it: an
+    unused label is blocked only by a twin nogood, which rules out every
+    unused label.
 
     The state is held in vertex sets as Python ints, one bit per vertex
     (bit-parallel after San Segundo et al.): the neighbors and polar
@@ -81,20 +82,18 @@ def decide_tf_q(g: Graph, q: int, polar=None, rng=None):
     a neighbor holds. With every edge polar no neighbor holds a free
     color, so the order is label order.
 
-    Returns a verified Coloring or None. rng, when given, shuffles
-    decision ties and colors of equal count to randomize which witness is
-    found; feasibility is unaffected.
+    Returns a verified Coloring or None.
     """
     if q < 1:
         raise ValueError("color budget must be at least 1")
-    return _ladder(g, (q,), polar, rng)
+    return _ladder(g, (q,), polar)
 
 
-def _ladder(g: Graph, budgets, polar=None, rng=None):
+def _ladder(g: Graph, budgets, polar=None):
     """The search of decide_tf_q at each budget in turn: the first verified
-    Coloring, or None. The polar pairs, the index and the tie order are
-    built once, the core's sets, components and twin classes only when the
-    core changes; budget 1 is skipped when anything is constrained."""
+    Coloring, or None. The polar pairs and the index are built once, the
+    core's sets, components and twin classes only when the core changes;
+    budget 1 is skipped when anything is constrained."""
     n = g.n
     pairs = as_edge_subset(g, polar) if polar else frozenset()
 
@@ -127,12 +126,9 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
                     twins[v] = cls
         return twins
 
-    tie = list(range(n))
-    if rng is not None:
-        rng.shuffle(tie)
     # The decision key nblk[v] * k1 + colored neighbors * k2 + static[v] is
     # in radix n: the colored neighbors, the degree in static[v] and the
-    # tie rank under it are each at most n - 1, so one int comparison
+    # index under it are each at most n - 1, so one int comparison
     # compares the fields in that order.
     k2 = n * n
     k1 = n * k2
@@ -318,8 +314,6 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
                 return maxused
         bit = 0 if depth is None else 1 << depth
         cand = [x for x in range(1, cap + 1) if not blocked[x] >> v & 1]
-        if rng is not None:
-            rng.shuffle(cand)
         cand.sort(key=lambda x: (nmask[v] & cls[x]).bit_count())
         tried = 0
         for x in cand:
@@ -391,7 +385,7 @@ def _ladder(g: Graph, budgets, polar=None, rng=None):
             nbrs = [t and {x for ab in t for x in ab} - {v} for v, t in enumerate(tri)]
             nmask = [sum(1 << u for u in s) if s else 0 for s in nbrs]
             pol = [sum(1 << b for a, b in t if a == v) for v, t in enumerate(tri)] if pairs else [0] * n
-            static = [len(s) * n + n - 1 - t for s, t in zip(nbrs, tie)]  # degree, then lower tie first
+            static = [len(s) * n + n - 1 - v for v, s in enumerate(nbrs)]  # degree, then lower index first
             # the core as a vertex set: one binary digit per vertex, the last for vertex 0
             uncolored = constrained = int(b"0" + gone[::-1].translate(bytes.maketrans(b"\0\1", b"10")), 2)
             tops = components(constrained)

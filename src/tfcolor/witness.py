@@ -12,10 +12,10 @@ Each reduction kind states its witness contract once, in _CONTRACTS:
     nae4_to_polar   nae_satisfies(phi)               <= 2 colors, triangle-free on G, polar
     q_to_q1         <= q colors, triangle-free on G  <= q+1 colors, triangle-free on H
 
-A witness that fails the side it enters on raises ValueError; one that
-the translation carries out failing the other side is a reduction bug
-and raises RuntimeError. The translations only translate and check their
-own invariants, such as a gadget's forced edge coming out bichromatic.
+A witness failing the side it enters on, one of the wrong size too,
+raises ValueError; one carried out failing the other side is a reduction
+bug and raises RuntimeError. The translations only translate and check
+their own invariants, such as a gadget's forced edge coming out bichromatic.
 """
 
 from __future__ import annotations
@@ -199,25 +199,30 @@ def _pull_q_to_q1(out: ReductionOutput, coloring: Coloring):
 
 
 def _fits(k: int, g: Graph, coloring: Coloring, polar=None) -> bool:
-    """At most k colors, and no monochromatic triangle or polar edge."""
-    return max(coloring.colors, default=1) <= k and verify_triangle_free(g, coloring, polar)
+    """One color per vertex, at most k colors, and no monochromatic triangle or polar edge."""
+    return len(coloring) == g.n and max(coloring.colors, default=1) <= k and verify_triangle_free(g, coloring, polar)
+
+
+def _solves(test, phi: CnfFormula, assignment) -> bool:
+    """A value for every variable of phi, and test(phi, assignment)."""
+    return all(x in assignment for x in range(1, phi.num_vars + 1)) and test(phi, assignment)
 
 
 # kind -> (lift, pull, source test, target test); each test takes (out, witness)
 _CONTRACTS = {
     "sat4_to_nae4": (
         _lift_sat4_to_nae4, _pull_sat4_to_nae4,
-        lambda out, a: sat_satisfies(out.metadata["source"], a),
-        lambda out, a: nae_satisfies(out.instance, a),
+        lambda out, a: _solves(sat_satisfies, out.metadata["source"], a),
+        lambda out, a: _solves(nae_satisfies, out.instance, a),
     ),
     "nae_to_k4free": (
         _lift_nae_to_k4free, _pull_nae_to_k4free,
-        lambda out, a: nae_satisfies(out.metadata["source"], a),
+        lambda out, a: _solves(nae_satisfies, out.metadata["source"], a),
         lambda out, c: _fits(2, out.instance, c),
     ),
     "nae4_to_polar": (
         _lift_nae4_to_polar, _pull_nae4_to_polar,
-        lambda out, a: nae_satisfies(out.metadata["source"], a),
+        lambda out, a: _solves(nae_satisfies, out.metadata["source"], a),
         lambda out, c: _fits(2, out.instance.graph, c, out.instance.polar),
     ),
     "q_to_q1": (

@@ -52,6 +52,7 @@ from util_graphs import (
     rand_cnf_occ4,
     rand_graph,
     random_ktree,
+    relabelled,
 )
 
 
@@ -325,7 +326,7 @@ def test_11_budget_increment_on_triangle():
     ok = ok and verify_triangle_free(out.instance, lifted)
     hub = out.forward_map["hub"]
     for seed in range(20):
-        w = decide_tf_q(out.instance, 3, rng=random.Random(seed))
+        w = relabelled(decide_tf_q, out.instance, 3, None, seed)
         if w is None or not verify_triangle_free(out.instance, w):
             ok = False
             break

@@ -300,6 +300,37 @@ def test_reduce_rejects_bad_combination(monkeypatch, capsys):
     assert code == 2
 
 
+K3_POLAR = K3 + "s 1 2\n"
+
+
+@pytest.mark.parametrize("argv, stdin_text, message", [
+    (["solve", "graph.dimacs", "--polar", "-"], K3_POLAR, "give either a graph input or --polar FILE, not both"),
+    (["solve", "--fpt"], K3, "--fpt requires --q"),
+    (["solve", "--fpt", "--q", "2", "--polar", "-"], K3_POLAR, "--fpt does not take polar constraints"),
+    (["solve", "--class", "chordal", "--polar", "-"], K3_POLAR, "class pipelines do not take polar constraints"),
+    (["reduce", "--to", "q+1"], K3, "--to q+1 requires --q"),
+    (["reduce", "--from", "nae", "--to", "q+1", "--q", "2"], K3, "--to q+1 reads a graph; leave --from unset"),
+    (["reduce", "--from", "sat4", "--to", "polar"], "p cnf 3 1\n1 2 3 0\n", "unsupported reduction 'sat4' -> 'polar'"),
+])
+def test_refused_option_combinations_name_the_fault(argv, stdin_text, message, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_solve_class_pipeline_decides_a_budget(monkeypatch, capsys):
+    k4 = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
+    code, out = run_cli(["solve", "--class", "chordal", "--q", "1"], stdin_text=k4,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, json.loads(out)) == (1, {"feasible": False})
+    code, out = run_cli(["solve", "--class", "chordal", "--q", "2"], stdin_text=k4,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["feasible"] is True
+    assert verify_triangle_free(read_dimacs_graph(k4), Coloring(2, tuple(doc["coloring"])))
+
+
 def test_malformed_input_is_exit_two(monkeypatch, capsys):
     code, _ = run_cli(["solve"], stdin_text="p edge 2 1\ne 1 5\n",
                       monkeypatch=monkeypatch, capsys=capsys)

@@ -45,6 +45,7 @@ from util_graphs import (
     planted_nae_cnf,
     rand_cnf,
     rand_cnf_occ4,
+    relabelled,
 )
 
 
@@ -366,7 +367,7 @@ def test_q_to_q1_forces_hub_color_apart():
     out = reduce_q_to_q1(g, 2)
     hub = out.forward_map["hub"]
     for seed in range(5):
-        w = decide_tf_q(out.instance, 3, rng=random.Random(seed))
+        w = relabelled(decide_tf_q, out.instance, 3, None, seed)
         assert w is not None
         for v in range(g.n):
             assert w.colors[out.forward_map["g_vertex"][v]] != w.colors[hub]
@@ -421,11 +422,17 @@ def test_q_to_q1_lift_pull_round_trip(g):
 
 def contract_case(kind):
     """(out, a source witness, source non-witnesses, target non-witnesses)
-    of a small reduction of the given kind. A coloring target fails once
-    with one vertex moved to a fresh color, which makes no monochromatic
-    triangle or polar edge, and once all in one color."""
+    of a small reduction of the given kind. A coloring fails once a vertex
+    short and once a vertex long, once with one vertex moved to a fresh
+    color, which makes no monochromatic triangle or polar edge, and once
+    all in one color; an assignment fails once a witness short of its
+    last variable."""
     def refused(c):
-        return [Coloring(c.k + 1, (c.k + 1,) + c.colors[1:]), Coloring(c.k, (1,) * len(c))]
+        return [Coloring(c.k, c.colors[:-1]), Coloring(c.k, c.colors + (1,)),
+                Coloring(c.k + 1, (c.k + 1,) + c.colors[1:]), Coloring(c.k, (1,) * len(c))]
+
+    def short(a):
+        return {x: a[x] for x in a if x != max(a)}
 
     phi = CnfFormula(3, ((1, 2, 3), (-1, 2, -3)))
     if kind == "q_to_q1":
@@ -433,12 +440,12 @@ def contract_case(kind):
         out, source = reduce_q_to_q1(g, 2), decide_tf_q(g, 2)
         return out, source, refused(source), refused(lift_witness(out, source))
     if kind == "sat4_to_nae4":
-        out = reduce_sat4_to_nae4(phi)
+        out, source = reduce_sat4_to_nae4(phi), oracle_sat(phi)
         every = dict.fromkeys(range(1, out.instance.num_vars + 1), True)
-        return out, oracle_sat(phi), [dict.fromkeys((1, 2, 3), False)], [every]
+        return out, source, [short(source), dict.fromkeys((1, 2, 3), False)], [short(lift_witness(out, source)), every]
     out = (reduce_nae_to_k4free if kind == "nae_to_k4free" else reduce_nae4_to_polar)(phi)
     source = oracle_nae(phi)
-    return out, source, [dict.fromkeys((1, 2, 3), True)], refused(lift_witness(out, source))
+    return out, source, [short(source), dict.fromkeys((1, 2, 3), True)], refused(lift_witness(out, source))
 
 
 KINDS = ["sat4_to_nae4", "nae_to_k4free", "nae4_to_polar", "q_to_q1"]
@@ -454,6 +461,13 @@ def test_lift_and_pull_refuse_a_non_witness(kind):
     for w in bad_targets:
         with pytest.raises(ValueError, match=f"^{kind}: .* target instance$"):
             pull_witness(out, w)
+
+
+def test_a_variable_in_no_clause_still_needs_a_value():
+    phi = CnfFormula(4, ((1, 2, 3),))
+    for reduce in (reduce_sat4_to_nae4, reduce_nae_to_k4free, reduce_nae4_to_polar):
+        with pytest.raises(ValueError, match="source instance$"):
+            lift_witness(reduce(phi), {1: True, 2: False, 3: False})
 
 
 @pytest.mark.parametrize("kind", KINDS)

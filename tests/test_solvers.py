@@ -39,6 +39,9 @@ from util_graphs import (
     grid_graph,
     rand_graph,
     random_ktree,
+    refute_tf_q,
+    refuted_chi3,
+    relabelled,
     square_of_path,
     stacked_planar,
     triangulated_grid,
@@ -436,7 +439,7 @@ def peelable_instances(draw):
 def test_peeled_search_matches_oracle(inst, piece, seed):
     # only the q-core is searched and the peeled vertices are colored last,
     # so the answers must still be the oracle's, with PIECE = 0 (conflict
-    # analysis everywhere) as with the default, and with shuffled ties
+    # analysis everywhere) as with the default, and on relabelled copies
     g, polar = inst
     best = oracle_chi3(g, polar)[0]
     with pytest.MonkeyPatch.context() as mp:
@@ -444,11 +447,52 @@ def test_peeled_search_matches_oracle(inst, piece, seed):
         k, witness = solve_chi3(g, polar)
         assert k == best and verify_triangle_free(g, witness, polar)
         for q in range(1, best + 2):
-            for rng in (None, random.Random(seed)):
-                got = decide_tf_q(g, q, polar, rng)
+            for got in (decide_tf_q(g, q, polar), relabelled(decide_tf_q, g, q, polar, seed)):
                 assert (got is not None) == (q >= best)
                 if got is not None:
                     assert got.k == q and verify_triangle_free(g, got, polar)
+
+
+@settings(max_examples=150)
+@given(graphs_with_polar(max_n=9))
+def test_refuter_matches_oracle(inst):
+    g, polar = inst
+    k = refuted_chi3(g, polar)
+    assert k == oracle_chi3(g, polar)[0]
+    assert verify_triangle_free(g, Coloring(k, tuple(refute_tf_q(g, k, polar))), polar)
+
+
+@st.composite
+def refuter_instances(draw):
+    """G(n, p) with n 10-30 and p 0.3-0.7, or a blow-up of G(n, p) on
+    6-12 base vertices into classes of one or two twins, since the
+    refuter breaks no twin symmetry; no edge or a fifth of them polar."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from((0.3, 0.4, 0.5, 0.6, 0.7)))
+    if draw(st.booleans()):
+        g = rand_graph(rng, draw(st.integers(10, 30)), p)
+    else:
+        sizes = [rng.randint(1, 2) for _ in range(draw(st.integers(6, 12)))]
+        base = [e for e in combinations(range(len(sizes)), 2) if rng.random() < p]
+        g, _ = blow_up(sizes, [rng.random() < 0.5 for _ in sizes], base, rng.sample(range(sum(sizes)), sum(sizes)))
+    return g, [e for e in g.edges() if rng.random() < 0.2] if draw(st.booleans()) else None
+
+
+@settings(max_examples=1000)
+@given(refuter_instances(), st.sampled_from([0, 64]), st.integers(0, 2**16))
+def test_search_matches_the_independent_refuter(inst, piece, seed):
+    # past the oracle's reach: the refuter shares no code with the
+    # engine, which decides a relabelled copy, with conflict analysis
+    # everywhere (PIECE = 0) as with the default
+    g, polar = inst
+    k = refuted_chi3(g, polar)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "PIECE", piece)
+        assert solve_chi3(g, polar)[0] == k
+        for q in range(max(k - 1, 1), k + 1):
+            got = relabelled(decide_tf_q, g, q, polar, seed)
+            assert (got is not None) == (refute_tf_q(g, q, polar) is not None) == (q == k)
+            assert got is None or verify_triangle_free(g, got, polar)
 
 
 def test_search_witnesses_match_pinned_digest():
@@ -456,7 +500,8 @@ def test_search_witnesses_match_pinned_digest():
     over about 300 seeded calls: G(n, p) with n 4-40 and p 0.2-0.9, and
     blow-ups whose classes are cliques (closed twins) or independent sets
     (open twins), so the twin nogoods and their undo run; none, 10% or 30%
-    of the edges polar; q 2-5; rng on every other call; PIECE 64, and 1
+    of the edges polar; q 2-5; relabelled by a seeded permutation on
+    every other call, the witness mapped back; PIECE 64, and 1
     on every fifth call; solve_chi3 on every eighth graph. A change that
     keeps the search order keeps the digest. One that alters which
     vertex, color or piece the search tries updates the digest and says
@@ -476,23 +521,23 @@ def test_search_witnesses_match_pinned_digest():
         q = rng.randint(2, 5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "PIECE", 1 if i % 5 == 2 else 64)
-            got = decide_tf_q(g, q, polar, random.Random(i) if i % 2 else None)
+            got = relabelled(decide_tf_q, g, q, polar, i) if i % 2 else decide_tf_q(g, q, polar)
             digest.update(repr((i, got and got.colors)).encode())
             if i % 8 == 0:
                 digest.update(repr(solve_chi3(g, polar)).encode())
-    assert digest.hexdigest() == "3ebe8d2c47117602c434ac2346a1820e4d8e70e8670b9180241339debef0e53c"
+    assert digest.hexdigest() == "3d3d782761d6eb32d0ac399954e73b8fbe355e13434e535b2796056f69a1bef3"
 
 
 def test_decision_key_fields_settle_picks_at_their_maxima():
     """Each decision takes the uncolored vertex with the largest key
-    nblk * n**3 + colored * n**2 + degree * n + (n - 1 - tie rank): most
+    nblk * n**3 + colored * n**2 + degree * n + (n - 1 - index): most
     blocked colors, then most colored constraint neighbors, then highest
-    constraint degree, then the lower tie rank. Each case below is
+    constraint degree, then the lower index. Each case below is
     settled by one field against the fields under it near their largest
     values, on n = 40 vertices.
 
-    - tie rank against degree: hub 39 (degree 39, rank 0) against vertex 0
-      (degree 38, rank 39). A tie-rank radix of n - 1 makes them equal, and
+    - index against degree: hub 39 (degree 39, index 39) against vertex 0
+      (degree 38, index 0). An index radix of n - 1 makes them equal, and
       vertex 0, scanned first, is decided first.
     - degree against colored neighbors, at q=2: the apex 39 of a fan over
       the path 1..38 is decided first; then vertex 0, a second apex over
@@ -799,11 +844,11 @@ def test_every_color_twice_on_k2k():
                 assert all(assign.count(x) == 2 for x in range(1, k + 1))
 
 
-def test_randomized_restarts_stay_correct():
+def test_relabelled_clover_stays_correct():
     clover = gen_clover(2)
     for seed in range(5):
-        assert decide_tf_q(clover, 2, rng=random.Random(seed)) is None
-        got = decide_tf_q(clover, 3, rng=random.Random(seed))
+        assert relabelled(decide_tf_q, clover, 2, None, seed) is None
+        got = relabelled(decide_tf_q, clover, 3, None, seed)
         assert got is not None and verify_triangle_free(clover, got)
 
 

@@ -1,13 +1,26 @@
 """Shared generators and brute-force baselines for the test suite."""
 
+import random
 from itertools import combinations
 
 from hypothesis import strategies as st
-from tfcolor import CnfFormula, Graph, triangle_pairs
+from tfcolor import CnfFormula, Coloring, Graph, triangle_pairs
 
 
 def rand_graph(rng, n, p):
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def relabelled(decide, g, q, polar, seed):
+    """decide(h, q, polar) on g with vertex v renamed perm[v], for a
+    permutation perm drawn from seed, and its witness mapped back to g's
+    labels; None stays None. A search whose answer depends on labels or
+    tie order shows it here."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    got = decide(h, q, [(perm[u], perm[v]) for u, v in polar or ()] or None)
+    return got and Coloring(got.k, tuple(got.colors[p] for p in perm))
 
 
 @st.composite
@@ -237,3 +250,56 @@ def greedy_proper(rng, g):
             x += 1
         colors[v] = x
     return colors
+
+
+def refute_tf_q(g, q, polar=()):
+    """A triangle-free q-coloring of g honoring the polar pairs, as a list
+    of colors, or None: a ground truth that shares no code with the
+    engine. Plain backtracking over one static order, each next vertex the
+    one with the most already placed neighbours (then the highest degree,
+    then the lowest label), under the first-use label rule: a vertex may
+    take at most the one label after the largest in use before it. Each
+    triangle and polar pair is checked when its last vertex in the order
+    is colored. The colors by position are the explicit stack."""
+    n = g.n
+    adj = [set(g.neighbors(v)) for v in range(n)]
+    placed = [0] * n  # placed[v]: v's neighbours already in the order, or -1 once v is
+    order = []
+    for _ in range(n):
+        v = max(range(n), key=lambda u: (placed[u], len(adj[u]), -u))
+        order.append(v)
+        placed[v] = -1
+        for u in adj[v]:
+            if placed[u] >= 0:
+                placed[u] += 1
+    pos = {v: i for i, v in enumerate(order)}
+    polar_pairs = {frozenset(e) for e in polar or ()}
+    # checks[i]: pairs (a, b) placed before order[i] that may not both
+    # share its color: the other two vertices of a triangle, or (u, u) for a polar pair
+    checks = []
+    for i, v in enumerate(order):
+        before = sorted(u for u in adj[v] if pos[u] < i)
+        checks.append([(a, b) for a, b in combinations(before, 2) if b in adj[a]]
+                      + [(u, u) for u in before if frozenset((u, v)) in polar_pairs])
+    color = [0] * n
+    top = [0] * (n + 1)  # top[i]: the largest label among the first i vertices of the order
+    i = 0
+    while 0 <= i < n:
+        v = order[i]
+        bad = {color[a] for a, b in checks[i] if color[a] == color[b]}
+        x = color[v] + 1
+        while x in bad:
+            x += 1
+        if x <= min(q, top[i] + 1):
+            color[v] = x
+            top[i + 1] = max(top[i], x)
+            i += 1
+        else:
+            color[v] = 0
+            i -= 1
+    return color if i == n else None
+
+
+def refuted_chi3(g, polar=()):
+    """The least budget refute_tf_q fits."""
+    return next(q for q in range(g.n + 1) if refute_tf_q(g, q, polar) is not None)
