@@ -130,7 +130,11 @@ def _cmd_verify(args) -> int:
     if args.coloring == "-" and (args.polar or args.input) in (None, "-"):
         raise ValueError("--coloring - reads stdin, so the graph or --polar input must be a file")
     g, polar = _load_graph_maybe_polar(args)
-    c = Coloring.from_json_dict(json.loads(_read_input(args.coloring)), g.n)
+    try:
+        doc = json.loads(_read_input(args.coloring))
+    except RecursionError:
+        raise ValueError(f"coloring file {args.coloring}: JSON nested too deeply") from None
+    c = Coloring.from_json_dict(doc, g.n)
     ok = verify_triangle_free(g, c, polar)
     _emit({"valid": ok})
     return 0 if ok else 1

@@ -1,8 +1,7 @@
-"""Plain-enumeration oracles: exact chi3, chi and omega. They are
-deliberately naive and share no pruning machinery with the search
+"""Plain-enumeration oracles: exact chi3, chi and omega. They are naive
+loops on explicit stacks that share no pruning machinery with the search
 engine in solvers, so tests use them as ground truth. params loads this
-module for oracle_omega; no other command does.
-"""
+module for oracle_omega; no other command does."""
 
 from __future__ import annotations
 
@@ -23,50 +22,42 @@ def _brute_triangle_pairs(g: Graph):
 
 
 def _tf_enumerate(n, k, tri, pol):
-    """Plain k^n enumeration in vertex order with early cutoff on a
-    completed monochromatic triangle or polar edge."""
+    """Plain k^n enumeration in vertex order with early cutoff on a completed
+    monochromatic triangle or polar edge. A loop over positions with colors as
+    the stack: position i resumes after colors[i], and backtracking resets it to 0."""
     colors = [0] * n
-
-    def rec(i):
-        if i == n:
-            return True
-        for x in range(1, k + 1):
-            ok = True
+    i = 0
+    while 0 <= i < n:
+        for x in range(colors[i] + 1, k + 1):
             for a, b in tri[i]:
                 if colors[a] == x and colors[b] == x:
-                    ok = False
                     break
-            if ok:
+            else:
                 for a in pol[i]:
                     if colors[a] == x:
-                        ok = False
                         break
-            if ok:
-                colors[i] = x
-                if rec(i + 1):
-                    return True
-        colors[i] = 0
-        return False
-
-    if rec(0):
-        return tuple(colors)
-    return None
+                else:  # no triangle or polar edge rules x out
+                    colors[i] = x
+                    i += 1
+                    break
+        else:
+            colors[i] = 0
+            i -= 1
+    return tuple(colors) if i == n else None
 
 
 def oracle_chi3(g: Graph, polar=None):
     """Smallest k admitting a triangle-free (polar-respecting) k-coloring
-    plus one witness, by plain enumeration; k=0 for the empty graph.
-    Intended for small graphs (the caller bounds the size), except that
-    heavily polar-constrained inputs prune well beyond that."""
+    plus one witness, by plain enumeration; k=0 for the empty graph. For
+    small graphs only (the caller bounds n): however much polar edges
+    prune, the cubic triple scan of _brute_triangle_pairs bounds n."""
     n = g.n
-    if n == 0:
-        return 0, Coloring(0, ())
     pairs = as_edge_subset(g, polar) if polar else frozenset()
     tri = _brute_triangle_pairs(g)
     pol = [[] for _ in range(n)]
     for u, v in pairs:
         pol[v].append(u)
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         res = _tf_enumerate(n, k, tri, pol)
         if res is not None:
             return k, Coloring(k, res)

@@ -141,6 +141,18 @@ def test_verify_malformed_coloring_is_exit_two(doc, tmp_path, monkeypatch, capsy
     assert code == 2 and out == ""
 
 
+def test_verify_overnested_coloring_is_exit_two(tmp_path, monkeypatch, capsys):
+    # json.loads raises RecursionError on this, which is malformed input, not
+    # an internal error
+    coloring_file = tmp_path / "deep.json"
+    coloring_file.write_text("[" * 200000)
+    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / "polar_gadget.dimacs").read_text()))
+    assert cli.run(["verify", "--coloring", str(coloring_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: coloring file {coloring_file}: JSON nested too deeply\n"
+
+
 def test_params_polar_gadget_matches_golden(monkeypatch, capsys):
     gadget = (GOLDEN / "polar_gadget.dimacs").read_text()
     code, out = run_cli(["params"], stdin_text=gadget, monkeypatch=monkeypatch, capsys=capsys)

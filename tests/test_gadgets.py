@@ -24,6 +24,7 @@ from tfcolor import (
     oracle_omega,
     verify_triangle_free,
 )
+from tfcolor.gadgets import gadget_edges_across
 from util_graphs import brute_triangles, triangle_set
 
 
@@ -155,6 +156,12 @@ def test_polar_gadget_shape():
 def test_polar_gadget_triangles_match_brute_force():
     pg = gen_polar_gadget()
     assert triangle_set(pg.graph) == brute_triangles(pg.graph)
+
+
+def test_reductions_lay_down_the_certified_gadget():
+    # acceptance test 01 certifies gen_polar_gadget(); the reductions lay the
+    # gadget down through gadget_edges_across, which must give the same graph
+    assert Graph(12, gadget_edges_across(0, 1, 2) + [(0, 1)]) == gen_polar_gadget().graph
 
 
 def test_gadget_triangle_shape():

@@ -1,7 +1,6 @@
 """Package surface: what each CLI command loads, the cyclic garbage it
-leaves, the lazily resolved package exports, that no function outside
-the oracles recurses and that in them only the plain k^n enumeration
-does, and the semantics of the read-only value records."""
+leaves, the lazily resolved package exports, that no function in src/
+recurses, and the semantics of the read-only value records."""
 
 import ast
 import copy
@@ -258,16 +257,13 @@ def self_calls(tree, prefix=""):
     return found
 
 
-def test_no_function_outside_the_oracles_recurses():
-    # the k^n enumeration of the oracles stays naive on purpose and recurses
-    # at most once per vertex of a graph small enough to enumerate; every
-    # other search keeps its own stack, so no input size can reach the
-    # recursion limit
+def test_no_function_in_src_recurses():
+    # every search, the oracles' plain k^n enumeration too, keeps its own
+    # stack, so no input size can reach the recursion limit
     assert self_calls(ast.parse("def f(n):\n    def g(m):\n        return g(m - 1)\n    return g(n)")) == ["f.g"]
     recursive = {}
     for path in sorted((SRC / "tfcolor").glob("*.py")):
         recursive[path.name] = self_calls(ast.parse(path.read_text(encoding="utf-8")))
-    assert recursive.pop("oracles.py") == ["_tf_enumerate.rec"]
     assert not any(recursive.values()), recursive
 
 

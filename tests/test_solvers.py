@@ -623,6 +623,11 @@ def test_oracle_omega_of_a_clique_above_the_recursion_limit():
     assert oracle_omega(gen_complete(1100)) == 1100
 
 
+def test_oracle_chi_of_a_path_above_the_recursion_limit():
+    # one stack frame per vertex used to raise RecursionError past P999
+    assert oracle_chi(Graph(3000, [(v, v + 1) for v in range(2999)])) == 2
+
+
 def test_min_vertex_cover_examples():
     assert len(min_vertex_cover(gen_complete(3))) == 2
     star = Graph(6, [(0, i) for i in range(1, 6)])
