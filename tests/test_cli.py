@@ -2,6 +2,7 @@
 exit codes, and the pinned golden outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers
 from tfcolor.cli import CLASS_TAGS
 from tfcolor.graph_classes import BOUNDED_TAGS
 from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance, write_dimacs_cnf
-from util_graphs import planted_nae_cnf, random_ktree, square_of_path, triangulated_grid
+from util_graphs import planted_nae_cnf, rand_graph, random_ktree, square_of_path, triangulated_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -293,6 +294,70 @@ def test_reduce_budget_increment(monkeypatch, capsys):
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert read_dimacs_graph(out).n == 43
+
+
+def digest_cases():
+    """name -> (argv, stdin) of each recorded stdout digest: gen families over a
+    range of sizes, and every reduction on small fixed and seeded inputs."""
+    cases = {f"gen {family} --k {k}": (["gen", family, "--k", str(k)], "")
+             for family, sizes in (("clover", range(2, 7)), ("mycielski", range(5)), ("cycle-clique", range(1, 5)))
+             for k in sizes}
+    graphs = {"C5": "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
+              "K4": write_dimacs_graph(Graph(4, list(combinations(range(4), 2)))),
+              "G(12,1/2) seed 12": write_dimacs_graph(rand_graph(random.Random(12), 12, 0.5))}
+    for q in (2, 3):
+        cases.update({f"reduce --to q+1 --q {q} < {name}": (["reduce", "--to", "q+1", "--q", str(q)], text)
+                      for name, text in graphs.items()})
+    for src, to in (("nae", "k4free"), ("nae4", "polar"), ("sat4", "nae4")):
+        cases.update({f"reduce --from {src} --to {to} < planted seed {seed}":
+                      (["reduce", "--from", src, "--to", to], write_dimacs_cnf(planted_nae_cnf(random.Random(seed), 9)))
+                      for seed in (1, 2, 3)})
+    return cases
+
+
+# sha256 of each case's stdout, recorded before the constructors were
+# rewritten to build each repeated part once; any change to a generated
+# or reduced instance, down to one byte, shows here
+RECORDED_DIGESTS = {
+    "gen clover --k 2": "6d9e21a12ba4951305539604ded36ab1ca439d77ca51b79eb0b996446b02e374",
+    "gen clover --k 3": "c87d3f66d836a97b38cae7c2ade57e1dd6dacace856941da51330fee30b2cec8",
+    "gen clover --k 4": "844879f5a173de63f3ccc5914290139982f7b2e006b53ff8eab3bf685656db22",
+    "gen clover --k 5": "41f9cc4c05126d47b3ad7d2506b185f7583150b128c01d03298d72dd6b68ba91",
+    "gen clover --k 6": "d2c94a4b1c37713c8d0a946f039e9e89e3fad7e09f5f5eba3d902109013cb320",
+    "gen mycielski --k 0": "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d",
+    "gen mycielski --k 1": "b039efeb4c6f1ceedab1e50c208a5d55afdaca5e227dfeaec7c448de202fa3c0",
+    "gen mycielski --k 2": "b617a3edc5a894eacaea9cd1b7c9e641b8058308b5a83ffc79d2a9f90efd145f",
+    "gen mycielski --k 3": "d072e32bbbeec89d7b900ce6b070f7ce11dc385665acf016dbda5fe3342cd8c1",
+    "gen mycielski --k 4": "2696e197e10d3de78bb871dfccc5cf03d7b157e28b505df256a235d88ccb7b78",
+    "gen cycle-clique --k 1": "e140ec3275dab845c8a2dd7da9bf5c2e238a35e04f0318bae21646f0b9de4ba8",
+    "gen cycle-clique --k 2": "039b2e2203e2cfcf156f6f29cdb5408baccd2faf718f17dce471c455fba7754a",
+    "gen cycle-clique --k 3": "fe4cbef59d1e593e5d9cbed031d4ca2acd0e3f1cb56763d9fd0cd770e4230cba",
+    "gen cycle-clique --k 4": "616678eb04f83c7e3235eef476529bc9d4cae6baead6c894dbd28dd2e31c4158",
+    "reduce --to q+1 --q 2 < C5": "e89590235639c58bc8f0af9b21691d9c4bc90744b07bd108f7849a7db033fa69",
+    "reduce --to q+1 --q 2 < K4": "58b77476dc14509f3defbcdee711ce9255b091b51859aa6ae189005b0ccff829",
+    "reduce --to q+1 --q 2 < G(12,1/2) seed 12": "8c03146762d09101bcfa062d0584a1c0d65f1f0205f9926bb897937cc25d279f",
+    "reduce --to q+1 --q 3 < C5": "5bd54a137f31f43477ecb42ea5715fe0d136c6db765a4f6e3d4b8d6fbddd451b",
+    "reduce --to q+1 --q 3 < K4": "4e47985ee030ed27b65b81c85dff1720b9ce872002c351678f4683e4239521da",
+    "reduce --to q+1 --q 3 < G(12,1/2) seed 12": "53014f56a448c13ce318da3f32ed73c490b1e7b50655d7fbddc82338cf180e5b",
+    "reduce --from nae --to k4free < planted seed 1": "7c8e01dace092016d8fd840e17a89f0e82e415d7e861d5797679649b104b121e",
+    "reduce --from nae --to k4free < planted seed 2": "2bf77d2b7b462701e797a187b58c26f955b2acfc2b485fb1683f65710e49b5fc",
+    "reduce --from nae --to k4free < planted seed 3": "af28de14568f5ec5833bdf394764db561eb9883cacacdd8cd93c27ba81a6d0cf",
+    "reduce --from nae4 --to polar < planted seed 1": "e0d87d862b2996283de97e0e2926de2129508ece1fb47f79cf1b5096ab2db358",
+    "reduce --from nae4 --to polar < planted seed 2": "37291571cf4c86125a501a6354027a8ac64dad429b2868390d23281f836ea307",
+    "reduce --from nae4 --to polar < planted seed 3": "2deacc6ded16fdad95e4158a045548ccdd339376b787295e3e195d92697bf7c7",
+    "reduce --from sat4 --to nae4 < planted seed 1": "707e2919d6b055ec9442d41ff73ba84087a8f0d82f549fcb67638fd99ece084f",
+    "reduce --from sat4 --to nae4 < planted seed 2": "07c3b1f336abedf0337f1ad0b8d616dc719f5c1d17c374e059b3a5054f431b11",
+    "reduce --from sat4 --to nae4 < planted seed 3": "4909c0a87ae11a93d487a27481be4802226c8578db9afc75081712b2c3cb1154",
+}
+
+
+def test_reduce_and_gen_stdout_match_recorded_digests(monkeypatch, capsys):
+    got = {}
+    for name, (argv, stdin_text) in digest_cases().items():
+        code, out = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0, name
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == RECORDED_DIGESTS
 
 
 def test_solve_class_tags(monkeypatch, capsys):
