@@ -74,15 +74,11 @@ def gen_clover(k: int) -> Graph:
     joints form a (k+1)-clique at the center. Has 13k+1 vertices."""
     if k < 2:
         raise ValueError("clover joint size must be at least 2")
-    parts = [gen_cycle_clique(k) for _ in range(3)]
-    n1 = parts[0].graph.n
-    edges = list(parts[0].graph.edges())
-    edges += [(u + n1, v + n1) for u, v in parts[1].graph.edges()]
-    edges += [(u + 2 * n1, v + 2 * n1) for u, v in parts[2].graph.edges()]
-    union = Graph(3 * n1, edges)
-    cv = parts[0].joints[0]
-    cu = tuple(x + n1 for x in parts[1].joints[0])
-    cw = tuple(x + 2 * n1 for x in parts[2].joints[0])
+    cc = gen_cycle_clique(k)
+    n1, edges = cc.graph.n, cc.graph.edges()
+    offsets = (0, n1, 2 * n1)  # one copy of the cycle-clique at each
+    union = Graph(3 * n1, [(u + off, v + off) for off in offsets for u, v in edges])
+    cv, cu, cw = (tuple(x + off for x in cc.joints[0]) for off in offsets)
     g, _ = clique_contraction(union, cu, cv, cw)
     if g.n != 13 * k + 1:
         raise AssertionError(f"clover has {g.n} vertices, expected {13 * k + 1}")
@@ -151,13 +147,9 @@ def mycielskian(g: Graph) -> Graph:
     new apex 2n joins all shadows. Preserves triangle-freeness while
     raising the chromatic number by one."""
     n = g.n
-    edges = list(g.edges())
-    for u, v in g.edges():
-        edges.append((u, n + v))
-        edges.append((v, n + u))
-    for i in range(n):
-        edges.append((n + i, 2 * n))
-    return Graph(2 * n + 1, edges)
+    edges = g.edges()
+    shadows = [e for u, v in edges for e in ((u, n + v), (v, n + u))]
+    return Graph(2 * n + 1, edges + shadows + [(n + i, 2 * n) for i in range(n)])
 
 
 def gen_mycielski(t: int) -> Graph:
@@ -172,9 +164,7 @@ def gen_mycielski(t: int) -> Graph:
 
 
 def gen_complete(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    return Graph(n, list(combinations(range(n), 2)))
+    return Graph(n, list(combinations(range(n), 2)))  # Graph refuses n < 0
 
 
 def gen_cycle(n: int) -> Graph:

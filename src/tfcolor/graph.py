@@ -149,11 +149,8 @@ def quotient(g: Graph, pairs):
         if parent[v] == v:
             index[v] = len(index)
     vmap = {v: index[find(v)] for v in range(g.n)}
-    edges = set()
-    for a, b in g.edges():
-        a2, b2 = vmap[a], vmap[b]
-        if a2 != b2:
-            edges.add((a2, b2) if a2 < b2 else (b2, a2))
+    # each edge is seen from both ends; the end whose new labels are in order keeps it
+    edges = {(vmap[a], vmap[b]) for a, na in enumerate(g._adj) for b in na if vmap[a] < vmap[b]}
     return Graph(len(index), edges), vmap
 
 

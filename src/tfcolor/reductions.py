@@ -69,6 +69,13 @@ def _literal_slots(phi: CnfFormula) -> dict:
     return slots
 
 
+def _clause_triangles(m: int):
+    """(occurrence map, edges) of m clause triangles: slot j of clause i
+    is vertex 3i + j, and each clause's three slots are pairwise joined."""
+    occ = {(i, j): 3 * i + j for i in range(m) for j in range(3)}
+    return occ, [e for a in range(0, 3 * m, 3) for e in ((a, a + 1), (a + 1, a + 2), (a, a + 2))]
+
+
 def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
     return all(c <= limit for c in variable_occurrences(phi).values())
 
@@ -173,14 +180,9 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
         if len(set(cl)) < 2:
             raise ValueError(f"clause {i + 1} repeats one literal three times and is never not-all-equal satisfiable")
     n, m = phi.num_vars, len(phi.clauses)
-    occ = {(i, j): 3 * i + j for i in range(m) for j in range(3)}
+    occ, clause_edges = _clause_triangles(m)
     t_end = {x: 3 * m + 2 * (x - 1) for x in range(1, n + 1)}
     f_end = {x: 3 * m + 2 * (x - 1) + 1 for x in range(1, n + 1)}
-
-    clause_edges = []
-    for i in range(m):
-        a, b, c = occ[(i, 0)], occ[(i, 1)], occ[(i, 2)]
-        clause_edges += [(a, b), (b, c), (a, c)]
     forced_edges = [(t_end[x], f_end[x]) for x in range(1, n + 1)]
     slots = _literal_slots(phi)
     for x in range(1, n + 1):
@@ -189,21 +191,16 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
 
     from .gadgets import gadget_edges_across
 
-    base = 3 * m + 2 * n
-    gadgets = []
-    gadget_edges = []
-    for host_u, host_v in forced_edges:
-        gadget_edges += gadget_edges_across(host_u, host_v, base)
-        gadgets.append((host_u, host_v, base))
-        base += 10
-
-    graph = Graph(base, clause_edges + forced_edges + gadget_edges)
+    first = 3 * m + 2 * n  # the gadgets' private vertices follow the clause and variable vertices
+    gadgets = tuple((u, v, first + 10 * i) for i, (u, v) in enumerate(forced_edges))
+    gadget_edges = [e for u, v, base in gadgets for e in gadget_edges_across(u, v, base)]
+    graph = Graph(first + 10 * len(gadgets), clause_edges + forced_edges + gadget_edges)
     if contains_k4(graph):
         raise RuntimeError("reduction bug: output graph contains a 4-clique")
     return ReductionOutput(
         kind="nae_to_k4free",
         instance=graph,
-        forward_map={"occurrence": occ, "true_end": t_end, "false_end": f_end, "gadgets": tuple(gadgets)},
+        forward_map={"occurrence": occ, "true_end": t_end, "false_end": f_end, "gadgets": gadgets},
         metadata={"source": phi},
     )
 
@@ -225,32 +222,17 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
     if not fits_occurrence_limit(phi, 4):
         raise ValueError("a variable occurs more than 4 times")
     n, m = phi.num_vars, len(phi.clauses)
-    occ = {(i, j): 3 * i + j for i in range(m) for j in range(3)}
-
-    def tnode(x, i):
-        return 3 * m + 14 * (x - 1) + (i - 1)
-
-    def fnode(x, i):
-        return 3 * m + 14 * (x - 1) + 7 + (i - 1)
-
-    plain = []
-    for i in range(m):
-        a, b, c = occ[(i, 0)], occ[(i, 1)], occ[(i, 2)]
-        plain += [(a, b), (b, c), (a, c)]
-
-    polar = []
-    for x in range(1, n + 1):
-        for node in (tnode, fnode):
-            for i in (1, 2, 3):
-                polar.append((node(x, i), node(x, 2 * i)))
-                polar.append((node(x, i), node(x, 2 * i + 1)))
-        polar.append((tnode(x, 1), fnode(x, 1)))
+    occ, plain = _clause_triangles(m)
     slots = _literal_slots(phi)
+    polar, t_root, f_root = [], {}, {}
     for x in range(1, n + 1):
-        for idx, vtx in enumerate(slots.get(x, ())):
-            polar.append((vtx, tnode(x, 4 + idx)))
-        for idx, vtx in enumerate(slots.get(-x, ())):
-            polar.append((vtx, fnode(x, 4 + idx)))
+        # heap node i of a tree at base b is vertex b + i, with children 2i+1, 2i+2
+        t = t_root[x] = 3 * m + 14 * (x - 1)
+        f = f_root[x] = t + 7
+        for b, lit in ((t, x), (f, -x)):
+            polar += [(b + i, b + 2 * i + c) for i in range(3) for c in (1, 2)]
+            polar += [(vtx, b + 3 + idx) for idx, vtx in enumerate(slots.get(lit, ()))]  # leaves 3..6
+        polar.append((t, f))
 
     graph = Graph(3 * m + 14 * n, plain + polar)
     if graph.max_degree > 3:
@@ -259,8 +241,7 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
     return ReductionOutput(
         kind="nae4_to_polar",
         instance=inst,
-        forward_map={"occurrence": occ, "t_root": {x: tnode(x, 1) for x in range(1, n + 1)},
-                     "f_root": {x: fnode(x, 1) for x in range(1, n + 1)}},
+        forward_map={"occurrence": occ, "t_root": t_root, "f_root": f_root},
         metadata={"source": phi},
     )
 
@@ -287,11 +268,8 @@ def reduce_q_to_q1(g: Graph, q: int) -> ReductionOutput:
     block = 5 * k
     from .gadgets import gen_cycle_clique
 
-    cc = gen_cycle_clique(k)
-    edges = list(g.edges())
-    for i in range(n):
-        off = n + block * i
-        edges += [(a + off, b + off) for a, b in cc.graph.edges()]
+    cc_edges = gen_cycle_clique(k).graph.edges()
+    edges = g.edges() + [(a + off, b + off) for off in range(n, n + block * n, block) for a, b in cc_edges]
     union = Graph(n + block * n, edges)
 
     def slot(i, j, l):

@@ -1,6 +1,7 @@
 """Package surface: what each CLI command loads, the cyclic garbage it
 leaves, the lazily resolved package exports, that no function in src/
-recurses, and the semantics of the read-only value records."""
+recurses, the semantics of the read-only value records, and the input
+checks of the public constructors."""
 
 import ast
 import copy
@@ -339,3 +340,26 @@ def test_records_keep_their_validation():
         CnfFormula(2, ((1, 2, 3),))
     with pytest.raises(ValueError, match="not present"):
         PolarInstance(Graph(3, [(0, 1)]), [(1, 2)])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Graph(-1), "vertex count must be non-negative", id="Graph(-1)"),
+    pytest.param(lambda: CnfFormula(-1, ()), "variable count must be non-negative", id="CnfFormula(-1)"),
+    pytest.param(lambda: tfcolor.parse_dimacs_cnf("p cnf 1 1\n1 1 1\n"), "final clause is not terminated by 0",
+                 id="unterminated clause"),
+    pytest.param(lambda: tfcolor.reduce_nae4_to_polar(CnfFormula(2, ((1, 1, 1), (1, 1, 2)))),
+                 "a variable occurs more than 4 times", id="nae4 variable in 5 slots"),
+    pytest.param(lambda: tfcolor.fpt_tf_q_coloring(Graph(1), 0), "color budget must be at least 1", id="fpt q=0"),
+    pytest.param(lambda: tfcolor.clique_contraction(tfcolor.gen_complete(5), (0, 1), (2, 3), (4,)),
+                 "the three cliques must have equal size", id="contraction of unequal cliques"),
+    pytest.param(lambda: tfcolor.clique_contraction(tfcolor.gen_complete(3), (0,), (1,), (2,)),
+                 "clique size must be at least 2", id="contraction of 1-cliques"),
+    pytest.param(lambda: gen_clover(1), "clover joint size must be at least 2", id="gen_clover(1)"),
+    pytest.param(lambda: tfcolor.gen_mycielski(-1), "iteration count must be non-negative", id="gen_mycielski(-1)"),
+    pytest.param(lambda: tfcolor.gen_complete(-1), "vertex count must be non-negative", id="gen_complete(-1)"),
+    pytest.param(lambda: tfcolor.write_dot(Graph(2, [(0, 1)]), Coloring(1, (1,))),
+                 "coloring size does not match graph", id="write_dot with a short coloring"),
+])
+def test_input_checks_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
