@@ -306,8 +306,12 @@ def digest_cases():
     """name -> (argv, stdin) of each recorded stdout digest: gen families over a
     range of sizes, and every reduction on small fixed and seeded inputs."""
     cases = {f"gen {family} --k {k}": (["gen", family, "--k", str(k)], "")
-             for family, sizes in (("clover", range(2, 7)), ("mycielski", range(5)), ("cycle-clique", range(1, 5)))
+             for family, sizes in (("clover", range(2, 7)), ("mycielski", range(5)), ("cycle-clique", range(1, 5)),
+                                   ("complete", range(6)), ("cycle", range(3, 7)))
              for k in sizes}
+    cases.update({f"gen {family}": (["gen", family], "") for family in ("polar-gadget", "theorem9")})
+    cases.update({" ".join(argv): (argv, "") for argv in (["gen", "cycle-clique", "--k", "2", "--dot"],
+                                                         ["gen", "polar-gadget", "--dot"])})
     graphs = {"C5": "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
               "K4": write_dimacs_graph(Graph(4, list(combinations(range(4), 2)))),
               "G(12,1/2) seed 12": write_dimacs_graph(rand_graph(random.Random(12), 12, 0.5))}
@@ -322,8 +326,10 @@ def digest_cases():
 
 
 # sha256 of each case's stdout, recorded before the constructors were
-# rewritten to build each repeated part once; any change to a generated
-# or reduced instance, down to one byte, shows here
+# rewritten to build each repeated part once (the complete, cycle,
+# polar-gadget, theorem9 and --dot cases before the generators returned
+# plain graphs); any change to a generated or reduced instance, down to
+# one byte, shows here
 RECORDED_DIGESTS = {
     "gen clover --k 2": "6d9e21a12ba4951305539604ded36ab1ca439d77ca51b79eb0b996446b02e374",
     "gen clover --k 3": "c87d3f66d836a97b38cae7c2ade57e1dd6dacace856941da51330fee30b2cec8",
@@ -339,6 +345,20 @@ RECORDED_DIGESTS = {
     "gen cycle-clique --k 2": "039b2e2203e2cfcf156f6f29cdb5408baccd2faf718f17dce471c455fba7754a",
     "gen cycle-clique --k 3": "fe4cbef59d1e593e5d9cbed031d4ca2acd0e3f1cb56763d9fd0cd770e4230cba",
     "gen cycle-clique --k 4": "616678eb04f83c7e3235eef476529bc9d4cae6baead6c894dbd28dd2e31c4158",
+    "gen complete --k 0": "b18efc2666c663cba2fb1c2b37a5a0c8c18a8489374194e7415afccd6fe2d355",
+    "gen complete --k 1": "8d8fcdfafbd591f3b2b1a1ad6b6570c756c07b7a276fc8b08032bdc8152048e0",
+    "gen complete --k 2": "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d",
+    "gen complete --k 3": "94ff9e2f4dc680aba8373df272cccdb27ae399d1d97a285a0a31e44a98e9d53f",
+    "gen complete --k 4": "28954580e6fe6a47e9c9e69ee2cc11877028369ad21b850bcb60bc30072097ba",
+    "gen complete --k 5": "8f4c604b43ffa7d1b516bef5f880230a97da39b16ae08b8e036140caa42c8fce",
+    "gen cycle --k 3": "94ff9e2f4dc680aba8373df272cccdb27ae399d1d97a285a0a31e44a98e9d53f",
+    "gen cycle --k 4": "f0aab69c50741aaeb88f931712fe7c58ddbcc9b4cd4916328c2cf04d514de3d2",
+    "gen cycle --k 5": "e140ec3275dab845c8a2dd7da9bf5c2e238a35e04f0318bae21646f0b9de4ba8",
+    "gen cycle --k 6": "e9c2f301da69751f890f731cade246c0eeff6e51ba959afb9d210c257012503f",
+    "gen polar-gadget": "985c9049d0e9e5333d33cab0820508409d9975c44397c4f1c98ea0bdbcae8044",
+    "gen theorem9": "e1a2c116f43a6a4e82a179b613e79585838d0571dcbc3a0ebc786257049ba509",
+    "gen cycle-clique --k 2 --dot": "bf13775731830b0b422c2490148f23a29dafaf6fbadbb27d10e5e11feb8f078e",
+    "gen polar-gadget --dot": "a4dabf023f7343969df63b173347f7fb7dae7a03f054137c4dc55b9fba8b88fe",
     "reduce --to q+1 --q 2 < C5": "e89590235639c58bc8f0af9b21691d9c4bc90744b07bd108f7849a7db033fa69",
     "reduce --to q+1 --q 2 < K4": "58b77476dc14509f3defbcdee711ce9255b091b51859aa6ae189005b0ccff829",
     "reduce --to q+1 --q 2 < G(12,1/2) seed 12": "8c03146762d09101bcfa062d0584a1c0d65f1f0205f9926bb897937cc25d279f",
