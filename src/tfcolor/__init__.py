@@ -12,9 +12,8 @@ _EXPORTS = {
     "coloring": ("Coloring", "standard_recolor", "verify_triangle_free"),
     "fpt": ("StructuralParams", "compute_params", "fpt_tf_q_coloring", "min_vertex_cover"),
     "gadgets": (
-        "CycleClique", "PolarGadget", "clique_contraction", "gen_clover", "gen_complete",
-        "gen_cycle", "gen_cycle_clique", "gen_gadget_triangle", "gen_mycielski",
-        "gen_polar_gadget", "mycielskian",
+        "clique_contraction", "gen_clover", "gen_complete", "gen_cycle", "gen_cycle_clique",
+        "gen_gadget_triangle", "gen_mycielski", "gen_polar_gadget", "mycielskian",
     ),
     "graph": (
         "Graph", "as_edge_subset", "connected_components", "contains_k4", "quotient",
@@ -26,9 +25,8 @@ _EXPORTS = {
     "oracles": ("oracle_chi", "oracle_chi3", "oracle_omega"),
     "reductions": (
         "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
-        "parse_dimacs_cnf", "parse_polar_instance", "reduce_nae4_to_polar", "reduce_nae_to_k4free",
-        "reduce_q_to_q1", "reduce_sat4_to_nae4", "variable_occurrences", "write_dimacs_cnf",
-        "write_polar_instance",
+        "parse_dimacs_cnf", "reduce_nae4_to_polar", "reduce_nae_to_k4free", "reduce_q_to_q1",
+        "reduce_sat4_to_nae4", "variable_occurrences", "write_dimacs_cnf", "write_polar_instance",
     ),
     "solvers": ("decide_tf_q", "solve_chi3"),
     "witness": (

@@ -60,13 +60,13 @@ def _emit_decision(witness) -> int:
 def _gen_graph(family, k):
     from . import gadgets
 
-    sized = {"cycle-clique": lambda k: gadgets.gen_cycle_clique(k).graph, "clover": gadgets.gen_clover,
+    sized = {"cycle-clique": gadgets.gen_cycle_clique, "clover": gadgets.gen_clover,
              "mycielski": gadgets.gen_mycielski, "complete": gadgets.gen_complete, "cycle": gadgets.gen_cycle}
     if (family in sized) != (k is not None):
         raise ValueError(f"family {family!r} {'requires' if k is None else 'does not take'} --k")
     if family in sized:
         return sized[family](k)
-    return gadgets.gen_polar_gadget().graph if family == "polar-gadget" else gadgets.gen_gadget_triangle()
+    return gadgets.gen_polar_gadget() if family == "polar-gadget" else gadgets.gen_gadget_triangle()
 
 
 def _cmd_gen(args) -> int:

@@ -7,24 +7,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, Record, quotient
+from .graph import Graph, quotient
 
 
-class CycleClique(Record):
-    """A ring of five size-k cliques (the joints J0..J4); consecutive
-    joints are fully joined, so each J_i together with the next joint
-    induces a clique on 2k vertices."""
-
-    __slots__ = ("graph", "joints", "k")
-
-    def __init__(self, graph: Graph, joints: tuple, k: int):
-        super().__init__(graph, joints, k)
-
-
-def gen_cycle_clique(k: int) -> CycleClique:
-    """The 5k-vertex cycle-clique: vertex (i, j) is joint i member j and
-    two distinct vertices are adjacent iff their joints are at ring
-    distance at most 1. k=1 yields the 5-cycle."""
+def gen_cycle_clique(k: int) -> Graph:
+    """The 5k-vertex cycle-clique: a ring of five size-k cliques, the
+    joints J0..J4, where member j of joint i is vertex i·k + j. Two
+    distinct vertices are adjacent iff their joints are at ring distance
+    at most 1, so each joint and the next induce a clique on 2k vertices.
+    k=1 yields the 5-cycle."""
     if k < 1:
         raise ValueError("joint size must be at least 1")
     edges = []
@@ -36,9 +27,7 @@ def gen_cycle_clique(k: int) -> CycleClique:
             nxt = ((i + 1) % 5) * k
             for j2 in range(k):
                 edges.append((v, nxt + j2))
-    graph = Graph(5 * k, edges)
-    joints = tuple(tuple(i * k + j for j in range(k)) for i in range(5))
-    return CycleClique(graph, joints, k)
+    return Graph(5 * k, edges)
 
 
 def clique_contraction(g: Graph, cu, cv, cw):
@@ -75,17 +64,17 @@ def gen_clover(k: int) -> Graph:
     if k < 2:
         raise ValueError("clover joint size must be at least 2")
     cc = gen_cycle_clique(k)
-    n1, edges = cc.graph.n, cc.graph.edges()
+    n1, edges = cc.n, cc.edges()
     offsets = (0, n1, 2 * n1)  # one copy of the cycle-clique at each
     union = Graph(3 * n1, [(u + off, v + off) for off in offsets for u, v in edges])
-    cv, cu, cw = (tuple(x + off for x in cc.joints[0]) for off in offsets)
+    cv, cu, cw = (range(off, off + k) for off in offsets)  # joint 0 of each copy
     g, _ = clique_contraction(union, cu, cv, cw)
     if g.n != 13 * k + 1:
         raise AssertionError(f"clover has {g.n} vertices, expected {13 * k + 1}")
     return g
 
 
-# vertex labels of the bichromatic-edge gadget
+# vertex labels of the bichromatic-edge gadget; (U, V) is its forced edge
 U, V = 0, 1
 W1, W2, W3, W4 = 2, 3, 4, 5
 Z1, Z2, Z3 = 6, 7, 8
@@ -105,21 +94,13 @@ GADGET_EDGES = (
 )
 
 
-class PolarGadget(Record):
-    """12-vertex, 30-edge graph whose (u, v) edge is forced bichromatic:
-    it admits a triangle-free 2-coloring, every triangle-free 2-coloring
-    gives u and v different colors, and it has no K4 (acceptance test 01)."""
-
-    __slots__ = ("graph", "u", "v")
-
-    def __init__(self, graph: Graph, u: int, v: int):
-        super().__init__(graph, u, v)
-
-
-def gen_polar_gadget() -> PolarGadget:
-    """The gadget on GADGET_EDGES, unchecked at run time: acceptance test 01
-    proves its three properties over all 2^12 two-colorings."""
-    return PolarGadget(Graph(12, GADGET_EDGES), U, V)
+def gen_polar_gadget() -> Graph:
+    """The 12-vertex, 30-edge gadget on GADGET_EDGES whose (U, V) edge is
+    forced bichromatic: it admits a triangle-free 2-coloring, every
+    triangle-free 2-coloring gives U and V different colors, and it has
+    no K4. Unchecked at run time: acceptance test 01 proves all three
+    over the 2^12 two-colorings."""
+    return Graph(12, GADGET_EDGES)
 
 
 def gadget_edges_across(u: int, v: int, base: int) -> list:

@@ -8,7 +8,7 @@ style.
 
 from __future__ import annotations
 
-from .graph import Graph, Record, as_edge_subset, contains_k4, quotient, read_polar_graph, write_dimacs_graph
+from .graph import Graph, Record, as_edge_subset, contains_k4, quotient, write_dimacs_graph
 
 
 class CnfFormula(Record):
@@ -111,12 +111,6 @@ def write_dimacs_cnf(phi: CnfFormula) -> str:
     for cl in phi.clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_polar_instance(text: str) -> PolarInstance:
-    """A DIMACS graph plus 's u v' lines (1-based) declaring polar
-    edges, each an edge of the graph (graph.read_polar_graph)."""
-    return PolarInstance(*read_polar_graph(text))
 
 
 def write_polar_instance(inst: PolarInstance) -> str:
@@ -268,7 +262,7 @@ def reduce_q_to_q1(g: Graph, q: int) -> ReductionOutput:
     block = 5 * k
     from .gadgets import gen_cycle_clique
 
-    cc_edges = gen_cycle_clique(k).graph.edges()
+    cc_edges = gen_cycle_clique(k).edges()
     edges = g.edges() + [(a + off, b + off) for off in range(n, n + block * n, block) for a, b in cc_edges]
     union = Graph(n + block * n, edges)
 

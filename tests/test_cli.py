@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from tfcolor import Coloring, Graph, cli, gen_clover, read_dimacs_graph, solvers, verify_triangle_free, write_dimacs_graph
 from tfcolor.cli import CLASS_TAGS
 from tfcolor.graph_classes import BOUNDED_TAGS
-from tfcolor.reductions import parse_dimacs_cnf, parse_polar_instance, write_dimacs_cnf
+from tfcolor.graph import read_polar_graph
+from tfcolor.reductions import parse_dimacs_cnf, write_dimacs_cnf
 from util_graphs import planted_nae_cnf, rand_graph, random_ktree, square_of_path, triangulated_grid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -284,8 +285,8 @@ def test_reduce_cnf_pipelines(monkeypatch, capsys):
     code, out = run_cli(["reduce", "--from", "nae4", "--to", "polar"], stdin_text=cnf,
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    inst = parse_polar_instance(out)
-    assert inst.graph.n == 45 and inst.graph.max_degree <= 3
+    g, _ = read_polar_graph(out)
+    assert g.n == 45 and g.max_degree <= 3
 
     satlib = "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n%\n0\n"
     code, out = run_cli(["reduce", "--from", "sat4", "--to", "nae4"], stdin_text=satlib,

@@ -15,6 +15,7 @@ from tfcolor import (
     standard_recolor,
     verify_triangle_free,
 )
+from tfcolor.gadgets import U, Y1, Z1
 from util_graphs import brute_triangles, graphs_with_polar, greedy_proper, rand_graph
 
 
@@ -72,12 +73,11 @@ def test_verify_triangle_free_examples():
     k4 = gen_complete(4)
     assert verify_triangle_free(k4, Coloring(2, (1, 1, 2, 2)))
     assert not verify_triangle_free(gen_complete(3), Coloring(1, (1, 1, 1)))
-    pg = gen_polar_gadget()
     # one color on u, z1, y1 and the other everywhere else is valid
     colors = [2] * 12
-    for v in (pg.u, 6, 9):
+    for v in (U, Z1, Y1):
         colors[v] = 1
-    assert verify_triangle_free(pg.graph, Coloring(2, tuple(colors)))
+    assert verify_triangle_free(gen_polar_gadget(), Coloring(2, tuple(colors)))
 
 
 def test_verify_polar_edges():

@@ -24,44 +24,48 @@ from tfcolor import (
     oracle_omega,
     verify_triangle_free,
 )
-from tfcolor.gadgets import gadget_edges_across
+from tfcolor.gadgets import U, V, gadget_edges_across
 from util_graphs import brute_triangles, triangle_set
 
 
+def joints(k):
+    """The five joints of gen_cycle_clique(k): member j of joint i is vertex i·k + j."""
+    return [range(i * k, (i + 1) * k) for i in range(5)]
+
+
 def test_cycle_clique_k1_is_c5():
-    cc = gen_cycle_clique(1)
-    assert cc.graph == gen_cycle(5)
+    assert gen_cycle_clique(1) == gen_cycle(5)
 
 
 def test_cycle_clique_k2_shape():
     cc = gen_cycle_clique(2)
-    assert cc.graph.n == 10 and cc.graph.m == 25
+    assert cc.n == 10 and cc.m == 25
 
 
 def test_cycle_clique_joint_structure():
     for k in (1, 2, 3):
-        cc = gen_cycle_clique(k)
+        cc, js = gen_cycle_clique(k), joints(k)
         for i in range(5):
-            for a, b in combinations(cc.joints[i], 2):
-                assert cc.graph.has_edge(a, b)
-            nxt = cc.joints[(i + 1) % 5]
-            both = list(cc.joints[i]) + list(nxt)
+            for a, b in combinations(js[i], 2):
+                assert cc.has_edge(a, b)
+            nxt = js[(i + 1) % 5]
+            both = list(js[i]) + list(nxt)
             for a, b in combinations(both, 2):
-                assert cc.graph.has_edge(a, b)
-            far = cc.joints[(i + 2) % 5]
-            for a in cc.joints[i]:
+                assert cc.has_edge(a, b)
+            far = js[(i + 2) % 5]
+            for a in js[i]:
                 for b in far:
-                    assert not cc.graph.has_edge(a, b)
+                    assert not cc.has_edge(a, b)
 
 
 def test_cycle_clique_rainbow_coloring_works():
     for k in (1, 2, 3):
         cc = gen_cycle_clique(k)
-        colors = [0] * cc.graph.n
-        for joint in cc.joints:
+        colors = [0] * cc.n
+        for joint in joints(k):
             for slot, v in enumerate(joint):
                 colors[v] = slot + 1
-        assert verify_triangle_free(cc.graph, Coloring(k, tuple(colors)))
+        assert verify_triangle_free(cc, Coloring(k, tuple(colors)))
 
 
 def test_cycle_clique_rejects_zero():
@@ -118,14 +122,14 @@ def test_clover_rainbow_center_witness_construction():
     # clique's merged-joint colors
     for k in (2, 3):
         parts = [gen_cycle_clique(k) for _ in range(3)]
-        n1 = parts[0].graph.n
-        edges = list(parts[0].graph.edges())
-        edges += [(u + n1, v + n1) for u, v in parts[1].graph.edges()]
-        edges += [(u + 2 * n1, v + 2 * n1) for u, v in parts[2].graph.edges()]
+        n1 = parts[0].n
+        edges = list(parts[0].edges())
+        edges += [(u + n1, v + n1) for u, v in parts[1].edges()]
+        edges += [(u + 2 * n1, v + 2 * n1) for u, v in parts[2].edges()]
         union = Graph(3 * n1, edges)
-        cv = parts[0].joints[0]
-        cu = tuple(x + n1 for x in parts[1].joints[0])
-        cw = tuple(x + 2 * n1 for x in parts[2].joints[0])
+        cv = tuple(joints(k)[0])
+        cu = tuple(x + n1 for x in joints(k)[0])
+        cw = tuple(x + 2 * n1 for x in joints(k)[0])
         replay, vmap = clique_contraction(union, cu, cv, cw)
         clover = gen_clover(k)
         assert replay == clover
@@ -136,9 +140,9 @@ def test_clover_rainbow_center_witness_construction():
         colors = [0] * clover.n
         for slot, v in enumerate(center):
             colors[v] = slot + 1
-        for offset, part in zip((0, n1, 2 * n1), parts):
-            joint0 = [vmap[v + offset] for v in part.joints[0]]
-            for joint in part.joints:
+        for offset in (0, n1, 2 * n1):
+            joint0 = [vmap[v + offset] for v in joints(k)[0]]
+            for joint in joints(k):
                 for slot, v in enumerate(joint):
                     colors[vmap[v + offset]] = colors[joint0[slot]]
         witness = Coloring(k + 1, tuple(colors))
@@ -148,20 +152,20 @@ def test_clover_rainbow_center_witness_construction():
 
 def test_polar_gadget_shape():
     pg = gen_polar_gadget()
-    assert pg.graph.n == 12 and pg.graph.m == 30
-    assert (pg.u, pg.v) == (0, 1)
-    assert not contains_k4(pg.graph)
+    assert pg.n == 12 and pg.m == 30
+    assert (U, V) == (0, 1) and pg.has_edge(U, V)
+    assert not contains_k4(pg)
 
 
 def test_polar_gadget_triangles_match_brute_force():
     pg = gen_polar_gadget()
-    assert triangle_set(pg.graph) == brute_triangles(pg.graph)
+    assert triangle_set(pg) == brute_triangles(pg)
 
 
 def test_reductions_lay_down_the_certified_gadget():
     # acceptance test 01 certifies gen_polar_gadget(); the reductions lay the
     # gadget down through gadget_edges_across, which must give the same graph
-    assert Graph(12, gadget_edges_across(0, 1, 2) + [(0, 1)]) == gen_polar_gadget().graph
+    assert Graph(12, gadget_edges_across(U, V, 2) + [(U, V)]) == gen_polar_gadget()
 
 
 def test_gadget_triangle_shape():

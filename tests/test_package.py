@@ -20,16 +20,12 @@ import tfcolor
 from tfcolor import (
     CnfFormula,
     Coloring,
-    CycleClique,
     Graph,
-    PolarGadget,
     PolarInstance,
     ReductionOutput,
     StructuralParams,
     cli,
     gen_clover,
-    gen_cycle_clique,
-    gen_polar_gadget,
     reduce_nae_to_k4free,
     write_dimacs_graph,
 )
@@ -216,7 +212,7 @@ def test_main_runs_the_command_with_the_collector_off(monkeypatch):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 55
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 52
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")
@@ -270,8 +266,6 @@ def test_no_function_in_src_recurses():
 
 FIELDS = {
     Coloring: ("k", "colors"),
-    CycleClique: ("graph", "joints", "k"),
-    PolarGadget: ("graph", "u", "v"),
     CnfFormula: ("num_vars", "clauses"),
     PolarInstance: ("graph", "polar"),
     ReductionOutput: ("kind", "instance", "forward_map", "metadata"),
@@ -282,8 +276,6 @@ FIELDS = {
 def _records():
     return [
         Coloring(2, [1, 2, 1]),
-        gen_cycle_clique(1),
-        gen_polar_gadget(),
         CnfFormula(2, [[1, 2, -1]]),
         PolarInstance(Graph(2, [(0, 1)]), [(1, 0)]),
         ReductionOutput(kind="x", instance=1, forward_map={}, metadata={}),
@@ -294,8 +286,6 @@ def _records():
 def test_records_repr_lists_fields_in_order():
     assert [repr(r) for r in _records()] == [
         "Coloring(k=2, colors=(1, 2, 1))",
-        "CycleClique(graph=Graph(n=5, m=5), joints=((0,), (1,), (2,), (3,), (4,)), k=1)",
-        "PolarGadget(graph=Graph(n=12, m=30), u=0, v=1)",
         "CnfFormula(num_vars=2, clauses=((1, 2, -1),))",
         "PolarInstance(graph=Graph(n=2, m=1), polar=frozenset({(0, 1)}))",
         "ReductionOutput(kind='x', instance=1, forward_map={}, metadata={})",

@@ -23,7 +23,6 @@ from tfcolor import (
     oracle_nae,
     oracle_sat,
     parse_dimacs_cnf,
-    parse_polar_instance,
     pull_witness,
     reduce_nae4_to_polar,
     reduce_nae_to_k4free,
@@ -36,6 +35,7 @@ from tfcolor import (
     write_polar_instance,
 )
 from tfcolor import witness
+from tfcolor.graph import read_polar_graph
 from util_graphs import (
     cnf_formulas,
     draw_nm_occ4,
@@ -298,25 +298,24 @@ def test_polar_instance_file_round_trip():
     phi = CnfFormula(2, ((1, -2, 2),))
     inst = reduce_nae4_to_polar(phi).instance
     text = write_polar_instance(inst)
-    back = parse_polar_instance(text)
-    assert back.graph == inst.graph and back.polar == inst.polar
+    assert read_polar_graph(text) == (inst.graph, inst.polar)
     with pytest.raises(ValueError, match=r"^line 3: .*\(1, 3\) not present"):
-        parse_polar_instance("p edge 2 1\ne 1 2\ns 1 3\n")
+        read_polar_graph("p edge 2 1\ne 1 2\ns 1 3\n")
     with pytest.raises(ValueError, match="^line 2: .*'s 1 x'"):
-        parse_polar_instance("p edge 2 1\ns 1 x\ne 1 2\n")
+        read_polar_graph("p edge 2 1\ns 1 x\ne 1 2\n")
     with pytest.raises(ValueError, match="^line 3: .*out of range"):
-        parse_polar_instance("p edge 2 1\ns 1 2\ne 1 3\n")
+        read_polar_graph("p edge 2 1\ns 1 2\ne 1 3\n")
     # an 's' line before its edge is fine, and it is not an edge itself
-    back = parse_polar_instance("c polar first\np edge 3 2\ns 2 1\ne 1 2\ne 2 3\n")
-    assert back.graph.edges() == [(0, 1), (1, 2)] and back.polar == {(0, 1)}
+    g, polar = read_polar_graph("c polar first\np edge 3 2\ns 2 1\ne 1 2\ne 2 3\n")
+    assert g.edges() == [(0, 1), (1, 2)] and polar == {(0, 1)}
     with pytest.raises(ValueError, match=r"^line 4: duplicate edge \(1, 2\)$"):
-        parse_polar_instance("p edge 2 2\ns 1 2\ne 1 2\ne 2 1\n")
+        read_polar_graph("p edge 2 2\ns 1 2\ne 1 2\ne 2 1\n")
     with pytest.raises(ValueError, match=r"^line 5: polar edge \(2, 4\) not present in graph$"):
-        parse_polar_instance("p edge 3 2\ns 1 2\ne 1 2\ne 2 3\ns 2 4\n")
+        read_polar_graph("p edge 3 2\ns 1 2\ne 1 2\ne 2 3\ns 2 4\n")
     with pytest.raises(ValueError, match="^line 1: .*before the 'p edge' header"):
-        parse_polar_instance("s 1 2\np edge 2 1\ne 1 2\n")
+        read_polar_graph("s 1 2\np edge 2 1\ne 1 2\n")
     with pytest.raises(ValueError, match="^line 1: .*non-negative"):
-        parse_polar_instance("p edge -3 1\ne 1 2\ns 1 2\n")
+        read_polar_graph("p edge -3 1\ne 1 2\ns 1 2\n")
 
 
 @settings(max_examples=200)
@@ -325,7 +324,7 @@ def test_polar_instance_text_round_trip_property(inst):
     g, polar = inst
     inst = PolarInstance(g, polar)
     text = write_polar_instance(inst)
-    back = parse_polar_instance(text)
+    back = PolarInstance(*read_polar_graph(text))
     assert back == inst
     assert write_polar_instance(back) == text
 
