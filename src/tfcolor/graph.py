@@ -183,8 +183,12 @@ def contains_k4(g: Graph) -> bool:
     and d in up[c]. Reads only the adjacency sets, not the triangle index."""
     up = [{x for x in nv if x > v} for v, nv in enumerate(g._adj)]
     for ua in up:
+        if len(ua) < 3:  # a needs b, c and d above it
+            continue
         for b in ua:
             common = ua & up[b]
+            if len(common) < 2:  # the pair needs c and d
+                continue
             for c in common:
                 if not up[c].isdisjoint(common):
                     return True
@@ -237,7 +241,8 @@ def write_dimacs_graph(g: Graph, polar=()) -> str:
     (u, v). Bit-exact for round-tripping."""
     label = list(map(str, range(1, g.n + 1)))
     lines = [f"p edge {g.n} {g.m}"]
-    lines += [f"e {label[u]} {label[v]}" for u, v in g.edges()]
+    # each vertex's higher neighbours in order, vertex by vertex, is g.edges() without its sort
+    lines += [f"e {label[u]} {label[v]}" for u, nu in enumerate(g._adj) for v in sorted(nu) if v > u]
     lines += [f"s {label[u]} {label[v]}" for u, v in sorted(polar)]
     return "\n".join(lines) + "\n"
 
