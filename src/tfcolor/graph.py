@@ -241,7 +241,7 @@ def write_dimacs_graph(g: Graph, polar=()) -> str:
     (u, v). Bit-exact for round-tripping."""
     label = list(map(str, range(1, g.n + 1)))
     lines = [f"p edge {g.n} {g.m}"]
-    # each vertex's higher neighbours in order, vertex by vertex, is g.edges() without its sort
+    # vertex by vertex, each one's higher neighbours in order: g.edges()'s order, with no sort of the whole list
     lines += [f"e {label[u]} {label[v]}" for u, nu in enumerate(g._adj) for v in sorted(nu) if v > u]
     lines += [f"s {label[u]} {label[v]}" for u, v in sorted(polar)]
     return "\n".join(lines) + "\n"

@@ -267,7 +267,7 @@ def reduce_q_to_q1(g: Graph, q: int) -> ReductionOutput:
     union = Graph(n + block * n, edges)
 
     def slot(i, j, l):
-        # clique i (0-based), joint j, member l
+        # clique i (0-based), joint j, member l: gen_cycle_clique's vertex j·k + l, at clique i's offset
         return n + block * i + j * k + l
 
     hub0 = slot(0, 0, 0)
