@@ -8,7 +8,7 @@ style.
 
 from __future__ import annotations
 
-from .graph import Graph, Record, as_edge_subset, contains_k4, quotient, write_dimacs_graph
+from .graph import Graph, Record, as_edge_subset, contains_k4, write_dimacs_graph
 
 
 class CnfFormula(Record):
@@ -41,13 +41,15 @@ class PolarInstance(Record):
 
 
 class ReductionOutput(Record):
-    """Produced instance plus the correspondence that witness.py needs to
-    translate witnesses in both directions."""
+    """What a reduction was called with (source: the CnfFormula, or the
+    pair (g, q) for q_to_q1) and what it produced (instance). Each
+    reduce_* docstring states where the parts of the source sit in the
+    instance; witness.py computes positions from that layout."""
 
-    __slots__ = ("kind", "instance", "forward_map", "metadata")
+    __slots__ = ("kind", "source", "instance")
 
-    def __init__(self, kind: str, instance: object, forward_map: dict, metadata: dict):
-        super().__init__(kind, instance, forward_map, metadata)
+    def __init__(self, kind: str, source: object, instance: object):
+        super().__init__(kind, source, instance)
 
 
 def variable_occurrences(phi: CnfFormula) -> dict:
@@ -69,11 +71,24 @@ def _literal_slots(phi: CnfFormula) -> dict:
     return slots
 
 
-def _clause_triangles(m: int):
-    """(occurrence map, edges) of m clause triangles: slot j of clause i
-    is vertex 3i + j, and each clause's three slots are pairwise joined."""
-    occ = {(i, j): 3 * i + j for i in range(m) for j in range(3)}
-    return occ, [e for a in range(0, 3 * m, 3) for e in ((a, a + 1), (a + 1, a + 2), (a, a + 2))]
+def _clause_triangles(m: int) -> list:
+    """The edges of m clause triangles: slot j of clause i is vertex
+    3i + j, and each clause's three slots are pairwise joined."""
+    return [e for a in range(0, 3 * m, 3) for e in ((a, a + 1), (a + 1, a + 2), (a, a + 2))]
+
+
+def _host_edges(phi: CnfFormula) -> list:
+    """The edges that reduce_nae_to_k4free forces bichromatic, in gadget
+    order: every {t_x, f_x}, then for each variable x in turn the edges
+    from t_x to the occurrences of ~x and from f_x to those of x."""
+    n, first = phi.num_vars, 3 * len(phi.clauses)
+    slots = _literal_slots(phi)
+    edges = [(first + 2 * x - 2, first + 2 * x - 1) for x in range(1, n + 1)]
+    for x in range(1, n + 1):
+        t = first + 2 * x - 2
+        edges += [(t, vtx) for vtx in slots.get(-x, ())]
+        edges += [(t + 1, vtx) for vtx in slots.get(x, ())]
+    return edges
 
 
 def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
@@ -129,7 +144,9 @@ def reduce_sat4_to_nae4(phi: CnfFormula) -> ReductionOutput:
     Each clause (x|y|z) becomes (x|y|c_i) and (z|~c_i|f_i); the flag
     variables are chained by (~f_i|~f_i|f_{i+1}) clauses (cyclically), so
     all flags take one shared value and each chain clause is always
-    not-all-equal. Output: n+2m variables, exactly 3m clauses.
+    not-all-equal. Output: n+2m variables, exactly 3m clauses; the source
+    variables keep their numbers, c_i is n+1+i and f_i is n+m+1+i for
+    0-based clause i.
     """
     if not fits_occurrence_limit(phi, 4):
         raise ValueError("a variable occurs more than 4 times")
@@ -147,12 +164,7 @@ def reduce_sat4_to_nae4(phi: CnfFormula) -> ReductionOutput:
     out = CnfFormula(n + 2 * m, tuple(clauses))
     if not fits_occurrence_limit(out, 4):
         raise RuntimeError("internal error: construction exceeded the occurrence budget")
-    return ReductionOutput(
-        kind="sat4_to_nae4",
-        instance=out,
-        forward_map={"selector": dict(enumerate(cvar)), "flag": dict(enumerate(fvar))},
-        metadata={"source": phi},
-    )
+    return ReductionOutput("sat4_to_nae4", phi, out)
 
 
 # ---------------------------------------------------------------------------
@@ -168,35 +180,24 @@ def reduce_nae_to_k4free(phi: CnfFormula) -> ReductionOutput:
     the opposite polarity endpoint. Every non-clause edge is then forced
     bichromatic by attaching a fresh bichromatic-edge gadget across it.
     Clauses of three identical literals are rejected (they are never
-    not-all-equal satisfiable). Output: 33m + 12n vertices.
+    not-all-equal satisfiable). Output: 33m + 12n vertices. Slot j of
+    clause i is vertex 3i + j; t_x is 3m + 2(x-1) and f_x is t_x + 1;
+    gadget g lies across the g-th edge of _host_edges(phi), with private
+    label l at vertex 3m + 2n + 10g + l - 2.
     """
     for i, cl in enumerate(phi.clauses):
         if len(set(cl)) < 2:
             raise ValueError(f"clause {i + 1} repeats one literal three times and is never not-all-equal satisfiable")
-    n, m = phi.num_vars, len(phi.clauses)
-    occ, clause_edges = _clause_triangles(m)
-    t_end = {x: 3 * m + 2 * (x - 1) for x in range(1, n + 1)}
-    f_end = {x: 3 * m + 2 * (x - 1) + 1 for x in range(1, n + 1)}
-    forced_edges = [(t_end[x], f_end[x]) for x in range(1, n + 1)]
-    slots = _literal_slots(phi)
-    for x in range(1, n + 1):
-        forced_edges += [(t_end[x], vtx) for vtx in slots.get(-x, ())]
-        forced_edges += [(f_end[x], vtx) for vtx in slots.get(x, ())]
-
     from .gadgets import gadget_edges_across
 
-    first = 3 * m + 2 * n  # the gadgets' private vertices follow the clause and variable vertices
-    gadgets = tuple((u, v, first + 10 * i) for i, (u, v) in enumerate(forced_edges))
-    gadget_edges = [e for u, v, base in gadgets for e in gadget_edges_across(u, v, base)]
-    graph = Graph(first + 10 * len(gadgets), clause_edges + forced_edges + gadget_edges)
+    m = len(phi.clauses)
+    first = 3 * m + 2 * phi.num_vars
+    forced_edges = _host_edges(phi)
+    gadget_edges = [e for g, (u, v) in enumerate(forced_edges) for e in gadget_edges_across(u, v, first + 10 * g)]
+    graph = Graph(first + 10 * len(forced_edges), _clause_triangles(m) + forced_edges + gadget_edges)
     if contains_k4(graph):
         raise RuntimeError("reduction bug: output graph contains a 4-clique")
-    return ReductionOutput(
-        kind="nae_to_k4free",
-        instance=graph,
-        forward_map={"occurrence": occ, "true_end": t_end, "false_end": f_end, "gadgets": gadgets},
-        metadata={"source": phi},
-    )
+    return ReductionOutput("nae_to_k4free", phi, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +212,28 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
     height-2 complete binary trees (7 vertices each) whose edges,
     root-to-root bridge and occurrence-to-leaf edges are all polar, so
     leaf colors mirror the roots and same-polarity occurrences agree.
-    Output: 3m + 14n vertices.
+    Output: 3m + 14n vertices. Slot j of clause i is vertex 3i + j; x's
+    true tree is a heap at 3m + 14(x-1) (node i at base + i, children
+    2i+1 and 2i+2, leaves 3..6 take x's occurrences in clause order) and
+    its false tree, which takes ~x's, is the same 7 vertices later.
     """
     if not fits_occurrence_limit(phi, 4):
         raise ValueError("a variable occurs more than 4 times")
     n, m = phi.num_vars, len(phi.clauses)
-    occ, plain = _clause_triangles(m)
     slots = _literal_slots(phi)
-    polar, t_root, f_root = [], {}, {}
+    polar = []
     for x in range(1, n + 1):
-        # heap node i of a tree at base b is vertex b + i, with children 2i+1, 2i+2
-        t = t_root[x] = 3 * m + 14 * (x - 1)
-        f = f_root[x] = t + 7
+        t = 3 * m + 14 * (x - 1)
+        f = t + 7
         for b, lit in ((t, x), (f, -x)):
             polar += [(b + i, b + 2 * i + c) for i in range(3) for c in (1, 2)]
-            polar += [(vtx, b + 3 + idx) for idx, vtx in enumerate(slots.get(lit, ()))]  # leaves 3..6
+            polar += [(vtx, b + 3 + idx) for idx, vtx in enumerate(slots.get(lit, ()))]
         polar.append((t, f))
 
-    graph = Graph(3 * m + 14 * n, plain + polar)
+    graph = Graph(3 * m + 14 * n, _clause_triangles(m) + polar)
     if graph.max_degree > 3:
         raise RuntimeError("reduction bug: output degree exceeds 3")
-    inst = PolarInstance(graph, polar)
-    return ReductionOutput(
-        kind="nae4_to_polar",
-        instance=inst,
-        forward_map={"occurrence": occ, "t_root": t_root, "f_root": f_root},
-        metadata={"source": phi},
-    )
+    return ReductionOutput("nae4_to_polar", phi, PolarInstance(graph, polar))
 
 
 # ---------------------------------------------------------------------------
@@ -251,36 +247,19 @@ def reduce_q_to_q1(g: Graph, q: int) -> ReductionOutput:
     every triangle-free (q+1)-coloring the first joints are rainbow, so
     every original vertex avoids the hub color: the original graph is
     triangle-free q-colorable iff the output is (q+1)-colorable. Output
-    has n(5q+4)+1 vertices.
+    has n(5q+4)+1 vertices. With k = q+1, source vertex v keeps index v
+    and the hub is n; clique i puts cycle-clique vertex 0 at the hub,
+    vertex 1 at i and vertex t >= 2 at n + 1 + i(5k-2) + t - 2.
     """
     if q < 2:
         raise ValueError("color budget must be at least 2")
-    n = g.n
-    if n == 0:
-        raise ValueError("source graph must have at least one vertex")
-    k = q + 1
-    block = 5 * k
     from .gadgets import gen_cycle_clique
 
-    cc_edges = gen_cycle_clique(k).edges()
-    edges = g.edges() + [(a + off, b + off) for off in range(n, n + block * n, block) for a, b in cc_edges]
-    union = Graph(n + block * n, edges)
-
-    def slot(i, j, l):
-        # clique i (0-based), joint j, member l: gen_cycle_clique's vertex j·k + l, at clique i's offset
-        return n + block * i + j * k + l
-
-    hub0 = slot(0, 0, 0)
-    pairs = [(hub0, slot(i, 0, 0)) for i in range(1, n)]
-    pairs += [(i, slot(i, 0, 1)) for i in range(n)]
-    h, vmap = quotient(union, pairs)
-
-    if h.n != n * (5 * q + 4) + 1:
-        raise AssertionError(f"output has {h.n} vertices, expected {n * (5 * q + 4) + 1}")
-    clique_map = {(i, j, l): vmap[slot(i, j, l)] for i in range(n) for j in range(5) for l in range(k)}
-    return ReductionOutput(
-        kind="q_to_q1",
-        instance=h,
-        forward_map={"g_vertex": {v: vmap[v] for v in range(n)}, "hub": vmap[hub0], "clique": clique_map},
-        metadata={"source": g, "q": q},
-    )
+    n, span = g.n, 5 * q + 3  # span: the vertices a clique adds besides the hub and its source vertex
+    cc_edges = gen_cycle_clique(q + 1).edges()
+    edges = g.edges()
+    for i in range(n):
+        base = n + 1 + span * i
+        place = (n, i, *range(base, base + span))
+        edges += [(place[a], place[b]) for a, b in cc_edges]
+    return ReductionOutput("q_to_q1", (g, q), Graph(n + 1 + span * n, edges))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .coloring import Coloring, verify_triangle_free
 from .gadgets import Y1, Z1
 from .graph import Graph
-from .reductions import CnfFormula, PolarInstance, ReductionOutput
+from .reductions import CnfFormula, ReductionOutput, _host_edges
 
 # ---------------------------------------------------------------------------
 # semantics and oracles
@@ -91,107 +91,82 @@ def oracle_nae(phi: CnfFormula):
 
 
 def _lift_sat4_to_nae4(out: ReductionOutput, assignment):
-    phi: CnfFormula = out.metadata["source"]
-    lifted = {x: bool(assignment[x]) for x in range(1, phi.num_vars + 1)}
+    phi: CnfFormula = out.source
+    n, m = phi.num_vars, len(phi.clauses)
+    lifted = {x: bool(assignment[x]) for x in range(1, n + 1)}
     for i, (x, y, _z) in enumerate(phi.clauses):
-        lifted[out.forward_map["selector"][i]] = not (literal_value(x, assignment) or literal_value(y, assignment))
-        lifted[out.forward_map["flag"][i]] = False
+        lifted[n + 1 + i] = not (literal_value(x, assignment) or literal_value(y, assignment))
+        lifted[n + m + 1 + i] = False
     return lifted
 
 
 def _pull_sat4_to_nae4(out: ReductionOutput, assignment):
-    a = dict(assignment)
-    flags = out.forward_map["flag"]
-    if flags and a[flags[0]]:
-        a = {v: not val for v, val in a.items()}
-    return {x: a[x] for x in range(1, out.metadata["source"].num_vars + 1)}
+    n, m = out.source.num_vars, len(out.source.clauses)
+    flip = bool(m and assignment[n + m + 1])  # the flags share one value; a true one flips every variable
+    return {x: bool(assignment[x]) != flip for x in range(1, n + 1)}
 
 
-def _gadget_private_colors(host_u_color: int):
-    """Colors for gadget-local vertices 2..11 given the color of the
-    u-side host endpoint: z1 and y1 follow u, everything else opposes."""
-    by_local = dict.fromkeys(range(2, 12), 3 - host_u_color)
-    by_local[Z1] = by_local[Y1] = host_u_color
-    return by_local
+def _occurrence_colors(phi: CnfFormula, assignment) -> list:
+    """Color 1 on each clause slot whose literal is true, 2 on the others."""
+    return [1 if literal_value(lit, assignment) else 2 for cl in phi.clauses for lit in cl]
 
 
 def _lift_nae_to_k4free(out: ReductionOutput, assignment):
-    phi: CnfFormula = out.metadata["source"]
-    fm = out.forward_map
-    colors = [0] * out.instance.n
-    for (i, j), vtx in fm["occurrence"].items():
-        colors[vtx] = 1 if literal_value(phi.clauses[i][j], assignment) else 2
+    phi: CnfFormula = out.source
+    colors = _occurrence_colors(phi, assignment)
     for x in range(1, phi.num_vars + 1):
-        colors[fm["true_end"][x]] = 1 if assignment[x] else 2
-        colors[fm["false_end"][x]] = 2 if assignment[x] else 1
-    for host_u, host_v, base in fm["gadgets"]:
-        if colors[host_u] == colors[host_v]:
+        colors += (1, 2) if assignment[x] else (2, 1)
+    for u, v in _host_edges(phi):
+        if colors[u] == colors[v]:
             raise RuntimeError("reduction bug: forced edge came out monochromatic")
-        for loc, c in _gadget_private_colors(colors[host_u]).items():
-            colors[base + loc - 2] = c
+        # private labels 2..11 in order: z1 and y1 follow u, everything else opposes
+        colors += (colors[u] if l in (Z1, Y1) else 3 - colors[u] for l in range(2, 12))
     return Coloring(2, tuple(colors))
 
 
 def _pull_nae_to_k4free(out: ReductionOutput, coloring: Coloring):
-    true_end = out.forward_map["true_end"]
-    return {x: coloring.colors[true_end[x]] == 1 for x in range(1, out.metadata["source"].num_vars + 1)}
+    first = 3 * len(out.source.clauses)
+    return {x: coloring.colors[first + 2 * x - 2] == 1 for x in range(1, out.source.num_vars + 1)}
 
 
 def _lift_nae4_to_polar(out: ReductionOutput, assignment):
-    inst: PolarInstance = out.instance
-    # every tree and occurrence vertex lies in the polar component of
-    # some variable's true root; polar edges alternate colors from it
-    polar_nbrs = [[] for _ in range(inst.graph.n)]
-    for u, v in inst.polar:
-        polar_nbrs[u].append(v)
-        polar_nbrs[v].append(u)
-    colors = [0] * inst.graph.n
-    stack = []
-    for x, root in out.forward_map["t_root"].items():
-        colors[root] = 2 if assignment[x] else 1
-        stack.append(root)
-    while stack:
-        u = stack.pop()
-        for v in polar_nbrs[u]:
-            if not colors[v]:
-                colors[v] = 3 - colors[u]
-                stack.append(v)
+    # along the polar edges colors alternate: x's true root is 2 when x is
+    # true, its children oppose it, its leaves match it, and the false tree
+    # is the mirror image
+    phi: CnfFormula = out.source
+    colors = _occurrence_colors(phi, assignment)
+    for x in range(1, phi.num_vars + 1):
+        r = 2 if assignment[x] else 1
+        tree = [r, 3 - r, 3 - r, r, r, r, r]
+        colors += tree + [3 - c for c in tree]
     return Coloring(2, tuple(colors))
 
 
 def _pull_nae4_to_polar(out: ReductionOutput, coloring: Coloring):
-    t_root = out.forward_map["t_root"]
-    return {x: coloring.colors[t_root[x]] == 2 for x in range(1, out.metadata["source"].num_vars + 1)}
+    first = 3 * len(out.source.clauses)
+    return {x: coloring.colors[first + 14 * (x - 1)] == 2 for x in range(1, out.source.num_vars + 1)}
 
 
 def _lift_q_to_q1(out: ReductionOutput, coloring: Coloring):
-    g: Graph = out.metadata["source"]
-    k = out.metadata["q"] + 1
-    fm = out.forward_map
-    colors = [0] * out.instance.n
-    colors[fm["hub"]] = k
-    for v in range(g.n):
-        colors[fm["g_vertex"][v]] = coloring.colors[v]
-    for i in range(g.n):
-        own = coloring.colors[i]
-        rest = [c for c in range(1, k + 1) if c not in (k, own)]
-        for l in range(2, k):
-            colors[fm["clique"][(i, 0, l)]] = rest[l - 2]
-        for j in range(1, 5):
-            for l in range(k):
-                colors[fm["clique"][(i, j, l)]] = l + 1
+    # the hub takes the new color k; clique i's joint 0 holds the hub, vertex
+    # i and the colors left, and its joints 1..4 take colors 1..k in member order
+    k = out.source[1] + 1
+    colors = [*coloring.colors, k]
+    for own in coloring.colors:
+        colors += [c for c in range(1, k) if c != own]
+        colors += list(range(1, k + 1)) * 4
     return Coloring(k, tuple(colors))
 
 
 def _pull_q_to_q1(out: ReductionOutput, coloring: Coloring):
-    hub_color = coloring.colors[out.forward_map["hub"]]
+    g, q = out.source
+    hub_color = coloring.colors[g.n]
     pulled = []
-    for v in range(out.metadata["source"].n):
-        c = coloring.colors[out.forward_map["g_vertex"][v]]
+    for c in coloring.colors[:g.n]:
         if c == hub_color:
             raise RuntimeError("reduction bug: hub color reappears on a source vertex")
         pulled.append(c if c < hub_color else c - 1)
-    return Coloring(out.metadata["q"], tuple(pulled))
+    return Coloring(q, tuple(pulled))
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +187,23 @@ def _solves(test, phi: CnfFormula, assignment) -> bool:
 _CONTRACTS = {
     "sat4_to_nae4": (
         _lift_sat4_to_nae4, _pull_sat4_to_nae4,
-        lambda out, a: _solves(sat_satisfies, out.metadata["source"], a),
+        lambda out, a: _solves(sat_satisfies, out.source, a),
         lambda out, a: _solves(nae_satisfies, out.instance, a),
     ),
     "nae_to_k4free": (
         _lift_nae_to_k4free, _pull_nae_to_k4free,
-        lambda out, a: _solves(nae_satisfies, out.metadata["source"], a),
+        lambda out, a: _solves(nae_satisfies, out.source, a),
         lambda out, c: _fits(2, out.instance, c),
     ),
     "nae4_to_polar": (
         _lift_nae4_to_polar, _pull_nae4_to_polar,
-        lambda out, a: _solves(nae_satisfies, out.metadata["source"], a),
+        lambda out, a: _solves(nae_satisfies, out.source, a),
         lambda out, c: _fits(2, out.instance.graph, c, out.instance.polar),
     ),
     "q_to_q1": (
         _lift_q_to_q1, _pull_q_to_q1,
-        lambda out, c: _fits(out.metadata["q"], out.metadata["source"], c),
-        lambda out, c: _fits(out.metadata["q"] + 1, out.instance, c),
+        lambda out, c: _fits(out.source[1], out.source[0], c),
+        lambda out, c: _fits(out.source[1] + 1, out.instance, c),
     ),
 }
 

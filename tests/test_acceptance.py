@@ -323,13 +323,13 @@ def test_11_budget_increment_on_triangle():
     base = decide_tf_q(g, 2)
     lifted = lift_witness(out, base)
     ok = ok and verify_triangle_free(out.instance, lifted)
-    hub = out.forward_map["hub"]
+    hub = g.n  # the hub follows the source vertices, which keep their indices
     for seed in range(20):
         w = relabelled(decide_tf_q, out.instance, 3, None, seed)
         if w is None or not verify_triangle_free(out.instance, w):
             ok = False
             break
-        if any(w.colors[out.forward_map["g_vertex"][v]] == w.colors[hub] for v in range(3)):
+        if any(w.colors[v] == w.colors[hub] for v in range(3)):
             ok = False
             break
     report(11, "budget increment forces fresh hub color", ok)

@@ -268,7 +268,7 @@ FIELDS = {
     Coloring: ("k", "colors"),
     CnfFormula: ("num_vars", "clauses"),
     PolarInstance: ("graph", "polar"),
-    ReductionOutput: ("kind", "instance", "forward_map", "metadata"),
+    ReductionOutput: ("kind", "source", "instance"),
     StructuralParams: ("omega", "chi", "chi3", "vc", "delta"),
 }
 
@@ -278,7 +278,7 @@ def _records():
         Coloring(2, [1, 2, 1]),
         CnfFormula(2, [[1, 2, -1]]),
         PolarInstance(Graph(2, [(0, 1)]), [(1, 0)]),
-        ReductionOutput(kind="x", instance=1, forward_map={}, metadata={}),
+        ReductionOutput(kind="x", source=(Graph(1), 2), instance=1),
         StructuralParams(omega=2, chi=3, chi3=2, vc=3, delta=2),
     ]
 
@@ -288,7 +288,7 @@ def test_records_repr_lists_fields_in_order():
         "Coloring(k=2, colors=(1, 2, 1))",
         "CnfFormula(num_vars=2, clauses=((1, 2, -1),))",
         "PolarInstance(graph=Graph(n=2, m=1), polar=frozenset({(0, 1)}))",
-        "ReductionOutput(kind='x', instance=1, forward_map={}, metadata={})",
+        "ReductionOutput(kind='x', source=(Graph(n=1, m=0), 2), instance=1)",
         "StructuralParams(omega=2, chi=3, chi3=2, vc=3, delta=2)",
     ]
 
@@ -299,11 +299,7 @@ def test_records_equality_hash_and_read_only_fields():
         values = tuple(getattr(r, f) for f in fields)
         assert r == twin and not r != twin
         assert r == copy.copy(r) == pickle.loads(pickle.dumps(r))
-        if isinstance(r, ReductionOutput):
-            with pytest.raises(TypeError):
-                hash(r)  # its dict fields are unhashable
-        else:
-            assert hash(r) == hash(twin) == hash(values)
+        assert hash(r) == hash(twin) == hash(values)
         assert r != values
         for f in fields:
             with pytest.raises(AttributeError):

@@ -36,7 +36,7 @@ def test_readme_commands_print_what_the_readme_shows(tmp_path):
                         env={**env, "PYTHONPATH": "src"}, capture_output=True, text=True, check=True).stdout
     (tmp_path / "k4.dimacs").write_text(k4, encoding="utf-8")
     cases = readme_commands()
-    assert len(cases) == 6
+    assert len(cases) == 7
     got = {command: subprocess.run(["bash", "-c", command], cwd=tmp_path, env=env, capture_output=True,
                                    text=True).stdout for command, _ in cases}
     assert got == dict(cases)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from tfcolor import (
     CnfFormula,
     Coloring,
@@ -17,6 +18,7 @@ from tfcolor import (
     fits_occurrence_limit,
     gen_complete,
     gen_cycle,
+    gen_cycle_clique,
     lift_witness,
     nae_satisfies,
     oracle_chi3,
@@ -24,6 +26,7 @@ from tfcolor import (
     oracle_sat,
     parse_dimacs_cnf,
     pull_witness,
+    quotient,
     reduce_nae4_to_polar,
     reduce_nae_to_k4free,
     reduce_q_to_q1,
@@ -32,6 +35,7 @@ from tfcolor import (
     variable_occurrences,
     verify_triangle_free,
     write_dimacs_cnf,
+    write_dimacs_graph,
     write_polar_instance,
 )
 from tfcolor import witness
@@ -257,14 +261,15 @@ def test_nae4_to_polar_lift_pattern():
     a = {1: True, 2: False, 3: False}
     assert nae_satisfies(phi, a)
     w = lift_witness(out, a)
-    occ = out.forward_map["occurrence"]
-    assert w.colors[occ[(0, 0)]] == 1
-    assert w.colors[occ[(0, 1)]] == 2
-    troot = out.forward_map["t_root"][1]
-    assert w.colors[troot] == 2
-    # children oppose the root, leaves match it
-    assert w.colors[troot + 1] == w.colors[troot + 2] == 1
-    assert all(w.colors[troot + i] == 2 for i in range(3, 7))
+    m = len(phi.clauses)
+    assert list(w.colors[:3]) == [1, 2, 2]  # slot j of clause 0 is vertex j
+    for x in (1, 2, 3):
+        # x's true tree is a heap at 3m + 14(x-1), its false tree 7 later;
+        # children oppose the root, leaves match it, and the false tree mirrors
+        r = 2 if a[x] else 1
+        troot = 3 * m + 14 * (x - 1)
+        tree = [r, 3 - r, 3 - r, r, r, r, r]
+        assert list(w.colors[troot:troot + 14]) == tree + [3 - c for c in tree]
 
 
 def test_nae4_to_polar_equivalence_and_round_trip():
@@ -337,8 +342,25 @@ def test_q_to_q1_counts():
     assert out.instance.n == 43
     with pytest.raises(ValueError):
         reduce_q_to_q1(gen_complete(3), 1)
-    with pytest.raises(ValueError):
-        reduce_q_to_q1(Graph(0, []), 2)
+    # the empty graph raises to the hub alone: n(5q+4)+1 = 1 vertex
+    out = reduce_q_to_q1(Graph(0, []), 2)
+    assert write_dimacs_graph(out.instance) == "p edge 1 0\n"
+    lifted = lift_witness(out, Coloring(2, ()))
+    assert lifted == Coloring(3, (3,))
+    assert pull_witness(out, lifted) == Coloring(2, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8), st.integers(2, 4))
+def test_q_to_q1_matches_the_construction_by_identification(g, q):
+    # the construction as the paper states it: g, a hub u and n disjoint
+    # (q+1)-cycle-cliques; each copy's vertex 0 merges into u and copy i's
+    # vertex 1 into source vertex i
+    n, cc = g.n, gen_cycle_clique(q + 1)
+    offsets = range(n + 1, n + 1 + cc.n * n, cc.n)
+    union = Graph(n + 1 + cc.n * n, g.edges() + [(a + off, b + off) for off in offsets for a, b in cc.edges()])
+    pairs = [(n, off) for off in offsets] + [(i, off + 1) for i, off in enumerate(offsets)]
+    assert reduce_q_to_q1(g, q).instance == quotient(union, pairs)[0]
 
 
 def test_q_to_q1_witness_round_trip():
@@ -364,12 +386,12 @@ def test_q_to_q1_infeasible_source():
 def test_q_to_q1_forces_hub_color_apart():
     g = gen_cycle(5)
     out = reduce_q_to_q1(g, 2)
-    hub = out.forward_map["hub"]
+    hub = g.n  # the hub follows the source vertices, which keep their indices
     for seed in range(5):
         w = relabelled(decide_tf_q, out.instance, 3, None, seed)
         assert w is not None
         for v in range(g.n):
-            assert w.colors[out.forward_map["g_vertex"][v]] != w.colors[hub]
+            assert w.colors[v] != w.colors[hub]
 
 
 # --- witness round trips and large inputs
@@ -483,7 +505,7 @@ def test_a_translation_to_a_non_witness_is_a_reduction_bug(kind, monkeypatch):
 
 
 def test_an_unknown_kind_has_no_contract():
-    out = ReductionOutput(kind="x", instance=None, forward_map={}, metadata={})
+    out = ReductionOutput("x", None, None)
     for carry in (lift_witness, pull_witness):
         with pytest.raises(KeyError):
             carry(out, {})
