@@ -24,9 +24,9 @@ _EXPORTS = {
     ),
     "oracles": ("oracle_chi", "oracle_chi3", "oracle_omega"),
     "reductions": (
-        "CnfFormula", "PolarInstance", "ReductionOutput", "fits_occurrence_limit",
-        "parse_dimacs_cnf", "reduce_nae4_to_polar", "reduce_nae_to_k4free", "reduce_q_to_q1",
-        "reduce_sat4_to_nae4", "variable_occurrences", "write_dimacs_cnf", "write_polar_instance",
+        "CnfFormula", "ReductionOutput", "fits_occurrence_limit", "parse_dimacs_cnf",
+        "reduce_nae4_to_polar", "reduce_nae_to_k4free", "reduce_q_to_q1", "reduce_sat4_to_nae4",
+        "variable_occurrences", "write_dimacs_cnf",
     ),
     "solvers": ("decide_tf_q", "solve_chi3"),
     "witness": (

@@ -145,7 +145,7 @@ def _cmd_reduce(args) -> int:
 
     pipelines = {("sat4", "nae4"): (reductions.reduce_sat4_to_nae4, reductions.write_dimacs_cnf),
                  ("nae", "k4free"): (reductions.reduce_nae_to_k4free, write_dimacs_graph),
-                 ("nae4", "polar"): (reductions.reduce_nae4_to_polar, reductions.write_polar_instance)}
+                 ("nae4", "polar"): (reductions.reduce_nae4_to_polar, lambda pair: write_dimacs_graph(*pair))}
     if args.to == "q+1":
         if args.q is None:
             raise ValueError("--to q+1 requires --q")

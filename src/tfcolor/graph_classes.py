@@ -74,8 +74,6 @@ def chordal_chi3(g: Graph):
     for i, v in enumerate(peo):
         pos[v] = i
     omega = max(1 + sum(1 for u in g.neighbors(v) if pos[u] > pos[v]) for v in peo)
-    if omega <= 2:
-        return 1, Coloring(1, (1,) * g.n)
     colors = [0] * g.n
     for v in reversed(peo):
         taken = {colors[u] for u in g.neighbors(v) if colors[u]}

@@ -8,7 +8,7 @@ style.
 
 from __future__ import annotations
 
-from .graph import Graph, Record, as_edge_subset, contains_k4, write_dimacs_graph
+from .graph import Graph, Record, contains_k4
 
 
 class CnfFormula(Record):
@@ -28,16 +28,6 @@ class CnfFormula(Record):
             for lit in cl:
                 if lit == 0 or not (1 <= abs(lit) <= self.num_vars):
                     raise ValueError(f"clause {i + 1} holds invalid literal {lit}")
-
-
-class PolarInstance(Record):
-    """A graph plus the subset of its edges that must be bichromatic."""
-
-    __slots__ = ("graph", "polar")
-
-    def __init__(self, graph: Graph, polar: frozenset):
-        super().__init__(graph, polar)
-        object.__setattr__(self, "polar", as_edge_subset(self.graph, self.polar))
 
 
 class ReductionOutput(Record):
@@ -91,8 +81,9 @@ def _host_edges(phi: CnfFormula) -> list:
     return edges
 
 
-def fits_occurrence_limit(phi: CnfFormula, limit: int = 4) -> bool:
-    return all(c <= limit for c in variable_occurrences(phi).values())
+def fits_occurrence_limit(phi: CnfFormula) -> bool:
+    """No variable occurs more than 4 times, the paper's bound."""
+    return all(c <= 4 for c in variable_occurrences(phi).values())
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +119,6 @@ def write_dimacs_cnf(phi: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_polar_instance(inst: PolarInstance) -> str:
-    return write_dimacs_graph(inst.graph, inst.polar)
-
-
 # ---------------------------------------------------------------------------
 # width-3 SAT with bounded occurrences -> not-all-equal with the same bound
 
@@ -148,7 +135,7 @@ def reduce_sat4_to_nae4(phi: CnfFormula) -> ReductionOutput:
     variables keep their numbers, c_i is n+1+i and f_i is n+m+1+i for
     0-based clause i.
     """
-    if not fits_occurrence_limit(phi, 4):
+    if not fits_occurrence_limit(phi):
         raise ValueError("a variable occurs more than 4 times")
     n, m = phi.num_vars, len(phi.clauses)
     cvar = [n + 1 + i for i in range(m)]
@@ -162,7 +149,7 @@ def reduce_sat4_to_nae4(phi: CnfFormula) -> ReductionOutput:
         for i in range(m - 1):
             clauses.append((-fvar[i], -fvar[i], fvar[i + 1]))
     out = CnfFormula(n + 2 * m, tuple(clauses))
-    if not fits_occurrence_limit(out, 4):
+    if not fits_occurrence_limit(out):
         raise RuntimeError("internal error: construction exceeded the occurrence budget")
     return ReductionOutput("sat4_to_nae4", phi, out)
 
@@ -216,8 +203,10 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
     true tree is a heap at 3m + 14(x-1) (node i at base + i, children
     2i+1 and 2i+2, leaves 3..6 take x's occurrences in clause order) and
     its false tree, which takes ~x's, is the same 7 vertices later.
+    The instance is the pair (graph, polar) that graph.read_polar_graph
+    returns for its DIMACS text; every polar pair is already (min, max).
     """
-    if not fits_occurrence_limit(phi, 4):
+    if not fits_occurrence_limit(phi):
         raise ValueError("a variable occurs more than 4 times")
     n, m = phi.num_vars, len(phi.clauses)
     slots = _literal_slots(phi)
@@ -233,7 +222,7 @@ def reduce_nae4_to_polar(phi: CnfFormula) -> ReductionOutput:
     graph = Graph(3 * m + 14 * n, _clause_triangles(m) + polar)
     if graph.max_degree > 3:
         raise RuntimeError("reduction bug: output degree exceeds 3")
-    return ReductionOutput("nae4_to_polar", phi, PolarInstance(graph, polar))
+    return ReductionOutput("nae4_to_polar", phi, (graph, frozenset(polar)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,29 +48,11 @@ def nae_satisfies(phi: CnfFormula, assignment) -> bool:
     return True
 
 
-def _mask_to_assignment(mask: int, num_vars: int) -> dict:
-    return {v: bool((mask >> (v - 1)) & 1) for v in range(1, num_vars + 1)}
-
-
-def oracle_sat(phi: CnfFormula):
-    """First satisfying assignment by full enumeration, or None.
-    Intended for small variable counts."""
+def _first_model(phi: CnfFormula, nae: bool):
+    """First assignment in mask order (bit v-1 is variable v) under which
+    every clause has a true literal value and, with nae, a false one too;
+    or None. It calls none of the checkers above: it is their ground truth."""
     for mask in range(1 << phi.num_vars):
-        ok = True
-        for cl in phi.clauses:
-            if not any(((mask >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0) for l in cl):
-                ok = False
-                break
-        if ok:
-            return _mask_to_assignment(mask, phi.num_vars)
-    return None
-
-
-def oracle_nae(phi: CnfFormula):
-    """First not-all-equal satisfying assignment by full enumeration, or
-    None. Intended for small variable counts."""
-    for mask in range(1 << phi.num_vars):
-        ok = True
         for cl in phi.clauses:
             t = f = False
             for l in cl:
@@ -78,12 +60,23 @@ def oracle_nae(phi: CnfFormula):
                     t = True
                 else:
                     f = True
-            if not (t and f):
-                ok = False
+            if not t or (nae and not f):
                 break
-        if ok:
-            return _mask_to_assignment(mask, phi.num_vars)
+        else:
+            return {v: bool((mask >> (v - 1)) & 1) for v in range(1, phi.num_vars + 1)}
     return None
+
+
+def oracle_sat(phi: CnfFormula):
+    """First satisfying assignment by full enumeration, or None.
+    Intended for small variable counts."""
+    return _first_model(phi, False)
+
+
+def oracle_nae(phi: CnfFormula):
+    """First not-all-equal satisfying assignment by full enumeration, or
+    None. Intended for small variable counts."""
+    return _first_model(phi, True)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +191,7 @@ _CONTRACTS = {
     "nae4_to_polar": (
         _lift_nae4_to_polar, _pull_nae4_to_polar,
         lambda out, a: _solves(nae_satisfies, out.source, a),
-        lambda out, c: _fits(2, out.instance.graph, c, out.instance.polar),
+        lambda out, c: _fits(2, out.instance[0], c, out.instance[1]),
     ),
     "q_to_q1": (
         _lift_q_to_q1, _pull_q_to_q1,

@@ -303,11 +303,11 @@ def test_10c_not_all_equal_to_polar():
         n, m = draw_nm_occ4(rng)
         phi = rand_cnf_occ4(rng, n, m)
         out = reduce_nae4_to_polar(phi)
-        inst = out.instance
-        if inst.graph.max_degree > 3:
+        g, polar = out.instance
+        if g.max_degree > 3:
             ok = False
         nae = oracle_nae(phi)
-        col = decide_tf_q(inst.graph, 2, polar=inst.polar)
+        col = decide_tf_q(g, 2, polar=polar)
         if (nae is None) != (col is None):
             ok = False
         if nae is not None:

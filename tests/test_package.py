@@ -21,7 +21,6 @@ from tfcolor import (
     CnfFormula,
     Coloring,
     Graph,
-    PolarInstance,
     ReductionOutput,
     StructuralParams,
     cli,
@@ -212,7 +211,7 @@ def test_main_runs_the_command_with_the_collector_off(monkeypatch):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 52
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 50
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")
@@ -267,7 +266,6 @@ def test_no_function_in_src_recurses():
 FIELDS = {
     Coloring: ("k", "colors"),
     CnfFormula: ("num_vars", "clauses"),
-    PolarInstance: ("graph", "polar"),
     ReductionOutput: ("kind", "source", "instance"),
     StructuralParams: ("omega", "chi", "chi3", "vc", "delta"),
 }
@@ -277,7 +275,6 @@ def _records():
     return [
         Coloring(2, [1, 2, 1]),
         CnfFormula(2, [[1, 2, -1]]),
-        PolarInstance(Graph(2, [(0, 1)]), [(1, 0)]),
         ReductionOutput(kind="x", source=(Graph(1), 2), instance=1),
         StructuralParams(omega=2, chi=3, chi3=2, vc=3, delta=2),
     ]
@@ -287,7 +284,6 @@ def test_records_repr_lists_fields_in_order():
     assert [repr(r) for r in _records()] == [
         "Coloring(k=2, colors=(1, 2, 1))",
         "CnfFormula(num_vars=2, clauses=((1, 2, -1),))",
-        "PolarInstance(graph=Graph(n=2, m=1), polar=frozenset({(0, 1)}))",
         "ReductionOutput(kind='x', source=(Graph(n=1, m=0), 2), instance=1)",
         "StructuralParams(omega=2, chi=3, chi3=2, vc=3, delta=2)",
     ]
@@ -324,8 +320,6 @@ def test_records_keep_their_validation():
         CnfFormula(2, ((1, 2),))
     with pytest.raises(ValueError, match="invalid literal 3"):
         CnfFormula(2, ((1, 2, 3),))
-    with pytest.raises(ValueError, match="not present"):
-        PolarInstance(Graph(3, [(0, 1)]), [(1, 2)])
 
 
 @pytest.mark.parametrize("call, message", [

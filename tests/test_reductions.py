@@ -11,7 +11,6 @@ from tfcolor import (
     CnfFormula,
     Coloring,
     Graph,
-    PolarInstance,
     ReductionOutput,
     contains_k4,
     decide_tf_q,
@@ -36,7 +35,6 @@ from tfcolor import (
     verify_triangle_free,
     write_dimacs_cnf,
     write_dimacs_graph,
-    write_polar_instance,
 )
 from tfcolor import witness
 from tfcolor.graph import read_polar_graph
@@ -123,8 +121,10 @@ def test_cnf_refuses_integers_that_are_not_plain_decimals(text, line):
 def test_occurrence_validator():
     phi = CnfFormula(1, ((1, 1, 1), (1, -1, -1)))
     assert variable_occurrences(phi) == {1: 6}
-    assert not fits_occurrence_limit(phi, 4)
-    assert fits_occurrence_limit(phi, 6)
+    assert not fits_occurrence_limit(phi)
+    # the paper's bound is 4: four occurrences fit, five do not
+    assert fits_occurrence_limit(CnfFormula(2, ((1, 1, -1), (-1, 2, 2))))
+    assert not fits_occurrence_limit(CnfFormula(2, ((1, 1, -1), (-1, 1, 2))))
 
 
 def test_rand_cnf_occ4_reaches_the_occurrence_bound():
@@ -133,7 +133,7 @@ def test_rand_cnf_occ4_reaches_the_occurrence_bound():
     for n in range(1, 31):
         phi = rand_cnf_occ4(rng, n, 4 * n // 3)
         assert phi.num_vars == n and len(phi.clauses) == 4 * n // 3
-        assert fits_occurrence_limit(phi, 4)
+        assert fits_occurrence_limit(phi)
 
 
 # --- plain SAT to not-all-equal, occurrence bound preserved
@@ -144,7 +144,7 @@ def test_sat4_to_nae4_shape():
     out = reduce_sat4_to_nae4(phi)
     assert out.instance.num_vars == 3 + 2
     assert len(out.instance.clauses) == 3
-    assert fits_occurrence_limit(out.instance, 4)
+    assert fits_occurrence_limit(out.instance)
     assert oracle_nae(out.instance) is not None
 
 
@@ -161,7 +161,7 @@ def test_sat4_to_nae4_equivalence_and_round_trip():
         out = reduce_sat4_to_nae4(phi)
         assert out.instance.num_vars == n + 2 * m
         assert len(out.instance.clauses) == 3 * m
-        assert fits_occurrence_limit(out.instance, 4)
+        assert fits_occurrence_limit(out.instance)
         sat = oracle_sat(phi)
         nae = oracle_nae(out.instance)
         assert (sat is None) == (nae is None)
@@ -247,10 +247,9 @@ def test_nae_to_k4free_equivalence_and_round_trip():
 
 def test_nae4_to_polar_shape():
     phi = CnfFormula(3, ((1, 2, 3),))
-    out = reduce_nae4_to_polar(phi)
-    inst = out.instance
-    assert inst.graph.n == 3 * 1 + 14 * 3
-    assert inst.graph.max_degree <= 3
+    g, _ = reduce_nae4_to_polar(phi).instance
+    assert g.n == 3 * 1 + 14 * 3
+    assert g.max_degree <= 3
 
 
 def test_nae4_to_polar_lift_pattern():
@@ -278,14 +277,14 @@ def test_nae4_to_polar_equivalence_and_round_trip():
         n, m = draw_nm_occ4(rng)
         phi = rand_cnf_occ4(rng, n, m)
         out = reduce_nae4_to_polar(phi)
-        inst = out.instance
-        assert inst.graph.max_degree <= 3
+        g, polar = out.instance
+        assert g.max_degree <= 3
         nae = oracle_nae(phi)
-        col = decide_tf_q(inst.graph, 2, polar=inst.polar)
+        col = decide_tf_q(g, 2, polar=polar)
         assert (nae is None) == (col is None)
         if nae is not None:
             lifted = lift_witness(out, nae)
-            assert verify_triangle_free(inst.graph, lifted, inst.polar)
+            assert verify_triangle_free(g, lifted, polar)
             pulled = pull_witness(out, col)
             assert nae_satisfies(phi, pulled)
 
@@ -293,17 +292,16 @@ def test_nae4_to_polar_equivalence_and_round_trip():
 def test_nae4_to_polar_oracle_cross_check():
     # heavy polar forcing keeps the plain enumeration tractable here
     phi = CnfFormula(3, ((1, 2, 3),))
-    out = reduce_nae4_to_polar(phi)
-    k, w = oracle_chi3(out.instance.graph, out.instance.polar)
+    g, polar = reduce_nae4_to_polar(phi).instance
+    k, w = oracle_chi3(g, polar)
     assert k == 2
-    assert verify_triangle_free(out.instance.graph, w, out.instance.polar)
+    assert verify_triangle_free(g, w, polar)
 
 
 def test_polar_instance_file_round_trip():
     phi = CnfFormula(2, ((1, -2, 2),))
     inst = reduce_nae4_to_polar(phi).instance
-    text = write_polar_instance(inst)
-    assert read_polar_graph(text) == (inst.graph, inst.polar)
+    assert read_polar_graph(write_dimacs_graph(*inst)) == inst
     with pytest.raises(ValueError, match=r"^line 3: .*\(1, 3\) not present"):
         read_polar_graph("p edge 2 1\ne 1 2\ns 1 3\n")
     with pytest.raises(ValueError, match="^line 2: .*'s 1 x'"):
@@ -326,12 +324,21 @@ def test_polar_instance_file_round_trip():
 @settings(max_examples=200)
 @given(graphs_with_polar())
 def test_polar_instance_text_round_trip_property(inst):
+    # the writer writes each pair as given, the reader returns (min, max) pairs
     g, polar = inst
-    inst = PolarInstance(g, polar)
-    text = write_polar_instance(inst)
-    back = PolarInstance(*read_polar_graph(text))
-    assert back == inst
-    assert write_polar_instance(back) == text
+    pair = (g, frozenset((min(e), max(e)) for e in polar))
+    text = write_dimacs_graph(*pair)
+    back = read_polar_graph(text)
+    assert back == pair
+    assert write_dimacs_graph(*back) == text
+
+
+@settings(max_examples=100)
+@given(cnf_formulas())
+def test_nae4_to_polar_instance_is_what_its_text_reads_back(phi):
+    assume(fits_occurrence_limit(phi))
+    out = reduce_nae4_to_polar(phi)
+    assert read_polar_graph(write_dimacs_graph(*out.instance)) == out.instance
 
 
 # --- budget increment
@@ -400,7 +407,7 @@ def test_q_to_q1_forces_hub_color_apart():
 @settings(max_examples=100)
 @given(cnf_formulas())
 def test_sat4_to_nae4_lift_pull_round_trip(phi):
-    assume(fits_occurrence_limit(phi, 4))
+    assume(fits_occurrence_limit(phi))
     w = oracle_sat(phi)
     assume(w is not None)
     out = reduce_sat4_to_nae4(phi)
@@ -420,7 +427,7 @@ def test_nae_to_k4free_lift_pull_round_trip(phi):
 @settings(max_examples=100)
 @given(cnf_formulas())
 def test_nae4_to_polar_lift_pull_round_trip(phi):
-    assume(fits_occurrence_limit(phi, 4))
+    assume(fits_occurrence_limit(phi))
     w = oracle_nae(phi)
     assume(w is not None)
     out = reduce_nae4_to_polar(phi)
@@ -527,7 +534,8 @@ def test_composed_chains_pull_back_to_a_source_witness(phi):
     sat = oracle_sat(phi)
     if sat is not None:
         assert lift_witness(to_polar, lift_witness(to_nae, sat))
-    got = decide_tf_q(to_polar.instance.graph, 2, polar=to_polar.instance.polar)
+    g, polar = to_polar.instance
+    got = decide_tf_q(g, 2, polar=polar)
     assert (got is None) == (sat is None)
     if got is not None:
         assert sat_satisfies(phi, pull_witness(to_nae, pull_witness(to_polar, got)))
@@ -549,10 +557,10 @@ def test_nae_reductions_on_large_planted_formula():
     # both used to rescan every clause for every variable
     phi = planted_nae_cnf(random.Random(85), 3000)
     n, m = phi.num_vars, len(phi.clauses)
-    assert fits_occurrence_limit(phi, 4)
-    inst = reduce_nae4_to_polar(phi).instance
-    assert inst.graph.n == 3 * m + 14 * n and inst.graph.max_degree <= 3
-    assert len(inst.polar) == 13 * n + 3 * m
+    assert fits_occurrence_limit(phi)
+    g, polar = reduce_nae4_to_polar(phi).instance
+    assert g.n == 3 * m + 14 * n and g.max_degree <= 3
+    assert len(polar) == 13 * n + 3 * m
     assert reduce_nae_to_k4free(phi).instance.n == 33 * m + 12 * n
 
 
