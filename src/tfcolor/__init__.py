@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coloring": ("Coloring", "standard_recolor", "verify_triangle_free"),
-    "fpt": ("StructuralParams", "compute_params", "fpt_tf_q_coloring", "min_vertex_cover"),
+    "fpt": ("compute_params", "fpt_tf_q_coloring", "min_vertex_cover"),
     "gadgets": (
         "clique_contraction", "gen_clover", "gen_complete", "gen_cycle", "gen_cycle_clique",
         "gen_gadget_triangle", "gen_mycielski", "gen_polar_gadget", "mycielskian",

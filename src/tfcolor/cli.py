@@ -168,7 +168,7 @@ def _cmd_params(args) -> int:
     g = read_dimacs_graph(_read_input(args.input))
     if g.n > args.max_n:
         raise ValueError(f"graph has {g.n} vertices, above the --max-n guard of {args.max_n}")
-    _emit({"n": g.n, "m": g.m, **compute_params(g).to_json_dict()})
+    _emit({"n": g.n, "m": g.m, **compute_params(g)})
     return 0
 
 

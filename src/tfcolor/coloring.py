@@ -28,9 +28,6 @@ class Coloring(Record):
     def __len__(self) -> int:
         return len(self.colors)
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "colors": list(self.colors)}
-
     @staticmethod
     def from_json_dict(d: dict, n=None) -> "Coloring":
         """Colors from 'colors' (or 'coloring', as solve prints them), the

@@ -3,33 +3,15 @@ under the simplicial-vertex rule, searched on an explicit stack of nodes
 that each hold three immutable int vertex sets (the vertices left, the
 cover so far, the worklist), so no graph size reaches the recursion
 limit; the vertex-cover-parameter algorithm, which colors each
-component from its part of a minimum cover; and compute_params with its
-StructuralParams record. solve --fpt and params load this module, and
-only compute_params loads the search engine and the oracles.
+component from its part of a minimum cover; and compute_params. solve
+--fpt and params load this module, and only compute_params loads the
+search engine and the oracles.
 """
 
 from __future__ import annotations
 
 from .coloring import Coloring, verify_triangle_free
-from .graph import Graph, Record, _members, connected_components, triangle_pairs
-
-
-class StructuralParams(Record):
-    """Exact structural parameters of one graph; construction re-checks
-    the sandwich ceil(omega/2) <= chi3 <= ceil(chi/2) and the classic
-    omega <= chi <= delta+1 chain."""
-
-    __slots__ = ("omega", "chi", "chi3", "vc", "delta")
-
-    def __init__(self, omega: int, chi: int, chi3: int, vc: int, delta: int):
-        super().__init__(omega, chi, chi3, vc, delta)
-        if not ((self.omega + 1) // 2 <= self.chi3 <= (self.chi + 1) // 2):
-            raise ValueError("chi3 violates its clique/chromatic sandwich")
-        if not (self.omega <= self.chi <= self.delta + 1):
-            raise ValueError("omega <= chi <= delta+1 violated")
-
-    def to_json_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
+from .graph import Graph, _members, connected_components, triangle_pairs
 
 
 def min_vertex_cover(g: Graph) -> frozenset:
@@ -168,17 +150,22 @@ def fpt_tf_q_coloring(g: Graph, q: int):
     return result
 
 
-def compute_params(g: Graph) -> StructuralParams:
-    """Exact structural parameters; chi and chi3 each come from one climb
-    of the triangle-free search's budget ladder, chi with every edge
-    polar, so mid-sized gadget graphs stay tractable."""
+def compute_params(g: Graph) -> dict:
+    """Exact structural parameters as the dict {"omega", "chi", "chi3",
+    "vc", "delta"}, in params' key order; chi and chi3 each come from one
+    climb of the triangle-free search's budget ladder, chi with every edge
+    polar, so mid-sized gadget graphs stay tractable. The answer re-checks
+    the sandwich ceil(omega/2) <= chi3 <= ceil(chi/2) and the classic
+    omega <= chi <= delta+1 chain; a violation is an internal error."""
     from .oracles import oracle_omega
     from .solvers import solve_chi3
 
-    return StructuralParams(
-        omega=oracle_omega(g),
-        chi=solve_chi3(g, polar=g.edges())[0],
-        chi3=solve_chi3(g)[0],
-        vc=len(min_vertex_cover(g)),
-        delta=g.max_degree,
-    )
+    omega = oracle_omega(g)
+    chi = solve_chi3(g, polar=g.edges())[0]
+    chi3 = solve_chi3(g)[0]
+    delta = g.max_degree
+    if not ((omega + 1) // 2 <= chi3 <= (chi + 1) // 2):
+        raise RuntimeError("internal error: chi3 violates its clique/chromatic sandwich")
+    if not (omega <= chi <= delta + 1):
+        raise RuntimeError("internal error: omega <= chi <= delta+1 violated")
+    return {"omega": omega, "chi": chi, "chi3": chi3, "vc": len(min_vertex_cover(g)), "delta": delta}

@@ -18,16 +18,8 @@ def gen_cycle_clique(k: int) -> Graph:
     k=1 yields the 5-cycle."""
     if k < 1:
         raise ValueError("joint size must be at least 1")
-    edges = []
-    for i in range(5):
-        for j in range(k):
-            v = i * k + j
-            for j2 in range(j + 1, k):
-                edges.append((v, i * k + j2))
-            nxt = ((i + 1) % 5) * k
-            for j2 in range(k):
-                edges.append((v, nxt + j2))
-    return Graph(5 * k, edges)
+    # u < v, so v's joint is u's, the next, or (4) J0-J4 across the ring's wrap
+    return Graph(5 * k, [(u, v) for u, v in combinations(range(5 * k), 2) if v // k - u // k in (0, 1, 4)])
 
 
 def clique_contraction(g: Graph, cu, cv, cw):

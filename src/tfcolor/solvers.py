@@ -111,14 +111,12 @@ def _ladder(g: Graph, budgets, polar=None):
         a triangle through v lies in its closed constraint neighbors, and
         swapping two twins maps the constraints onto themselves. No vertex
         has twins of both kinds, so it is in at most one real class."""
-        from bisect import insort
         classes = {}
         for v, s in enumerate(nbrs):
             if s:
-                key = [pol[v] and tuple(sorted(b for a, b in tri[v] if a == v)), *sorted(s)]
-                classes.setdefault(tuple(key), []).append(v)
-                insort(key, v, 1)
-                classes.setdefault(tuple(key), []).append(v)
+                p = pol[v] and tuple(sorted(b for a, b in tri[v] if a == v))
+                classes.setdefault((p, *sorted(s)), []).append(v)
+                classes.setdefault((p, *sorted(s | {v})), []).append(v)
         twins = [()] * n
         for cls in classes.values():
             if len(cls) > 1:

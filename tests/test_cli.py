@@ -164,6 +164,16 @@ def test_params_polar_gadget_matches_golden(monkeypatch, capsys):
     assert doc["omega"] == 3 and doc["chi3"] == 2
 
 
+def test_params_reports_a_broken_sandwich_as_exit_three(monkeypatch, capsys):
+    # the search answering chi3 = 1 on K4 is an engine fault, not an input error
+    monkeypatch.setattr(solvers, "solve_chi3", lambda g, polar=None: (4 if polar else 1, None))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"))
+    assert cli.run(["params"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: RuntimeError: internal error: chi3 violates")
+
+
 def test_params_max_n_guard(monkeypatch, capsys):
     code, _ = run_cli(["params", "--max-n", "5"],
                       stdin_text=(GOLDEN / "polar_gadget.dimacs").read_text(),
@@ -563,12 +573,20 @@ def test_a_closed_stdin_is_an_input_error(tmp_path):
 
 def test_help_and_malformed_argv_match_the_recorded_outputs(tmp_path):
     # cli_argv.json holds the stdout, stderr and exit code of each argv as
-    # argparse alone read them: help, errors, abbreviations, --opt=value
+    # argparse alone read them: help, errors, abbreviations, --opt=value.
+    # Where argparse's text changed within a minor version (3.13.0 keeps
+    # "--to {...}" on one usage line; 3.13.13 lists choices without quotes),
+    # a row's "since" holds the text recorded at that version, and the last
+    # one at or below the running version of the same minor applies
     (tmp_path / "k3.dimacs").write_text(K3)
     (tmp_path / "c.json").write_text('{"colors": [1, 1, 2]}')
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=SRC, COLUMNS="80")  # argparse wraps help to the terminal width
     for row in json.loads((GOLDEN / "cli_argv.json").read_text(encoding="utf-8")):
+        for variant in row.get("since", ()):
+            version = tuple(map(int, variant["python"].split(".")))
+            if version[:2] == sys.version_info[:2] and version <= sys.version_info[:3]:
+                row = {**row, **variant}
         done = subprocess.run([sys.executable, "-m", "tfcolor.cli", *row["argv"]], cwd=tmp_path, env=env,
                               capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=60)
         assert (done.stdout, done.stderr, done.returncode) == (row["stdout"], row["stderr"], row["code"]), row["argv"]

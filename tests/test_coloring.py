@@ -28,7 +28,7 @@ def test_coloring_validates_range():
 
 def test_coloring_json_round_trip():
     c = Coloring(3, (1, 3, 2))
-    assert Coloring.from_json_dict(c.to_json_dict()) == c
+    assert Coloring.from_json_dict({"k": c.k, "colors": list(c.colors)}) == c
 
 
 @pytest.mark.parametrize("doc", [

@@ -32,6 +32,14 @@ def test_build_c5():
     assert g == gen_cycle(5)
 
 
+def test_equal_edges_give_equal_graphs():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    h = Graph(4, [(3, 2), (0, 1), (2, 1)])
+    assert g == h and hash(g) == hash(h)
+    assert Graph(1) != 1
+    assert Graph(0).__eq__(0) is NotImplemented
+
+
 def test_build_k4():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert g.m == 6 and g.max_degree == 3

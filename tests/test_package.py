@@ -22,7 +22,6 @@ from tfcolor import (
     Coloring,
     Graph,
     ReductionOutput,
-    StructuralParams,
     cli,
     gen_clover,
     reduce_nae_to_k4free,
@@ -211,7 +210,7 @@ def test_main_runs_the_command_with_the_collector_off(monkeypatch):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 50
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 49
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")
@@ -267,7 +266,6 @@ FIELDS = {
     Coloring: ("k", "colors"),
     CnfFormula: ("num_vars", "clauses"),
     ReductionOutput: ("kind", "source", "instance"),
-    StructuralParams: ("omega", "chi", "chi3", "vc", "delta"),
 }
 
 
@@ -276,7 +274,6 @@ def _records():
         Coloring(2, [1, 2, 1]),
         CnfFormula(2, [[1, 2, -1]]),
         ReductionOutput(kind="x", source=(Graph(1), 2), instance=1),
-        StructuralParams(omega=2, chi=3, chi3=2, vc=3, delta=2),
     ]
 
 
@@ -285,7 +282,6 @@ def test_records_repr_lists_fields_in_order():
         "Coloring(k=2, colors=(1, 2, 1))",
         "CnfFormula(num_vars=2, clauses=((1, 2, -1),))",
         "ReductionOutput(kind='x', source=(Graph(n=1, m=0), 2), instance=1)",
-        "StructuralParams(omega=2, chi=3, chi3=2, vc=3, delta=2)",
     ]
 
 
@@ -312,10 +308,6 @@ def test_records_keep_their_validation():
         Coloring(2, (1, 3))
     with pytest.raises(ValueError, match="non-negative"):
         Coloring(-1, ())
-    with pytest.raises(ValueError, match="sandwich"):
-        StructuralParams(omega=2, chi=3, chi3=3, vc=3, delta=2)
-    with pytest.raises(ValueError, match="delta"):
-        StructuralParams(omega=2, chi=4, chi3=2, vc=3, delta=2)
     with pytest.raises(ValueError, match="expected exactly 3"):
         CnfFormula(2, ((1, 2),))
     with pytest.raises(ValueError, match="invalid literal 3"):

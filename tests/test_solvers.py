@@ -15,7 +15,6 @@ from tfcolor import fpt, solvers
 from tfcolor import (
     Coloring,
     Graph,
-    StructuralParams,
     compute_params,
     decide_tf_q,
     fpt_tf_q_coloring,
@@ -862,16 +861,17 @@ def test_compute_params_matches_oracles():
     for _ in range(200):
         g = rand_graph(rng, rng.randint(0, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
         p = compute_params(g)
-        assert p.omega == oracle_omega(g)
-        assert p.chi == oracle_chi(g)
-        assert p.chi3 == oracle_chi3(g)[0]
-        assert p.vc == brute_min_cover(g)
+        assert list(p) == ["omega", "chi", "chi3", "vc", "delta"]
+        assert p["omega"] == oracle_omega(g)
+        assert p["chi"] == oracle_chi(g)
+        assert p["chi3"] == oracle_chi3(g)[0]
+        assert p["vc"] == brute_min_cover(g)
+        assert p["delta"] == g.max_degree
 
 
-def test_structural_params_validation():
-    with pytest.raises(ValueError):
-        StructuralParams(omega=4, chi=4, chi3=1, vc=2, delta=3)
-    with pytest.raises(ValueError):
-        StructuralParams(omega=5, chi=4, chi3=2, vc=2, delta=3)
-    p = StructuralParams(omega=3, chi=5, chi3=2, vc=8, delta=9)
-    assert p.to_json_dict()["chi"] == 5
+def test_compute_params_reports_a_broken_bound_as_an_internal_error(monkeypatch):
+    # on K4 (omega 4, delta 3): chi3 1 breaks ceil(omega/2) <= chi3, and chi 6 breaks chi <= delta+1
+    for chi, chi3, message in ((4, 1, "sandwich"), (6, 3, "delta")):
+        monkeypatch.setattr(solvers, "solve_chi3", lambda g, polar=None: (chi if polar else chi3, None))
+        with pytest.raises(RuntimeError, match=f"^internal error: .*{message}"):
+            compute_params(gen_complete(4))
