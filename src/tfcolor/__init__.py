@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coloring": ("Coloring", "standard_recolor", "verify_triangle_free"),
-    "fpt": ("compute_params", "fpt_tf_q_coloring", "min_vertex_cover"),
+    "fpt": ("compute_params", "fpt_tf_q_coloring", "min_vertex_cover", "oracle_omega"),
     "gadgets": (
         "clique_contraction", "gen_clover", "gen_complete", "gen_cycle", "gen_cycle_clique",
         "gen_gadget_triangle", "gen_mycielski", "gen_polar_gadget", "mycielskian",
@@ -22,16 +22,13 @@ _EXPORTS = {
     "graph_classes": (
         "bounded_chi_chi3", "chordal_chi3", "max_cardinality_search", "recognize_chordal",
     ),
-    "oracles": ("oracle_chi", "oracle_chi3", "oracle_omega"),
     "reductions": (
         "CnfFormula", "ReductionOutput", "fits_occurrence_limit", "parse_dimacs_cnf",
         "reduce_nae4_to_polar", "reduce_nae_to_k4free", "reduce_q_to_q1", "reduce_sat4_to_nae4",
         "variable_occurrences", "write_dimacs_cnf",
     ),
     "solvers": ("decide_tf_q", "solve_chi3"),
-    "witness": (
-        "lift_witness", "nae_satisfies", "oracle_nae", "oracle_sat", "pull_witness", "sat_satisfies",
-    ),
+    "witness": ("lift_witness", "nae_satisfies", "pull_witness", "sat_satisfies"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

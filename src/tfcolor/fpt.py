@@ -3,9 +3,9 @@ under the simplicial-vertex rule, searched on an explicit stack of nodes
 that each hold three immutable int vertex sets (the vertices left, the
 cover so far, the worklist), so no graph size reaches the recursion
 limit; the vertex-cover-parameter algorithm, which colors each
-component from its part of a minimum cover; and compute_params. solve
---fpt and params load this module, and only compute_params loads the
-search engine and the oracles.
+component from its part of a minimum cover; the clique number; and
+compute_params. solve --fpt and params load this module, and only
+compute_params loads the search engine.
 """
 
 from __future__ import annotations
@@ -150,6 +150,25 @@ def fpt_tf_q_coloring(g: Graph, q: int):
     return result
 
 
+def oracle_omega(g: Graph) -> int:
+    """Exact clique number by branch and bound with a size cutoff, on an
+    explicit stack of (clique size, candidates) so no clique size reaches
+    the recursion limit. Candidates go by degree, highest first, and each
+    list holds them reversed, so the next one is popped off its end."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    best = 0
+    stack = [(0, sorted(range(g.n), key=lambda v: -len(adj[v]))[::-1])]
+    while stack:
+        size, cand = stack[-1]
+        if size + len(cand) <= best:
+            stack.pop()
+            continue
+        v = cand.pop()
+        stack.append((size + 1, [u for u in cand if u in adj[v]]))
+        best = max(best, size + 1)
+    return best
+
+
 def compute_params(g: Graph) -> dict:
     """Exact structural parameters as the dict {"omega", "chi", "chi3",
     "vc", "delta"}, in params' key order; chi and chi3 each come from one
@@ -157,7 +176,6 @@ def compute_params(g: Graph) -> dict:
     polar, so mid-sized gadget graphs stay tractable. The answer re-checks
     the sandwich ceil(omega/2) <= chi3 <= ceil(chi/2) and the classic
     omega <= chi <= delta+1 chain; a violation is an internal error."""
-    from .oracles import oracle_omega
     from .solvers import solve_chi3
 
     omega = oracle_omega(g)

@@ -294,17 +294,8 @@ def read_polar_graph(text: str):
     return _read_graph(text, ("e", "s"))
 
 
-def write_dot(g: Graph, coloring=None) -> str:
-    """DOT export of an undirected graph; when a coloring is given the
-    vertices carry filled colors from a 12-color scheme."""
-    label = list(map(str, range(g.n)))
-    lines = ["graph g {"]
-    if coloring is not None:
-        if len(coloring.colors) != g.n:
-            raise ValueError("coloring size does not match graph")
-        lines.append('  node [style=filled colorscheme="set312"];')
-        lines += [f"  {label[v]} [fillcolor={(c - 1) % 12 + 1}];" for v, c in enumerate(coloring.colors)]
-    else:
-        lines += [f"  {v};" for v in label]
-    lines += [f"  {label[u]} -- {label[v]};" for u, v in g.edges()]
+def write_dot(g: Graph) -> str:
+    """DOT export of an undirected graph."""
+    lines = ["graph g {", *(f"  {v};" for v in range(g.n))]
+    lines += [f"  {u} -- {v};" for u, v in g.edges()]
     return "\n".join(lines) + "\n}\n"

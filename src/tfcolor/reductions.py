@@ -1,6 +1,6 @@
 """CNF machinery (parsing and writing, occurrence counts) and the four
 instance transformations, each checking its own output; witness.py
-translates witnesses and holds CNF truth and the brute-force oracles.
+translates witnesses and holds CNF truth.
 
 Literals are nonzero signed integers over 1-based variables, DIMACS
 style.

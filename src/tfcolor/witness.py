@@ -1,8 +1,7 @@
 """Witness translation for the reductions of reductions.py, with CNF
-truth and the brute-force CNF oracles: lift_witness and pull_witness
-carry a witness across a reduction and re-verify it. Only these need the
-coloring verifier, and the `reduce` command translates no witness, so it
-never loads this module. Assignments are dicts variable -> bool.
+truth: lift_witness and pull_witness carry a witness across a reduction
+and re-verify it. Only these need the coloring verifier, and the
+`reduce` command translates no witness, so it never loads this module. Assignments are dicts variable -> bool.
 
 Each reduction kind states its witness contract once, in _CONTRACTS:
 
@@ -26,7 +25,7 @@ from .graph import Graph
 from .reductions import CnfFormula, ReductionOutput, _host_edges
 
 # ---------------------------------------------------------------------------
-# semantics and oracles
+# semantics
 
 
 def literal_value(lit: int, assignment) -> bool:
@@ -46,37 +45,6 @@ def nae_satisfies(phi: CnfFormula, assignment) -> bool:
         if all(vals) or not any(vals):
             return False
     return True
-
-
-def _first_model(phi: CnfFormula, nae: bool):
-    """First assignment in mask order (bit v-1 is variable v) under which
-    every clause has a true literal value and, with nae, a false one too;
-    or None. It calls none of the checkers above: it is their ground truth."""
-    for mask in range(1 << phi.num_vars):
-        for cl in phi.clauses:
-            t = f = False
-            for l in cl:
-                if ((mask >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0):
-                    t = True
-                else:
-                    f = True
-            if not t or (nae and not f):
-                break
-        else:
-            return {v: bool((mask >> (v - 1)) & 1) for v in range(1, phi.num_vars + 1)}
-    return None
-
-
-def oracle_sat(phi: CnfFormula):
-    """First satisfying assignment by full enumeration, or None.
-    Intended for small variable counts."""
-    return _first_model(phi, False)
-
-
-def oracle_nae(phi: CnfFormula):
-    """First not-all-equal satisfying assignment by full enumeration, or
-    None. Intended for small variable counts."""
-    return _first_model(phi, True)
 
 
 # ---------------------------------------------------------------------------

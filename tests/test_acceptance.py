@@ -30,11 +30,7 @@ from tfcolor import (
     gen_mycielski,
     gen_polar_gadget,
     lift_witness,
-    oracle_chi,
-    oracle_chi3,
-    oracle_nae,
     oracle_omega,
-    oracle_sat,
     pull_witness,
     reduce_nae4_to_polar,
     reduce_nae_to_k4free,
@@ -47,6 +43,10 @@ from tfcolor import (
 from util_graphs import (
     brute_triangles,
     draw_nm_occ4,
+    oracle_chi,
+    oracle_chi3,
+    oracle_nae,
+    oracle_sat,
     path_graph,
     rand_cnf,
     rand_cnf_occ4,

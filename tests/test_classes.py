@@ -14,14 +14,13 @@ from tfcolor import (
     gen_complete,
     gen_cycle,
     gen_mycielski,
-    oracle_chi3,
     recognize_chordal,
     solve_chi3,
     triangle_pairs,
     verify_triangle_free,
 )
 from tfcolor.graph_classes import BOUNDED_TAGS
-from util_graphs import circulant, graphs, icosahedron, petersen, planar_subgraph, random_ktree
+from util_graphs import circulant, graphs, icosahedron, oracle_chi3, petersen, planar_subgraph, random_ktree
 
 
 def _is_peo(g, peo):

@@ -19,13 +19,11 @@ from tfcolor import (
     gen_gadget_triangle,
     gen_mycielski,
     gen_polar_gadget,
-    oracle_chi,
-    oracle_chi3,
     oracle_omega,
     verify_triangle_free,
 )
 from tfcolor.gadgets import U, V, gadget_edges_across
-from util_graphs import brute_triangles, triangle_set
+from util_graphs import brute_triangles, oracle_chi, oracle_chi3, triangle_set
 
 
 def joints(k):

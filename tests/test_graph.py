@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tfcolor import (
-    Coloring,
     Graph,
     contains_k4,
     gen_cycle,
@@ -343,5 +342,3 @@ def test_dot_export():
     g = Graph(3, [(0, 1), (1, 2)])
     plain = write_dot(g)
     assert "0 -- 1;" in plain and "1 -- 2;" in plain
-    colored = write_dot(g, Coloring(2, (1, 2, 1)))
-    assert "fillcolor=1" in colored and "fillcolor=2" in colored

@@ -20,9 +20,6 @@ from tfcolor import (
     gen_cycle_clique,
     lift_witness,
     nae_satisfies,
-    oracle_chi3,
-    oracle_nae,
-    oracle_sat,
     parse_dimacs_cnf,
     pull_witness,
     quotient,
@@ -43,6 +40,10 @@ from util_graphs import (
     draw_nm_occ4,
     graphs,
     graphs_with_polar,
+    nae_dpll,
+    oracle_chi3,
+    oracle_nae,
+    oracle_sat,
     path_graph,
     planted_nae_cnf,
     rand_cnf,
@@ -240,6 +241,69 @@ def test_nae_to_k4free_equivalence_and_round_trip():
             assert verify_triangle_free(out.instance, lifted)
             pulled = pull_witness(out, col)
             assert nae_satisfies(phi, pulled)
+
+
+@settings(max_examples=200)
+@given(cnf_formulas(max_vars=10, max_clauses=30))
+def test_nae_dpll_matches_oracle_nae(phi):
+    model = nae_dpll(phi)
+    assert (model is None) == (oracle_nae(phi) is None)
+    if model is not None:
+        assert sorted(model) == list(range(1, phi.num_vars + 1)) and nae_satisfies(phi, model)
+
+
+@st.composite
+def threshold_formulas(draw, min_n, max_n):
+    """A width-3 formula on n variables and m clauses, m/n from 1.5 to
+    3.2, each clause over three distinct variables with drawn signs, so
+    both sides of the NAE threshold come up."""
+    n = draw(st.integers(min_n, max_n))
+    clause = st.tuples(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True),
+                       st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+    m = draw(st.integers(-(-3 * n // 2), 16 * n // 5))
+    return CnfFormula(n, tuple(tuple(v * s for v, s in zip(*draw(clause))) for _ in range(m)))
+
+
+def decides_nae_through(phi, q):
+    """Decide phi through its K4-free image lifted q-2 times at budget q,
+    against nae_dpll, and pull a found coloring back to a model of phi.
+    Returns whether phi has one."""
+    outs = [reduce_nae_to_k4free(phi)]
+    for budget in range(2, q):
+        outs.append(reduce_q_to_q1(outs[-1].instance, budget))
+    witness = decide_tf_q(outs[-1].instance, q)
+    assert (witness is None) == (nae_dpll(phi) is None)
+    if witness is not None:
+        for out in reversed(outs):
+            witness = pull_witness(out, witness)
+        assert nae_satisfies(phi, witness)
+    return witness is not None
+
+
+def test_nae_images_are_refuted_exactly_when_the_dpll_finds_no_model():
+    # the paper's central instances on both sides of the threshold, past
+    # oracle_nae's reach: the images have hundreds of vertices
+    answers = set()
+
+    @settings(max_examples=30)
+    @given(threshold_formulas(6, 14))
+    def check(phi):
+        answers.add(decides_nae_through(phi, 2))
+
+    check()
+    assert answers == {True, False}
+
+
+def test_lifted_nae_images_are_refuted_exactly_when_the_dpll_finds_no_model():
+    answers = set()
+
+    @settings(max_examples=3)
+    @given(threshold_formulas(3, 4))
+    def check(phi):
+        answers.add(decides_nae_through(phi, 3))
+
+    check()
+    assert answers == {True, False}
 
 
 # --- bounded-occurrence not-all-equal SAT to a degree-3 polar instance

@@ -23,8 +23,6 @@ from tfcolor import (
     gen_cycle,
     gen_mycielski,
     min_vertex_cover,
-    oracle_chi,
-    oracle_chi3,
     oracle_omega,
     solve_chi3,
     verify_triangle_free,
@@ -36,6 +34,8 @@ from util_graphs import (
     disjoint_union,
     graphs_with_polar,
     grid_graph,
+    oracle_chi,
+    oracle_chi3,
     rand_graph,
     random_ktree,
     refute_tf_q,

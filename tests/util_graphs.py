@@ -1,10 +1,16 @@
-"""Shared generators and brute-force baselines for the test suite."""
+"""Shared generators and the ground truths of the test suite: plain
+enumerations and searches that share no code with the engine. Exact
+chi3 and chi by enumeration (oracle_chi3, oracle_chi) and the
+independent refuter (refute_tf_q) on graphs; first models by
+enumeration (oracle_sat, oracle_nae) and a plain NAE backtracking search
+(nae_dpll) on formulas."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import strategies as st
-from tfcolor import CnfFormula, Coloring, Graph, triangle_pairs
+from tfcolor import CnfFormula, Coloring, Graph, as_edge_subset, triangle_pairs
 
 
 def rand_graph(rng, n, p):
@@ -303,3 +309,124 @@ def refute_tf_q(g, q, polar=()):
 def refuted_chi3(g, polar=()):
     """The least budget refute_tf_q fits."""
     return next(q for q in range(g.n + 1) if refute_tf_q(g, q, polar) is not None)
+
+
+def _brute_triangle_pairs(g: Graph):
+    """tri[v] lists pairs (a, b) with a < b < v completing a triangle;
+    computed by a raw scan over all vertex triples."""
+    tri = [[] for _ in range(g.n)]
+    for a, b, c in combinations(range(g.n), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            tri[c].append((a, b))
+    return tri
+
+
+def _tf_enumerate(n, k, tri, pol):
+    """Plain k^n enumeration in vertex order with early cutoff on a completed
+    monochromatic triangle or polar edge. A loop over positions with colors as
+    the stack: position i resumes after colors[i], and backtracking resets it to 0."""
+    colors = [0] * n
+    i = 0
+    while 0 <= i < n:
+        for x in range(colors[i] + 1, k + 1):
+            for a, b in tri[i]:
+                if colors[a] == x and colors[b] == x:
+                    break
+            else:
+                for a in pol[i]:
+                    if colors[a] == x:
+                        break
+                else:  # no triangle or polar edge rules x out
+                    colors[i] = x
+                    i += 1
+                    break
+        else:
+            colors[i] = 0
+            i -= 1
+    return tuple(colors) if i == n else None
+
+
+def oracle_chi3(g: Graph, polar=None):
+    """Smallest k admitting a triangle-free (polar-respecting) k-coloring
+    plus one witness, by plain enumeration; k=0 for the empty graph. For
+    small graphs only (the caller bounds n): however much polar edges
+    prune, the cubic triple scan of _brute_triangle_pairs bounds n."""
+    n = g.n
+    pairs = as_edge_subset(g, polar) if polar else frozenset()
+    tri = _brute_triangle_pairs(g)
+    pol = [[] for _ in range(n)]
+    for u, v in pairs:
+        pol[v].append(u)
+    for k in range(n + 1):
+        res = _tf_enumerate(n, k, tri, pol)
+        if res is not None:
+            return k, Coloring(k, res)
+    raise AssertionError("a rainbow coloring always fits")
+
+
+def oracle_chi(g: Graph) -> int:
+    """Exact chromatic number by the plain enumeration of oracle_chi3: a
+    proper k-coloring is one with every edge polar, and then no triangle
+    constraint is needed."""
+    pol = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
+    return next(k for k in range(g.n + 1) if _tf_enumerate(g.n, k, [()] * g.n, pol) is not None)
+
+
+# the ground truth of witness.sat_satisfies and nae_satisfies
+def _first_model(phi: CnfFormula, nae: bool):
+    """First assignment in mask order (bit v-1 is variable v) under which
+    every clause has a true literal value and, with nae, a false one too;
+    or None. It calls none of the checkers above: it is their ground truth."""
+    for mask in range(1 << phi.num_vars):
+        for cl in phi.clauses:
+            t = f = False
+            for l in cl:
+                if ((mask >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0):
+                    t = True
+                else:
+                    f = True
+            if not t or (nae and not f):
+                break
+        else:
+            return {v: bool((mask >> (v - 1)) & 1) for v in range(1, phi.num_vars + 1)}
+    return None
+
+
+def oracle_sat(phi: CnfFormula):
+    """First satisfying assignment by full enumeration, or None.
+    Intended for small variable counts."""
+    return _first_model(phi, False)
+
+
+def oracle_nae(phi: CnfFormula):
+    """First not-all-equal satisfying assignment by full enumeration, or
+    None. Intended for small variable counts."""
+    return _first_model(phi, True)
+
+
+def nae_dpll(phi):
+    """A not-all-equal model of phi as a dict variable -> bool, or None,
+    for formulas past oracle_nae's reach. Plain backtracking over one
+    static order, the variables in the most literal slots first (then the
+    lowest number), each tried False, then True; each clause is checked
+    when its last variable in the order is set. The tries by position are
+    the explicit stack."""
+    count = Counter(abs(l) for cl in phi.clauses for l in cl)
+    order = sorted(range(1, phi.num_vars + 1), key=lambda x: (-count[x], x))
+    pos = {x: i for i, x in enumerate(order)}
+    checks = [[] for _ in order]  # checks[i]: the clauses whose last variable is order[i]
+    for cl in phi.clauses:
+        checks[max(pos[abs(l)] for l in cl)].append(cl)
+    value = {}
+    tries = [0] * len(order)  # tries[i]: how many values order[i] has taken so far
+    i = 0
+    while 0 <= i < len(order):
+        if tries[i] == 2:
+            tries[i] = 0
+            i -= 1
+            continue
+        value[order[i]] = tries[i] == 1
+        tries[i] += 1
+        if all(len({value[abs(l)] == (l > 0) for l in cl}) == 2 for cl in checks[i]):
+            i += 1
+    return value if i == len(order) else None
