@@ -12,11 +12,11 @@ _EXPORTS = {
     "coloring": ("Coloring", "standard_recolor", "verify_triangle_free"),
     "fpt": ("compute_params", "fpt_tf_q_coloring", "min_vertex_cover", "oracle_omega"),
     "gadgets": (
-        "clique_contraction", "gen_clover", "gen_complete", "gen_cycle", "gen_cycle_clique",
-        "gen_gadget_triangle", "gen_mycielski", "gen_polar_gadget", "mycielskian",
+        "gen_clover", "gen_complete", "gen_cycle", "gen_cycle_clique", "gen_gadget_triangle",
+        "gen_mycielski", "gen_polar_gadget", "mycielskian",
     ),
     "graph": (
-        "Graph", "as_edge_subset", "connected_components", "contains_k4", "quotient",
+        "Graph", "as_edge_subset", "connected_components", "contains_k4",
         "read_dimacs_graph", "triangle_pairs", "write_dimacs_graph", "write_dot",
     ),
     "graph_classes": (

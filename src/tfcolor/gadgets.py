@@ -1,13 +1,12 @@
-"""Generators for the structured graph families: cycle-cliques, the
-clique contraction scheme, clover graphs, the 12-vertex bichromatic-edge
-gadget and the triangle of three such gadgets, Mycielski iterates, and
-stock graphs."""
+"""Generators for the structured graph families: cycle-cliques, clover
+graphs, the 12-vertex bichromatic-edge gadget and the triangle of three
+such gadgets, Mycielski iterates, and stock graphs."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, quotient
+from .graph import Graph
 
 
 def gen_cycle_clique(k: int) -> Graph:
@@ -22,48 +21,24 @@ def gen_cycle_clique(k: int) -> Graph:
     return Graph(5 * k, [(u, v) for u, v in combinations(range(5 * k), 2) if v // k - u // k in (0, 1, 4)])
 
 
-def clique_contraction(g: Graph, cu, cv, cw):
-    """Merge three ordered k-cliques U, V, W into one (k+1)-clique by the
-    fixed identification sequence: (v_i, u_i) for i <= k-2, then
-    (v_i, w_i) for i <= k-3, then (v_{k-1}, w_{k-2}) and (u_{k-1}, w_{k-1});
-    each pair keeps its first member.
-
-    Returns (graph, vmap) where vmap sends every original vertex to its
-    final index (merged vertices map to their survivor).
-    """
-    cu, cv, cw = tuple(cu), tuple(cv), tuple(cw)
-    k = len(cu)
-    if not (len(cv) == k and len(cw) == k):
-        raise ValueError("the three cliques must have equal size")
-    if k < 2:
-        raise ValueError("clique size must be at least 2")
-    members = cu + cv + cw
-    if len(set(members)) != 3 * k:
-        raise ValueError("the three cliques must be pairwise disjoint")
-    for cl in (cu, cv, cw):
-        for a, b in combinations(cl, 2):
-            if not g.has_edge(a, b):
-                raise ValueError(f"vertices {a} and {b} are not adjacent: input set is not a clique")
-    pairs = [(cv[i], cu[i]) for i in range(k - 1)]
-    pairs += [(cv[i], cw[i]) for i in range(k - 2)]
-    pairs += [(cv[k - 1], cw[k - 2]), (cu[k - 1], cw[k - 1])]
-    return quotient(g, pairs)
-
-
 def gen_clover(k: int) -> Graph:
-    """Three k-cycle-cliques contracted on one joint each; the merged
-    joints form a (k+1)-clique at the center. Has 13k+1 vertices."""
+    """Three k-cycle-cliques contracted on one joint each: the three
+    joints 0 merge into the (k+1)-clique at the center, on 0..k-1 and
+    5k. Has 13k+1 vertices. Copy 0 sits at 0..5k-1. Copy 1 puts vertex
+    j at j for j <= k-2 and at 5k + j - (k-1) otherwise. Copy 2 puts
+    vertex j at j for j <= k-3, vertex k-2 at k-1, vertex k-1 at 5k and
+    vertex j >= k at 9k+1 + j - k."""
     if k < 2:
         raise ValueError("clover joint size must be at least 2")
-    cc = gen_cycle_clique(k)
-    n1, edges = cc.n, cc.edges()
-    offsets = (0, n1, 2 * n1)  # one copy of the cycle-clique at each
-    union = Graph(3 * n1, [(u + off, v + off) for off in offsets for u, v in edges])
-    cv, cu, cw = (range(off, off + k) for off in offsets)  # joint 0 of each copy
-    g, _ = clique_contraction(union, cu, cv, cw)
-    if g.n != 13 * k + 1:
-        raise AssertionError(f"clover has {g.n} vertices, expected {13 * k + 1}")
-    return g
+    cc_edges = gen_cycle_clique(k).edges()
+    places = (
+        range(5 * k),
+        (*range(k - 1), *range(5 * k, 9 * k + 1)),
+        (*range(k - 2), k - 1, 5 * k, *range(9 * k + 1, 13 * k + 1)),
+    )
+    # each place is increasing, so mapped edges stay ordered and the set
+    # drops the repeats the merged joints share
+    return Graph(13 * k + 1, {(p[a], p[b]) for p in places for a, b in cc_edges})
 
 
 # vertex labels of the bichromatic-edge gadget; (U, V) is its forced edge

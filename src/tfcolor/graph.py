@@ -1,9 +1,9 @@
-"""Immutable simple-graph core: construction, vertex identification,
-the one triangle listing, a per-vertex index built by intersecting the
-adjacency sets of each edge, a K4 certifier that reads only the
-adjacency sets, the member iterator of vertex sets held as int bitsets,
-DIMACS/DOT output, the reader of valid graph and polar-instance text,
-and the read-only record base of the value classes."""
+"""Immutable simple-graph core: construction, the one triangle listing,
+a per-vertex index built by intersecting the adjacency sets of each
+edge, a K4 certifier that reads only the adjacency sets, the member
+iterator of vertex sets held as int bitsets, DIMACS/DOT output, the
+reader of valid graph and polar-instance text, and the read-only record
+base of the value classes."""
 
 from __future__ import annotations
 
@@ -118,40 +118,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def quotient(g: Graph, pairs):
-    """Identify vertices in one union-find pass. Each (keep, drop) pair
-    merges drop's class into keep's; the surviving representatives are
-    renumbered in ascending original index, and the loops and parallel
-    edges the merges create are dropped.
-
-    Returns (graph, vmap) where vmap sends every original vertex to the
-    new index of its class.
-    """
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for keep, drop in pairs:
-        if not (0 <= keep < g.n and 0 <= drop < g.n):
-            raise ValueError(f"vertex out of range: ({keep}, {drop}) with n={g.n}")
-        rk, rd = find(keep), find(drop)
-        if rk == rd:
-            raise ValueError(f"vertices {keep} and {drop} are already identified")
-        parent[rd] = rk
-    index = {}
-    for v in range(g.n):
-        if parent[v] == v:
-            index[v] = len(index)
-    vmap = {v: index[find(v)] for v in range(g.n)}
-    # each edge is seen from both ends; the end whose new labels are in order keeps it
-    edges = {(vmap[a], vmap[b]) for a, na in enumerate(g._adj) for b in na if vmap[a] < vmap[b]}
-    return Graph(len(index), edges), vmap
 
 
 def triangle_pairs(g: Graph) -> list:

@@ -317,7 +317,7 @@ def digest_cases():
     """name -> (argv, stdin) of each recorded stdout digest: gen families over a
     range of sizes, and every reduction on small fixed and seeded inputs."""
     cases = {f"gen {family} --k {k}": (["gen", family, "--k", str(k)], "")
-             for family, sizes in (("clover", range(2, 7)), ("mycielski", range(5)), ("cycle-clique", range(1, 5)),
+             for family, sizes in (("clover", range(2, 9)), ("mycielski", range(5)), ("cycle-clique", range(1, 5)),
                                    ("complete", range(6)), ("cycle", range(3, 7)))
              for k in sizes}
     cases.update({f"gen {family}": (["gen", family], "") for family in ("polar-gadget", "theorem9")})
@@ -339,14 +339,17 @@ def digest_cases():
 # sha256 of each case's stdout, recorded before the constructors were
 # rewritten to build each repeated part once (the complete, cycle,
 # polar-gadget, theorem9 and --dot cases before the generators returned
-# plain graphs); any change to a generated or reduced instance, down to
-# one byte, shows here
+# plain graphs, clover --k 7 and 8 before the clover was laid out at its
+# final numbering); any change to a generated or reduced instance, down
+# to one byte, shows here
 RECORDED_DIGESTS = {
     "gen clover --k 2": "6d9e21a12ba4951305539604ded36ab1ca439d77ca51b79eb0b996446b02e374",
     "gen clover --k 3": "c87d3f66d836a97b38cae7c2ade57e1dd6dacace856941da51330fee30b2cec8",
     "gen clover --k 4": "844879f5a173de63f3ccc5914290139982f7b2e006b53ff8eab3bf685656db22",
     "gen clover --k 5": "41f9cc4c05126d47b3ad7d2506b185f7583150b128c01d03298d72dd6b68ba91",
     "gen clover --k 6": "d2c94a4b1c37713c8d0a946f039e9e89e3fad7e09f5f5eba3d902109013cb320",
+    "gen clover --k 7": "5f9d238133866f5e9f20ffb9fb3cee06bb7c38ddae8456efed1abc766661d2e5",
+    "gen clover --k 8": "df18edfd2da74b7a6fc96e3c80b62081b39dc38f3610c06af0195a5e2e0848c7",
     "gen mycielski --k 0": "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d",
     "gen mycielski --k 1": "b039efeb4c6f1ceedab1e50c208a5d55afdaca5e227dfeaec7c448de202fa3c0",
     "gen mycielski --k 2": "b617a3edc5a894eacaea9cd1b7c9e641b8058308b5a83ffc79d2a9f90efd145f",

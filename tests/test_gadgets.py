@@ -1,5 +1,6 @@
-"""Generator suite: cycle-cliques, the contraction scheme, clovers, the
-bichromatic-edge gadget, the gadget triangle, and Mycielski iterates."""
+"""Generator suite: cycle-cliques, clovers against the paper's clique
+contraction, the bichromatic-edge gadget, the gadget triangle, and
+Mycielski iterates."""
 
 import random
 from itertools import combinations
@@ -8,7 +9,6 @@ import pytest
 from tfcolor import (
     Coloring,
     Graph,
-    clique_contraction,
     connected_components,
     contains_k4,
     decide_tf_q,
@@ -23,7 +23,7 @@ from tfcolor import (
     verify_triangle_free,
 )
 from tfcolor.gadgets import U, V, gadget_edges_across
-from util_graphs import brute_triangles, oracle_chi, oracle_chi3, triangle_set
+from util_graphs import brute_triangles, disjoint_union, oracle_chi, oracle_chi3, quotient, triangle_set
 
 
 def joints(k):
@@ -71,37 +71,30 @@ def test_cycle_clique_rejects_zero():
         gen_cycle_clique(0)
 
 
-def _disjoint_cliques(k, copies=3):
-    edges = []
-    for c in range(copies):
-        for a, b in combinations(range(c * k, (c + 1) * k), 2):
-            edges.append((a, b))
-    return Graph(copies * k, edges)
+def contract(g, cu, cv, cw):
+    """The paper's clique contraction: merge three ordered k-cliques U,
+    V, W of g into one (k+1)-clique by identifying (v_i, u_i) for
+    i <= k-2, then (v_i, w_i) for i <= k-3, then (v_{k-1}, w_{k-2}) and
+    (u_{k-1}, w_{k-1}); each pair keeps its first member. Returns
+    quotient's (graph, vmap)."""
+    k = len(cu)
+    pairs = [(cv[i], cu[i]) for i in range(k - 1)]
+    pairs += [(cv[i], cw[i]) for i in range(k - 2)]
+    pairs += [(cv[k - 1], cw[k - 2]), (cu[k - 1], cw[k - 1])]
+    return quotient(g, pairs)
 
 
 def test_contraction_three_triangles_to_k4():
-    g = _disjoint_cliques(3)
-    h, vmap = clique_contraction(g, (0, 1, 2), (3, 4, 5), (6, 7, 8))
+    g = disjoint_union(*[gen_complete(3)] * 3)
+    h, vmap = contract(g, (0, 1, 2), (3, 4, 5), (6, 7, 8))
     assert h == gen_complete(4)
     assert len(set(vmap.values())) == 4
 
 
 def test_contraction_three_edges_to_k3():
-    g = _disjoint_cliques(2)
-    h, _ = clique_contraction(g, (0, 1), (2, 3), (4, 5))
+    g = disjoint_union(*[gen_complete(2)] * 3)
+    h, _ = contract(g, (0, 1), (2, 3), (4, 5))
     assert h == gen_complete(3)
-
-
-def test_contraction_rejects_non_clique():
-    g = Graph(6, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="clique"):
-        clique_contraction(g, (0, 1), (2, 3), (4, 5))
-
-
-def test_contraction_rejects_overlap():
-    g = _disjoint_cliques(2)
-    with pytest.raises(ValueError, match="disjoint"):
-        clique_contraction(g, (0, 1), (1, 2), (4, 5))
 
 
 def test_clover_counts():
@@ -114,25 +107,21 @@ def test_clover_is_connected():
 
 
 def test_clover_rainbow_center_witness_construction():
-    # rebuild the clover through the public contraction to learn which
-    # vertices were merged into the central clique, then check the
+    # replay the paper's contraction on three disjoint copies to learn
+    # which vertices were merged into the central clique, then check the
     # constructive witness: rainbow center, every joint copying its
     # clique's merged-joint colors
-    for k in (2, 3):
-        parts = [gen_cycle_clique(k) for _ in range(3)]
-        n1 = parts[0].n
-        edges = list(parts[0].edges())
-        edges += [(u + n1, v + n1) for u, v in parts[1].edges()]
-        edges += [(u + 2 * n1, v + 2 * n1) for u, v in parts[2].edges()]
-        union = Graph(3 * n1, edges)
+    for k in range(2, 7):
+        union = disjoint_union(*[gen_cycle_clique(k)] * 3)
+        n1 = 5 * k
         cv = tuple(joints(k)[0])
         cu = tuple(x + n1 for x in joints(k)[0])
         cw = tuple(x + 2 * n1 for x in joints(k)[0])
-        replay, vmap = clique_contraction(union, cu, cv, cw)
+        replay, vmap = contract(union, cu, cv, cw)
         clover = gen_clover(k)
         assert replay == clover
         center = sorted({vmap[x] for x in cu + cv + cw})
-        assert len(center) == k + 1
+        assert center == [*range(k), 5 * k]
         for a, b in combinations(center, 2):
             assert clover.has_edge(a, b)
         colors = [0] * clover.n

@@ -1,5 +1,6 @@
-"""Graph core: construction errors, contraction, triangle listing and
-the triangle index, 4-clique detection, and DIMACS/DOT round trips."""
+"""Graph core: construction errors, the identification reference,
+triangle listing and the triangle index, 4-clique detection, and
+DIMACS/DOT round trips."""
 
 import random
 import re
@@ -13,7 +14,6 @@ from tfcolor import (
     Graph,
     contains_k4,
     gen_cycle,
-    quotient,
     read_dimacs_graph,
     triangle_pairs,
     write_dimacs_graph,
@@ -22,7 +22,7 @@ from tfcolor import (
 from tfcolor import dimacs
 from tfcolor.dimacs import read_graph_rows
 from tfcolor.graph import read_polar_graph
-from util_graphs import brute_triangles, graphs, graphs_with_polar, rand_graph, triangle_set
+from util_graphs import brute_triangles, graphs, graphs_with_polar, quotient, rand_graph, triangle_set
 
 
 def test_build_c5():

@@ -211,7 +211,7 @@ def test_main_runs_the_command_with_the_collector_off(monkeypatch):
 
 
 def test_lazy_exports_resolve_to_submodule_objects():
-    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 45
+    assert len(tfcolor.__all__) == len(set(tfcolor.__all__)) == 43
     listed = dir(tfcolor)
     for name in tfcolor.__all__:
         module = importlib.import_module(f"tfcolor.{tfcolor._HOME[name]}")
@@ -391,10 +391,6 @@ def test_records_keep_their_validation():
     pytest.param(lambda: tfcolor.reduce_nae4_to_polar(CnfFormula(2, ((1, 1, 1), (1, 1, 2)))),
                  "a variable occurs more than 4 times", id="nae4 variable in 5 slots"),
     pytest.param(lambda: tfcolor.fpt_tf_q_coloring(Graph(1), 0), "color budget must be at least 1", id="fpt q=0"),
-    pytest.param(lambda: tfcolor.clique_contraction(tfcolor.gen_complete(5), (0, 1), (2, 3), (4,)),
-                 "the three cliques must have equal size", id="contraction of unequal cliques"),
-    pytest.param(lambda: tfcolor.clique_contraction(tfcolor.gen_complete(3), (0,), (1,), (2,)),
-                 "clique size must be at least 2", id="contraction of 1-cliques"),
     pytest.param(lambda: gen_clover(1), "clover joint size must be at least 2", id="gen_clover(1)"),
     pytest.param(lambda: tfcolor.gen_mycielski(-1), "iteration count must be non-negative", id="gen_mycielski(-1)"),
     pytest.param(lambda: tfcolor.gen_complete(-1), "vertex count must be non-negative", id="gen_complete(-1)"),

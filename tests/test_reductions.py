@@ -22,7 +22,6 @@ from tfcolor import (
     nae_satisfies,
     parse_dimacs_cnf,
     pull_witness,
-    quotient,
     reduce_nae4_to_polar,
     reduce_nae_to_k4free,
     reduce_q_to_q1,
@@ -46,6 +45,7 @@ from util_graphs import (
     oracle_sat,
     path_graph,
     planted_nae_cnf,
+    quotient,
     rand_cnf,
     rand_cnf_occ4,
     relabelled,

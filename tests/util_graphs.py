@@ -1,9 +1,9 @@
 """Shared generators and the ground truths of the test suite: plain
 enumerations and searches that share no code with the engine. Exact
-chi3 and chi by enumeration (oracle_chi3, oracle_chi) and the
-independent refuter (refute_tf_q) on graphs; first models by
-enumeration (oracle_sat, oracle_nae) and a plain NAE backtracking search
-(nae_dpll) on formulas."""
+chi3 and chi by enumeration (oracle_chi3, oracle_chi), the independent
+refuter (refute_tf_q) and vertex identification (quotient) on graphs;
+first models by enumeration (oracle_sat, oracle_nae) and a plain NAE
+backtracking search (nae_dpll) on formulas."""
 
 import random
 from collections import Counter
@@ -143,6 +143,27 @@ def triangle_set(g):
     """The triangles of g as sorted vertex triples, read off the triangle
     index: each is listed at its smallest vertex."""
     return frozenset((v, a, b) for v, pairs in enumerate(triangle_pairs(g)) for a, b in pairs if v < a)
+
+
+def quotient(g, pairs):
+    """Identify vertices, the reference for the directly laid out
+    constructions. Each (keep, drop) pair merges drop's class into
+    keep's, whose representative stays; the representatives are
+    renumbered in ascending order, and the loops and parallel edges the
+    merges create are dropped. Returns (graph, vmap), vmap sending each
+    vertex to the new index of its class."""
+    rep = list(range(g.n))
+    for keep, drop in pairs:
+        if not (0 <= keep < g.n and 0 <= drop < g.n):
+            raise ValueError(f"vertex out of range: ({keep}, {drop}) with n={g.n}")
+        if rep[keep] == rep[drop]:
+            raise ValueError(f"vertices {keep} and {drop} are already identified")
+        old = rep[drop]
+        rep = [rep[keep] if r == old else r for r in rep]
+    index = {r: i for i, r in enumerate(sorted(set(rep)))}
+    vmap = {v: index[rep[v]] for v in range(g.n)}
+    edges = {tuple(sorted((vmap[a], vmap[b]))) for a, b in g.edges() if vmap[a] != vmap[b]}
+    return Graph(len(index), edges), vmap
 
 
 def random_ktree(rng, k, n):
