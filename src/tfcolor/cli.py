@@ -17,8 +17,6 @@ with '-' but '-' itself. Any other argv (help, an abbreviation,
 from the same table.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -107,18 +105,18 @@ def _cmd_solve(args) -> int:
         from . import graph_classes
 
         if args.cls == "chordal":
-            k, witness = graph_classes.chordal_chi3(g)
+            witness = graph_classes.chordal_chi3(g)
         else:
-            k, witness = graph_classes.bounded_chi_chi3(g, args.cls)
+            witness = graph_classes.bounded_chi_chi3(g, args.cls)
         if args.q is not None:
-            return _emit_decision(witness if k <= args.q else None)
+            return _emit_decision(witness if witness.k <= args.q else None)
     else:
         from . import solvers
 
         if args.q is not None:
             return _emit_decision(solvers.decide_tf_q(g, args.q, polar=polar))
-        k, witness = solvers.solve_chi3(g, polar=polar)
-    _emit({"chi3": k, "coloring": list(witness.colors)})
+        witness = solvers.solve_chi3(g, polar=polar)
+    _emit({"chi3": witness.k, "coloring": list(witness.colors)})
     return 0
 
 

@@ -2,8 +2,6 @@
 edges; with every edge polar it checks a proper coloring), and the
 pairwise class-merging recoloring."""
 
-from __future__ import annotations
-
 from .graph import Graph, Record, as_edge_subset
 
 
@@ -17,8 +15,7 @@ class Coloring(Record):
     __slots__ = ("k", "colors")
 
     def __init__(self, k: int, colors: tuple):
-        super().__init__(k, colors)
-        object.__setattr__(self, "colors", tuple(self.colors))
+        super().__init__(k, tuple(colors))
         if self.k < 0:
             raise ValueError("color count must be non-negative")
         for v, c in enumerate(self.colors):

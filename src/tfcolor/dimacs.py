@@ -1,8 +1,6 @@
 """The one DIMACS-style grammar, whose errors name their line: the CNF reader, and the
 graph reader for text its lean loop refuses. Only commands that read such text load it."""
 
-from __future__ import annotations
-
 from .graph import Graph
 
 

@@ -8,8 +8,6 @@ compute_params. solve --fpt and params load this module, and only
 compute_params loads the search engine.
 """
 
-from __future__ import annotations
-
 from .coloring import Coloring, verify_triangle_free
 from .graph import Graph, _members, connected_components, triangle_pairs
 
@@ -179,8 +177,8 @@ def compute_params(g: Graph) -> dict:
     from .solvers import solve_chi3
 
     omega = oracle_omega(g)
-    chi = solve_chi3(g, polar=g.edges())[0]
-    chi3 = solve_chi3(g)[0]
+    chi = solve_chi3(g, polar=g.edges()).k
+    chi3 = solve_chi3(g).k
     delta = g.max_degree
     if not ((omega + 1) // 2 <= chi3 <= (chi + 1) // 2):
         raise RuntimeError("internal error: chi3 violates its clique/chromatic sandwich")

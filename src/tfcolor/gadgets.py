@@ -2,8 +2,6 @@
 graphs, the 12-vertex bichromatic-edge gadget and the triangle of three
 such gadgets, Mycielski iterates, and stock graphs."""
 
-from __future__ import annotations
-
 from itertools import combinations
 
 from .graph import Graph

@@ -5,8 +5,6 @@ iterator of vertex sets held as int bitsets, DIMACS/DOT output, the
 reader of valid graph and polar-instance text, and the read-only record
 base of the value classes."""
 
-from __future__ import annotations
-
 from itertools import chain
 
 
@@ -100,9 +98,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max((len(s) for s in self._adj), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
 
     def edges(self) -> list:
         """All edges as (u, v) pairs with u < v, sorted."""

@@ -4,8 +4,6 @@ per vertex and one stack per count) and exact coloring, and the
 bounded-chromatic classes, where the triangle-free search's budget
 ladder stops by budget 2 (or 3)."""
 
-from __future__ import annotations
-
 from .coloring import Coloring, standard_recolor, verify_triangle_free
 from .graph import Graph
 
@@ -62,18 +60,16 @@ def recognize_chordal(g: Graph):
 
 
 def chordal_chi3(g: Graph):
-    """Exact triangle-free chromatic number of a chordal graph with a
-    witness: an optimal proper coloring along the elimination ordering is
-    merged pairwise, giving ceil(omega/2) colors."""
+    """A verified witness of a chordal graph's exact triangle-free
+    chromatic number, which is its k: an optimal proper coloring along the
+    elimination ordering is merged pairwise, giving ceil(omega/2) colors."""
     peo = recognize_chordal(g)
     if peo is None:
         raise ValueError("graph is not chordal")
-    if g.n == 0:
-        return 0, Coloring(0, ())
     pos = [0] * g.n
     for i, v in enumerate(peo):
         pos[v] = i
-    omega = max(1 + sum(1 for u in g.neighbors(v) if pos[u] > pos[v]) for v in peo)
+    omega = max((1 + sum(1 for u in g.neighbors(v) if pos[u] > pos[v]) for v in peo), default=0)
     colors = [0] * g.n
     for v in reversed(peo):
         taken = {colors[u] for u in g.neighbors(v) if colors[u]}
@@ -81,35 +77,33 @@ def chordal_chi3(g: Graph):
         while x in taken:
             x += 1
         colors[v] = x
-    if max(colors) != omega:
+    if max(colors, default=0) != omega:
         raise RuntimeError("internal error: greedy elimination coloring missed the clique bound")
     witness = standard_recolor(Coloring(omega, tuple(colors)))
     if not verify_triangle_free(g, witness):
         raise RuntimeError("internal error: recolored chordal witness is invalid")
-    return witness.k, witness
+    return witness
 
 
 def bounded_chi_chi3(g: Graph, tag: str):
-    """Triangle-free chromatic number on the tagged classes, where chi3 <=
-    ceil(chi/2) is at most 2 on planar and outerplanar graphs and at most 3
-    on regular graphs of degree at most 4 (by Brooks' theorem only a K5
-    component needs 3), so solve_chi3 stops by that budget. The regular4
+    """A verified witness of chi3 (its k) on the tagged classes, where
+    chi3 <= ceil(chi/2) is at most 2 on planar and outerplanar graphs and
+    at most 3 on regular graphs of degree at most 4 (by Brooks' theorem
+    only a K5 component needs 3), so solve_chi3 stops by that budget. The regular4
     tag's regularity and degree are checked first; the planar/outerplanar
     tags are trusted, so chi3 above the class bound signals a violated
     hint."""
     if tag not in BOUNDED_TAGS:
         raise ValueError(f"class tag {tag!r} is not handled by the bounded pipeline")
-    if g.n == 0:
-        return 0, Coloring(0, ())
     if tag == "regular4":
         degs = {g.degree(v) for v in range(g.n)}
-        if len(degs) != 1:
+        if len(degs) > 1:
             raise ValueError("regular4 hint violated: graph is not regular")
-        if degs.pop() > 4:
+        if max(degs, default=0) > 4:
             raise ValueError("regular4 hint violated: degree exceeds 4")
     from .solvers import solve_chi3
 
-    k, witness = solve_chi3(g)
-    if k > (3 if tag == "regular4" else 2):
-        raise ValueError(f"class hint {tag!r} violated: chi3 is {k}")
-    return k, witness
+    witness = solve_chi3(g)
+    if witness.k > (3 if tag == "regular4" else 2):
+        raise ValueError(f"class hint {tag!r} violated: chi3 is {witness.k}")
+    return witness

@@ -6,8 +6,6 @@ Literals are nonzero signed integers over 1-based variables, DIMACS
 style.
 """
 
-from __future__ import annotations
-
 from .graph import Graph, Record, contains_k4
 
 
@@ -18,8 +16,7 @@ class CnfFormula(Record):
     __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses: tuple):
-        super().__init__(num_vars, clauses)
-        object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
+        super().__init__(num_vars, tuple(tuple(cl) for cl in clauses))
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
         for i, cl in enumerate(self.clauses):

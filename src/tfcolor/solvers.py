@@ -7,8 +7,6 @@ bounded class pipelines load this module; params loads it through
 fpt.compute_params.
 """
 
-from __future__ import annotations
-
 from .coloring import Coloring, verify_triangle_free
 from .graph import Graph, _members, as_edge_subset, triangle_pairs
 
@@ -438,8 +436,7 @@ def _ladder(g: Graph, budgets, polar=None):
 
 
 def solve_chi3(g: Graph, polar=None):
-    """Exact chi3 (optionally polar-constrained) with a verified witness:
-    the least budget the search fits, climbing 1, 2, ... on one setup of
-    the graph; n colors always fit."""
-    witness = _ladder(g, range(1, g.n + 1), polar) if g.n else Coloring(0, ())
-    return witness.k, witness
+    """A verified witness of exact chi3 (optionally polar-constrained),
+    which is its k: the least budget the search fits, climbing 1, 2, ...
+    on one setup of the graph; n colors always fit."""
+    return _ladder(g, range(1, g.n + 1), polar) if g.n else Coloring(0, ())

@@ -17,8 +17,6 @@ bug and raises RuntimeError. The translations only translate and check
 their own invariants, such as a gadget's forced edge coming out bichromatic.
 """
 
-from __future__ import annotations
-
 from .coloring import Coloring, verify_triangle_free
 from .gadgets import Y1, Z1
 from .graph import Graph

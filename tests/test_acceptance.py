@@ -137,8 +137,8 @@ def test_03c_clover_extremality_k4_k5():
             and oracle_omega(clover) == 2 * k
         )
     ring = gen_cycle_clique(5)
-    chi3, witness = solve_chi3(ring)
-    ok = ok and chi3 == 5 and verify_triangle_free(ring, witness)
+    witness = solve_chi3(ring)
+    ok = ok and witness.k == 5 and verify_triangle_free(ring, witness)
     report(3, "clover extremality (k=4, 5), cycle-clique(5) chi3", ok)
 
 
@@ -231,8 +231,8 @@ def test_09_chordal_pipeline():
     ok = True
     for _ in range(200):
         g = random_ktree(rng, rng.randint(1, 3), rng.randint(1, 10))
-        k, w = chordal_chi3(g)
-        if k != oracle_chi3(g)[0] or not verify_triangle_free(g, w):
+        w = chordal_chi3(g)
+        if w.k != oracle_chi3(g)[0] or not verify_triangle_free(g, w):
             ok = False
     report(9, "chordal pipeline matches oracle", ok)
 

@@ -57,18 +57,19 @@ def test_recognize_chordal_rejects_random_holes():
 
 
 def test_chordal_chi3_examples():
-    assert chordal_chi3(gen_complete(6))[0] == 3
+    assert chordal_chi3(gen_complete(6)).k == 3
     tree = Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
-    k, w = chordal_chi3(tree)
-    assert k == 1 and w.colors == (1,) * 6
+    w = chordal_chi3(tree)
+    assert w.k == 1 and w.colors == (1,) * 6
+    assert chordal_chi3(Graph(0)) == Coloring(0, ())
 
 
 def test_chordal_chi3_matches_oracle():
     rng = random.Random(72)
     for _ in range(120):
         g = random_ktree(rng, rng.randint(1, 3), rng.randint(1, 10))
-        k, w = chordal_chi3(g)
-        assert k == oracle_chi3(g)[0]
+        w = chordal_chi3(g)
+        assert w.k == oracle_chi3(g)[0]
         assert verify_triangle_free(g, w)
 
 
@@ -78,7 +79,7 @@ def naive_is_chordal(g):
     left = set(range(g.n))
     while left:
         v = next((v for v in left
-                  if all(g.has_edge(a, b) for a in g.neighbors(v) & left
+                  if all(b in g.neighbors(a) for a in g.neighbors(v) & left
                          for b in g.neighbors(v) & left if a < b)), None)
         if v is None:
             return False
@@ -109,8 +110,8 @@ def test_recognize_chordal_matches_simplicial_elimination(g):
 def test_chordal_chi3_large_ktree():
     # quadratic partition refinement took about 5 s at 5000 vertices
     g = random_ktree(random.Random(73), 3, 20000)
-    k, w = chordal_chi3(g)
-    assert k == 2
+    w = chordal_chi3(g)
+    assert w.k == 2
     assert verify_triangle_free(g, w)
 
 
@@ -121,19 +122,19 @@ def test_chordal_chi3_rejects_non_chordal():
 
 def test_bounded_triangle_free_case():
     g = gen_cycle(7)
-    k, w = bounded_chi_chi3(g, "planar")
-    assert k == 1 and w.colors == (1,) * 7
+    w = bounded_chi_chi3(g, "planar")
+    assert w.k == 1 and w.colors == (1,) * 7
 
 
 def test_bounded_k4():
-    k, w = bounded_chi_chi3(gen_complete(4), "planar")
-    assert k == 2 and sorted(w.colors) == [1, 1, 2, 2]
+    w = bounded_chi_chi3(gen_complete(4), "planar")
+    assert w.k == 2 and sorted(w.colors) == [1, 1, 2, 2]
 
 
 def test_bounded_icosahedron():
     g = icosahedron()
-    k, w = bounded_chi_chi3(g, "planar")
-    assert k == 2 == oracle_chi3(g)[0]
+    w = bounded_chi_chi3(g, "planar")
+    assert w.k == 2 == oracle_chi3(g)[0]
     assert verify_triangle_free(g, w)
 
 
@@ -141,8 +142,8 @@ def test_bounded_matches_oracle_on_planar_subgraphs():
     rng = random.Random(73)
     for _ in range(80):
         g = planar_subgraph(rng, rng.randint(3, 10))
-        k, w = bounded_chi_chi3(g, "planar")
-        assert k == oracle_chi3(g)[0]
+        w = bounded_chi_chi3(g, "planar")
+        assert w.k == oracle_chi3(g)[0]
         assert verify_triangle_free(g, w)
 
 
@@ -150,24 +151,24 @@ def test_bounded_outerplanar_path():
     # maximal outerplanar strip: triangles sharing edges along a fan
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
                   (0, 2), (0, 3), (3, 5)])
-    k, w = bounded_chi_chi3(g, "outerplanar")
-    assert k == 2 == oracle_chi3(g)[0]
+    w = bounded_chi_chi3(g, "outerplanar")
+    assert w.k == 2 == oracle_chi3(g)[0]
     assert verify_triangle_free(g, w)
 
 
 def test_bounded_regular_cases():
     k5 = gen_complete(5)
-    k, w = bounded_chi_chi3(k5, "regular4")
-    assert k == 3 == oracle_chi3(k5)[0]
+    w = bounded_chi_chi3(k5, "regular4")
+    assert w.k == 3 == oracle_chi3(k5)[0]
     assert verify_triangle_free(k5, w)
     k4 = gen_complete(4)
-    assert bounded_chi_chi3(k4, "regular4")[0] == 2
+    assert bounded_chi_chi3(k4, "regular4").k == 2
     assert triangle_pairs(petersen()) == [[]] * 10
-    assert bounded_chi_chi3(petersen(), "regular4")[0] == 1
+    assert bounded_chi_chi3(petersen(), "regular4").k == 1
     two_k5 = Graph(10, gen_complete(5).edges()
                    + [(u + 5, v + 5) for u, v in gen_complete(5).edges()])
-    k, w = bounded_chi_chi3(two_k5, "regular4")
-    assert k == 3 and verify_triangle_free(two_k5, w)
+    w = bounded_chi_chi3(two_k5, "regular4")
+    assert w.k == 3 and verify_triangle_free(two_k5, w)
 
 
 def test_bounded_wrong_chi_hint_still_exact():
@@ -175,29 +176,28 @@ def test_bounded_wrong_chi_hint_still_exact():
     # still fits the class bound and is returned exactly
     m4 = gen_mycielski(3)
     g = Graph(26, m4.edges() + [(23, 24), (24, 25), (23, 25)])
-    k, w = bounded_chi_chi3(g, "planar")
-    assert k == 2 == solve_chi3(g)[0]
-    assert w.k == 2 and verify_triangle_free(g, w)
+    w = bounded_chi_chi3(g, "planar")
+    assert w.k == 2 == solve_chi3(g).k
+    assert verify_triangle_free(g, w)
 
 
 def test_bounded_regular_circulants():
     # C_n(1, 2) is 4-regular with chi3 = 2; beside two K5 the answer is 3
     for n in (20, 21):
         g = circulant(n)
-        k, w = bounded_chi_chi3(g, "regular4")
-        assert k == 2 and verify_triangle_free(g, w)
+        w = bounded_chi_chi3(g, "regular4")
+        assert w.k == 2 and verify_triangle_free(g, w)
     k5 = gen_complete(5).edges()
     g = Graph(20, k5 + [(u + 5, v + 5) for u, v in k5]
               + [(u + 10, v + 10) for u, v in circulant(10).edges()])
-    k, w = bounded_chi_chi3(g, "regular4")
-    assert k == 3 and verify_triangle_free(g, w)
+    w = bounded_chi_chi3(g, "regular4")
+    assert w.k == 3 and verify_triangle_free(g, w)
 
 
 @pytest.mark.parametrize("tag", BOUNDED_TAGS)
 def test_bounded_empty_graph(tag):
-    # the empty graph is answered before the regular4 check, which would
-    # call it irregular
-    assert bounded_chi_chi3(Graph(0), tag) == (0, Coloring(0, ()))
+    # no degree makes the empty graph irregular, and none exceeds 4
+    assert bounded_chi_chi3(Graph(0), tag) == Coloring(0, ())
 
 
 def test_bounded_rejects_violated_hints():

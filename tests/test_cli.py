@@ -166,7 +166,7 @@ def test_params_polar_gadget_matches_golden(monkeypatch, capsys):
 
 def test_params_reports_a_broken_sandwich_as_exit_three(monkeypatch, capsys):
     # the search answering chi3 = 1 on K4 is an engine fault, not an input error
-    monkeypatch.setattr(solvers, "solve_chi3", lambda g, polar=None: (4 if polar else 1, None))
+    monkeypatch.setattr(solvers, "solve_chi3", lambda g, polar=None: Coloring(4 if polar else 1, ()))
     monkeypatch.setattr(sys, "stdin", io.StringIO("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"))
     assert cli.run(["params"]) == 3
     captured = capsys.readouterr()

@@ -105,7 +105,7 @@ def assert_loads_exactly(argv, cwd):
     assert code == 0
     ours = {m for m in modules if m.partition(".")[0] == "tfcolor"}
     assert ours == {"tfcolor", "tfcolor.cli", "tfcolor.graph"} | {f"tfcolor.{m}" for m in LOADED_BY[argv]}
-    assert not modules & {"dataclasses", "heapq"}
+    assert not modules & {"__future__", "dataclasses", "heapq"}
 
 
 def is_search(argv):

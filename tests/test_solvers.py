@@ -285,9 +285,9 @@ def test_decide_tries_least_used_color_first(piece, monkeypatch):
 
 def test_solve_chi3_one_color_needs_no_search():
     c5 = gen_cycle(5)
-    assert solve_chi3(c5) == (1, Coloring(1, (1,) * 5))
-    k, got = solve_chi3(c5, polar=[(1, 2)])
-    assert k == 2 and got.colors[1] != got.colors[2] and verify_triangle_free(c5, got, [(1, 2)])
+    assert solve_chi3(c5) == Coloring(1, (1,) * 5)
+    got = solve_chi3(c5, polar=[(1, 2)])
+    assert got.k == 2 and got.colors[1] != got.colors[2] and verify_triangle_free(c5, got, [(1, 2)])
 
 
 @settings(max_examples=200)
@@ -302,7 +302,7 @@ def test_solve_chi3_starts_each_budget_from_fresh_state(inst, piece):
     k = oracle_chi3(g, polar)[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "PIECE", piece)
-        assert solve_chi3(g, polar) == (k, decide_tf_q(g, k, polar))
+        assert solve_chi3(g, polar) == decide_tf_q(g, k, polar)
 
 
 @settings(max_examples=200)
@@ -324,7 +324,7 @@ def test_the_ladder_indexes_the_graph_once(monkeypatch):
     calls = []
     monkeypatch.setattr(solvers, "triangle_pairs", lambda g: calls.append(g.n) or index(g))
     clover = gen_clover(3)
-    assert solve_chi3(clover)[0] == 4
+    assert solve_chi3(clover).k == 4
     assert calls == [40]
     calls.clear()
     compute_params(clover)
@@ -443,8 +443,8 @@ def test_peeled_search_matches_oracle(inst, piece, seed):
     best = oracle_chi3(g, polar)[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "PIECE", piece)
-        k, witness = solve_chi3(g, polar)
-        assert k == best and verify_triangle_free(g, witness, polar)
+        witness = solve_chi3(g, polar)
+        assert witness.k == best and verify_triangle_free(g, witness, polar)
         for q in range(1, best + 2):
             for got in (decide_tf_q(g, q, polar), relabelled(decide_tf_q, g, q, polar, seed)):
                 assert (got is not None) == (q >= best)
@@ -487,7 +487,7 @@ def test_search_matches_the_independent_refuter(inst, piece, seed):
     k = refuted_chi3(g, polar)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "PIECE", piece)
-        assert solve_chi3(g, polar)[0] == k
+        assert solve_chi3(g, polar).k == k
         for q in range(max(k - 1, 1), k + 1):
             got = relabelled(decide_tf_q, g, q, polar, seed)
             assert (got is not None) == (refute_tf_q(g, q, polar) is not None) == (q == k)
@@ -523,7 +523,8 @@ def test_search_witnesses_match_pinned_digest():
             got = relabelled(decide_tf_q, g, q, polar, i) if i % 2 else decide_tf_q(g, q, polar)
             digest.update(repr((i, got and got.colors)).encode())
             if i % 8 == 0:
-                digest.update(repr(solve_chi3(g, polar)).encode())
+                w = solve_chi3(g, polar)
+                digest.update(repr((w.k, w)).encode())
     assert digest.hexdigest() == "3d3d782761d6eb32d0ac399954e73b8fbe355e13434e535b2796056f69a1bef3"
 
 
@@ -872,6 +873,6 @@ def test_compute_params_matches_oracles():
 def test_compute_params_reports_a_broken_bound_as_an_internal_error(monkeypatch):
     # on K4 (omega 4, delta 3): chi3 1 breaks ceil(omega/2) <= chi3, and chi 6 breaks chi <= delta+1
     for chi, chi3, message in ((4, 1, "sandwich"), (6, 3, "delta")):
-        monkeypatch.setattr(solvers, "solve_chi3", lambda g, polar=None: (chi if polar else chi3, None))
+        monkeypatch.setattr(solvers, "solve_chi3", lambda g, polar=None: Coloring(chi if polar else chi3, ()))
         with pytest.raises(RuntimeError, match=f"^internal error: .*{message}"):
             compute_params(gen_complete(4))

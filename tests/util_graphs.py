@@ -134,7 +134,7 @@ def brute_triangles(g):
     """Raw scan over all vertex triples, the oracle for triangle listing."""
     out = set()
     for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+        if b in g.neighbors(a) and c in g.neighbors(a) and c in g.neighbors(b):
             out.add((a, b, c))
     return frozenset(out)
 
@@ -337,7 +337,7 @@ def _brute_triangle_pairs(g: Graph):
     computed by a raw scan over all vertex triples."""
     tri = [[] for _ in range(g.n)]
     for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+        if b in g.neighbors(a) and c in g.neighbors(a) and c in g.neighbors(b):
             tri[c].append((a, b))
     return tri
 
